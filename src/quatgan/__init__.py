@@ -2,16 +2,16 @@
 training harness, verifiable at desk scale.
 
 The library is organized around a four-component tensor type (`QTensor`),
-Hamilton-product layers with shared submatrices, a minimal reverse-mode
-autodiff tape with per-component gradients, proper-signal quaternion batch
-normalization, two quaternion spectral-normalization schemes, and the
-QDCGAN / QSNGAN architectures with real-valued twins for parameter
-comparison.
+Hamilton-product layers whose four shared submatrices form one signed real
+block matrix (`layers.hamilton_block`), a minimal reverse-mode autodiff tape
+with per-component gradients, proper-signal quaternion batch normalization,
+two quaternion spectral-normalization schemes, and the QDCGAN / QSNGAN
+architectures with real-valued twins for parameter comparison.
 """
 
 from .quaternion import Quaternion
 from .qtensor import QTensor
-from .layers import ConvConfig, QWeight
+from .layers import ConvConfig, fold_block, hamilton_block
 from .autodiff import Tape, grad_check
 from .optim import AdamState, adam_step
 from .models import ModelSpec, build_qdcgan, build_qsngan, build_real_twin, count_parameters
@@ -23,7 +23,8 @@ __all__ = [
     "Quaternion",
     "QTensor",
     "ConvConfig",
-    "QWeight",
+    "hamilton_block",
+    "fold_block",
     "Tape",
     "grad_check",
     "AdamState",

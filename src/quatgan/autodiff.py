@@ -13,6 +13,7 @@ q1..q3 of a loss must be zero.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,17 @@ __all__ = ["Tape", "Node", "grad_check", "GradCheckReport"]
 
 
 class Node:
-    """One recorded operation; ``value`` is its eagerly evaluated result."""
+    """One recorded operation; ``value`` is its eagerly evaluated result.
 
-    __slots__ = ("tape", "nid", "op", "inputs", "value", "bwd", "param_name", "param_kind")
+    A node refers to its tape weakly, so a tape and its nodes are freed as
+    soon as the last reference to the tape is dropped, without waiting for
+    the cyclic garbage collector.
+    """
+
+    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "param_name", "param_kind")
 
     def __init__(self, tape, nid, op, inputs, value, bwd=None, param_name=None, param_kind=None):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.nid = nid
         self.op = op
         self.inputs = inputs
@@ -38,6 +44,13 @@ class Node:
         self.bwd = bwd
         self.param_name = param_name
         self.param_kind = param_kind
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise DomainError(f"node {self.nid} ({self.op}) outlived its tape")
+        return tape
 
     def __repr__(self):
         return f"Node({self.nid}, {self.op}, shape={self.value.shape})"
@@ -151,10 +164,6 @@ def sub(a: Node, b: Node) -> Node:
                          lambda g: (g, -g))
 
 
-def neg(a: Node) -> Node:
-    return a.tape.record("neg", (a,), lambda av: QTensor(-av.data), lambda g: (-g,))
-
-
 def scale(a: Node, c: float) -> Node:
     c = float(c)
     return a.tape.record("scale", (a,), lambda av: QTensor(av.data * c),
@@ -172,19 +181,6 @@ def scale_components(a: Node, factors) -> Node:
         return (g * f.reshape(4, *([1] * (g.ndim - 1))),)
 
     return a.tape.record("scale_components", (a,), fwd, bwd)
-
-
-def mul_elem(a: Node, b: Node) -> Node:
-    saved = {}
-
-    def fwd(av, bv):
-        if av.shape != bv.shape:
-            raise ShapeMismatchError(f"mul shapes differ: {av.shape} vs {bv.shape}")
-        saved["a"], saved["b"] = av.data, bv.data
-        return QTensor(av.data * bv.data)
-
-    return a.tape.record("mul", (a, b), fwd,
-                         lambda g: (g * saved["b"], g * saved["a"]))
 
 
 def hamilton_mul(a: Node, b: Node) -> Node:
@@ -251,45 +247,57 @@ def inner_const(a: Node, k: QTensor) -> Node:
 # -- layers --------------------------------------------------------------------
 
 
-def _apply_table_transposed(g_parts, w_parts, matmul):
-    """dx_d = sum_c sign(c,d) * (g_c applied-through W_{m(c,d)})."""
-    out = []
-    for d in range(4):
-        acc = None
-        for c in range(4):
-            m, s = L.HAMILTON_TABLE[c][d]
-            term = matmul(g_parts[c], w_parts[m])
-            term = term if s > 0 else -term
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+def _check_conv_input(x: QTensor, cfg: L.ConvConfig):
+    if len(x.shape) != 4:
+        raise ShapeMismatchError(f"conv expects (batch, channels, H, W), got {x.shape}")
+    if x.shape[1] != cfg.in_q:
+        raise ShapeMismatchError(
+            f"input has {x.shape[1]} quaternion channels, config expects {cfg.in_q}"
+        )
+    return x.shape
 
 
-def _weight_grads(g_parts, x_parts, correlate, like):
-    dw = [np.zeros_like(like) for _ in range(4)]
-    for c in range(4):
-        for d in range(4):
-            m, s = L.HAMILTON_TABLE[c][d]
-            term = correlate(g_parts[c], x_parts[d])
-            dw[m] += term if s > 0 else -term
-    return np.stack(dw)
+def _check_kernel(kernel: QTensor, want, what: str):
+    if kernel.shape != want:
+        raise ShapeMismatchError(
+            f"{what} weight shape {kernel.shape} does not match config {want}"
+        )
 
 
 def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
+    """Quaternion fully connected layer: (B, in_q) -> (B, out_q), y = W x + b.
+
+    With the component axis moved inward, the input is one real (B, 4*in_q)
+    matrix and the layer one GEMM against the Hamilton block of the kernel.
+    """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def fwd(xv, kv, *rest):
-        from .layers import QWeight
-
-        saved["x"], saved["k"] = xv.data, kv.data
-        w = QWeight(kernel=kv, bias=rest[0] if rest else None)
-        return L.qdense_forward(xv, w)
+        if len(xv.shape) != 2:
+            raise ShapeMismatchError(f"qdense expects (batch, in_q), got {xv.shape}")
+        out_q, in_q = kv.shape
+        if xv.shape[1] != in_q:
+            raise ShapeMismatchError(
+                f"qdense input has {xv.shape[1]} quaternion features, weight expects {in_q}",
+                left=xv.shape,
+                right=kv.shape,
+            )
+        b = xv.shape[0]
+        x2 = xv.data.transpose(1, 0, 2).reshape(b, 4 * in_q)
+        block = L.hamilton_block(kv.data)
+        if x.tape.needs_grad:
+            saved.update(x2=x2, block=block)
+        y = (x2 @ block.T).reshape(b, 4, out_q).transpose(1, 0, 2)
+        if rest:
+            return QTensor(np.add(y, rest[0].data[:, None, :], order="C"))
+        return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
-        xd, kd = saved["x"], saved["k"]
-        dx = np.stack(_apply_table_transposed(g, kd, lambda gc, wm: np.matmul(gc, wm)))
-        dk = _weight_grads(g, xd, lambda gc, xdv: np.einsum("bo,bi->oi", gc, xdv), kd[0])
+        b, out_q = g.shape[1], g.shape[2]
+        g2 = g.transpose(1, 0, 2).reshape(b, 4 * out_q)
+        dx = (g2 @ saved["block"]).reshape(b, 4, -1).transpose(1, 0, 2)
+        dk = L.fold_block(g2.T @ saved["x2"])
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=1)
@@ -298,33 +306,39 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
 
 
 def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
+    """Quaternion 2-D convolution (cross-correlation convention).
+
+    The four input components become 4*in_q real channels, so one im2col
+    gives (B*P, 4*in_q*k*k) patch rows and the layer is one GEMM against the
+    Hamilton block of the kernel flattened to (out_q, in_q*k*k).
+    """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    k, o = cfg.kernel, cfg.out_q
 
     def fwd(xv, kv, *rest):
-        from .layers import QWeight
-
-        w = QWeight(kernel=kv, bias=rest[0] if rest else None)
-        y, cols = L._qconv2d_with_cache(xv, w, cfg)
+        b, i, h, w = _check_conv_input(xv, cfg)
+        _check_kernel(kv, (o, i, k, k), "conv")
+        ho = L.conv_out_size(h, k, cfg.stride, cfg.padding)
+        wo = L.conv_out_size(w, k, cfg.stride, cfg.padding)
+        x_real = xv.data.transpose(1, 0, 2, 3, 4).reshape(b, 4 * i, h, w)
+        cols = L.im2col(x_real, k, cfg.stride, cfg.padding).reshape(b * ho * wo, -1)
+        block = L.hamilton_block(kv.data)
         if x.tape.needs_grad:
-            saved["cols"] = cols
-            saved["wflat"] = kv.data.reshape(4, cfg.out_q, -1)
-            saved["x_shape"] = xv.data[0].shape
-        return y
+            saved.update(cols=cols, block=block, x_shape=x_real.shape)
+        y = (cols @ block.T).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
+        if rest:
+            return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
+        return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
-        b, o = g.shape[1], cfg.out_q
-        gflat = g.reshape(4, b, o, -1).transpose(0, 1, 3, 2)  # (4, B, P, O)
-        wflat, cols = saved["wflat"], saved["cols"]
-        dcols = _apply_table_transposed(gflat, wflat, lambda gc, wm: np.matmul(gc, wm))
-        dx = np.stack(
-            [L.col2im(dcols[d], saved["x_shape"], cfg.kernel, cfg.stride, cfg.padding)
-             for d in range(4)]
-        )
-        dwflat = _weight_grads(
-            gflat, cols, lambda gc, xd: np.einsum("bpo,bpi->oi", gc, xd), wflat[0]
-        )
-        dk = dwflat.reshape(4, cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel)
+        _, b, _, ho, wo = g.shape
+        g2 = g.transpose(1, 3, 4, 0, 2).reshape(b * ho * wo, 4 * o)
+        x_shape = saved["x_shape"]
+        dcols = (g2 @ saved["block"]).reshape(b, ho * wo, -1)
+        dx = L.col2im(dcols, x_shape, k, cfg.stride, cfg.padding)
+        dx = dx.reshape(b, 4, cfg.in_q, *x_shape[2:]).transpose(1, 0, 2, 3, 4)
+        dk = L.fold_block(g2.T @ saved["cols"]).reshape(4, o, cfg.in_q, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))
@@ -333,37 +347,41 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
 
 
 def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
+    """Quaternion transposed convolution; the kernel is (in_q, out_q, k, k).
+
+    Each input position is one real row of 4*in_q values; one GEMM against
+    the Hamilton block of the per-component transposed kernel
+    (out_q*k*k, in_q) gives the patch columns that col2im scatters into the
+    4*out_q real output channels.
+    """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    k, i, o = cfg.kernel, cfg.in_q, cfg.out_q
 
     def fwd(xv, kv, *rest):
-        from .layers import QWeight
-
-        w = QWeight(kernel=kv, bias=rest[0] if rest else None)
-        y, x2 = L._qtconv2d_with_cache(xv, w, cfg)
+        b, _, h, w = _check_conv_input(xv, cfg)
+        _check_kernel(kv, (i, o, k, k), "transposed conv")
+        ho = L.tconv_out_size(h, k, cfg.stride, cfg.padding)
+        wo = L.tconv_out_size(w, k, cfg.stride, cfg.padding)
+        x2 = xv.data.transpose(1, 3, 4, 0, 2).reshape(b * h * w, 4 * i)
+        block = L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1))
         if x.tape.needs_grad:
-            saved["x2"] = x2
-            saved["wflat"] = kv.data.reshape(4, cfg.in_q, -1)
-            saved["in_spatial"] = xv.shape[-2:]
-        return y
+            saved.update(x2=x2, block=block, hw=(h, w))
+        dcols = (x2 @ block.T).reshape(b, h * w, -1)
+        y = L.col2im(dcols, (b, 4 * o, ho, wo), k, cfg.stride, cfg.padding)
+        y = y.reshape(b, 4, o, ho, wo).transpose(1, 0, 2, 3, 4)
+        if rest:
+            return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
+        return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
-        gcols = np.stack(
-            [L.im2col(g[c], cfg.kernel, cfg.stride, cfg.padding) for c in range(4)]
-        )  # (4, B, P_in, O*k*k)
-        wflat = saved["wflat"]
-        dx2 = _apply_table_transposed(gcols, wflat,
-                                      lambda gc, wm: np.matmul(gc, wm.T))
-        b = g.shape[1]
-        h, w2 = saved["in_spatial"]
-        dx = np.stack(
-            [dx2[d].transpose(0, 2, 1).reshape(b, cfg.in_q, h, w2) for d in range(4)]
-        )
-        dwflat = _weight_grads(
-            gcols, saved["x2"],
-            lambda gc, xd: np.einsum("bpi,bpj->ij", xd, gc), wflat[0]
-        )
-        dk = dwflat.reshape(4, cfg.in_q, cfg.out_q, cfg.kernel, cfg.kernel)
+        _, b, _, ho, wo = g.shape
+        g_real = g.transpose(1, 0, 2, 3, 4).reshape(b, 4 * o, ho, wo)
+        gcols = L.im2col(g_real, k, cfg.stride, cfg.padding)  # (B, P_in, 4*o*k*k)
+        gcols = gcols.reshape(-1, gcols.shape[2])
+        h, w = saved["hw"]
+        dx = (gcols @ saved["block"]).reshape(b, h, w, 4, i).transpose(3, 0, 4, 1, 2)
+        dk = L.fold_block(gcols.T @ saved["x2"]).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))

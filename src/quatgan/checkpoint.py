@@ -6,11 +6,13 @@ Everything a run needs to resume (parameters, normalization state, optimizer
 moments, RNG streams, iteration counter, config) is framed as tensors;
 non-float state is packed losslessly into f32-representable integers.
 Tensors are written sorted by name so save -> load -> save is byte-identical.
+Every malformed file raises :class:`CheckpointError`; the loader does not yet
+detect a flipped bit inside a float payload.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import struct
 
 import numpy as np
@@ -30,22 +32,18 @@ MAGIC = b"QGN1"
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]):
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", len(tensors))
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        raw = name.encode("utf-8")
+    names = sorted(tensors)
+    raws = [name.encode("utf-8") for name in names]
+    for name, raw in zip(names, raws):
         if len(raw) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:40]}...")
-        blob += struct.pack("<H", len(raw))
-        blob += raw
-        blob += struct.pack("<B", arr.ndim)
-        for d in arr.shape:
-            blob += struct.pack("<I", d)
-        blob += arr.tobytes()
+    # header fields and payloads go straight to the file: no whole-file buffer
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(MAGIC + struct.pack("<I", len(tensors)))
+        for name, raw in zip(names, raws):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            fh.write(struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape))
+            fh.write(arr)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -57,12 +55,19 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     (count,) = _unpack(data, "<I", pos)
     pos += 4
     out = {}
+    prev = None
     for _ in range(count):
         (nlen,) = _unpack(data, "<H", pos)
         pos += 2
         if pos + nlen > len(data):
             raise CheckpointError("truncated tensor name", offset=pos)
-        name = data[pos : pos + nlen].decode("utf-8")
+        try:
+            name = data[pos : pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=pos) from exc
+        if prev is not None and name <= prev:
+            raise CheckpointError(f"tensor {name!r} is out of name order", offset=pos)
+        prev = name
         pos += nlen
         (rank,) = _unpack(data, "<B", pos)
         pos += 1
@@ -71,8 +76,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             (d,) = _unpack(data, "<I", pos)
             pos += 4
             dims.append(d)
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        nbytes = 4 * n
+        nbytes = 4 * math.prod(dims)
         if pos + nbytes > len(data):
             raise CheckpointError(
                 f"truncated payload for tensor {name!r}", offset=pos
@@ -100,7 +104,19 @@ def pack_text(text: str) -> np.ndarray:
 
 
 def unpack_text(arr: np.ndarray) -> str:
-    return np.asarray(arr).astype(np.uint8).tobytes().decode("utf-8")
+    vals = _limb_values(arr, 0xFF, "text")
+    try:
+        return vals.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"packed text is not UTF-8: {exc}") from exc
+
+
+def _limb_values(arr: np.ndarray, top: int, what: str) -> np.ndarray:
+    """A 1-D tensor of integers in [0, top], as packed by this module."""
+    vals = np.asarray(arr, dtype=np.float64)
+    if vals.ndim != 1 or not np.all((vals >= 0) & (vals <= top) & (vals == np.round(vals))):
+        raise CheckpointError(f"{what} tensor does not hold integers in [0, {top}]")
+    return vals
 
 
 def _int_to_limbs(value: int, limbs: int) -> list[float]:
@@ -126,7 +142,9 @@ def pack_rng_state(gen: np.random.Generator) -> np.ndarray:
 
 
 def unpack_rng_state(arr: np.ndarray) -> np.random.Generator:
-    vals = np.asarray(arr, dtype=np.float64)
+    vals = _limb_values(arr, 0xFFFF, "rng state")
+    if vals.shape != (19,):
+        raise CheckpointError(f"rng state has {vals.size} limbs, expected 19")
     gen = np.random.default_rng(0)
     gen.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -135,7 +153,3 @@ def unpack_rng_state(arr: np.ndarray) -> np.random.Generator:
         "uinteger": _limbs_to_int(vals[17:19]),
     }
     return gen
-
-
-def config_to_json(config) -> str:
-    return json.dumps(config, sort_keys=True)

@@ -220,8 +220,9 @@ def check_qbn_train_conv(rng):
 
 def check_qbn_eval(rng):
     state = qnorm.QBNState(channels=3)
-    warm = _qt(rng, (16, 3))
-    qnorm.qbn_forward(warm, state, mode="train")
+    warm = ad.Tape(needs_grad=False)
+    qnorm.qbn(warm.constant(_qt(rng, (16, 3))), warm.constant(state.gamma),
+              warm.constant(state.beta), state, training=True)
     params = {"x": _qt(rng, (4, 3)), "gamma": state.gamma, "beta": state.beta}
 
     def build(tape, leaves):
@@ -289,10 +290,6 @@ def check_wgan(rng):
 
 
 # -- block / model checks -----------------------------------------------------------
-
-
-def _model_params_subset(model):
-    return model.param_tensors()
 
 
 def check_gen_block(rng):

@@ -30,14 +30,18 @@ def _load_config(path) -> T.TrainConfig:
     return config
 
 
+def _fd(value) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     if args.out:
         config.out_dir = args.out
     report = T.train(config, resume_from=args.resume)
     print(f"finished {config.iterations} iterations")
-    print(f"fd init {report['fd_init']:.4f} best {report['fd_best']:.4f} "
-          f"final {report['fd_final']:.4f}")
+    print(f"fd init {_fd(report['fd_init'])} best {_fd(report['fd_best'])} "
+          f"final {_fd(report['fd_final'])}")
     print(f"report: {os.path.join(config.out_dir, 'report.json')}")
     return 0
 

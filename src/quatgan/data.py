@@ -247,15 +247,3 @@ def _read_png(path) -> np.ndarray:
         ) from exc
     with Image.open(path) as im:
         return np.asarray(im.convert("RGB"), dtype=np.uint8)
-
-
-def write_png(path, img: np.ndarray):
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise DomainError(
-            "PNG support needs pillow (pip install 'quatgan[png]')"
-        ) from exc
-    if img.dtype != np.uint8:
-        img = to_uint8(img)
-    Image.fromarray(img, mode="RGB").save(path)

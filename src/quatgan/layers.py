@@ -1,15 +1,15 @@
-"""Quaternion neural layers: dense, convolution, transposed convolution,
-split activations, pooling, and the polar-form weight initializer.
-
-All forwards are pure functions of (input, weight); the differentiable
-versions live in :mod:`quatgan.autodiff` and call back into the helpers here.
+"""Quaternion neural layers: the Hamilton block form of a quaternion weight,
+spatial primitives for convolutions, split activations, pooling, and the
+polar-form weight initializer.
 
 Weight sharing follows the four-submatrix structure of the quaternion
-product: each output component is a signed sum of the four real submatrix
-products. The signed 4x4 block layout is encoded once in ``HAMILTON_TABLE``
-and reused by dense, conv and transposed conv paths; the full block matrix is
-only materialized explicitly for spectral-norm estimation (see
-:func:`quatgan.qnorm.real_block_matrix`).
+product: output component c is a signed sum of the four real submatrices
+applied to the input components. :func:`hamilton_block` lays the submatrices
+out as that signed 4x4 real block matrix, and :func:`fold_block` is its
+adjoint. They are the only code that reads the sign pattern: the dense, conv
+and transposed-conv tape ops in :mod:`quatgan.autodiff` run one real GEMM
+against the block, fold their kernel gradient back through the adjoint, and
+spectral normalization and the sigma diagnostics measure the same block.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
-    "QWeight",
     "ConvConfig",
-    "HAMILTON_TABLE",
-    "qdense_forward",
-    "qconv2d_forward",
-    "qtransposed_conv2d_forward",
+    "hamilton_block",
+    "fold_block",
     "split_activation",
     "split_pool",
     "guided_max_pool",
@@ -40,50 +37,46 @@ __all__ = [
     "col2im",
 ]
 
-# HAMILTON_TABLE[c][d] = (m, s): output component c receives s * (W_m ? x_d),
-# i.e. the expanded quaternion product with the weight on the left.
-HAMILTON_TABLE = (
-    ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)),
-    ((1, 1.0), (0, 1.0), (3, -1.0), (2, 1.0)),
-    ((2, 1.0), (3, 1.0), (0, 1.0), (1, -1.0)),
-    ((3, 1.0), (2, -1.0), (1, 1.0), (0, 1.0)),
+# Output component c of the product W x receives _SIGN[c, d] * W_m x_d with
+# m = c XOR d (_SUBMATRIX[c, d]): the weight-on-left Hamilton product.
+_SUBMATRIX = np.arange(4)[:, None] ^ np.arange(4)[None, :]
+_SIGN = np.array(
+    [
+        [1, -1, -1, -1],
+        [1, 1, -1, 1],
+        [1, 1, 1, -1],
+        [1, -1, 1, 1],
+    ]
 )
 
 
-@dataclass
-class QWeight:
-    """Shared submatrices of a quaternion layer plus an optional bias.
+def hamilton_block(w: np.ndarray) -> np.ndarray:
+    """Real block matrix of a quaternion weight: (4, out, in, ...) -> (4*out, 4*in*...).
 
-    ``kernel`` holds the four submatrices as the components of one QTensor of
-    shape (out_q, in_q) for dense layers or (out_q, in_q, k, k) for convs
-    (transposed convs use (in_q, out_q, k, k)). ``bias`` is one quaternion per
-    output channel, added component-wise.
+    Block (c, d) is ``_SIGN[c, d] * W_{c^d}``, so the block times the stacked
+    input components [x_0; x_1; x_2; x_3] gives the stacked output
+    components of the quaternion product. Trailing kernel dims are flattened
+    into the input axis. The signs are cast to ``w``'s dtype, so a float32
+    kernel gives a float32 block.
     """
+    w = w.reshape(4, w.shape[1], -1)
+    _, rows, cols = w.shape
+    blocks = w[_SUBMATRIX] * _SIGN.astype(w.dtype)[:, :, None, None]  # (c, d, out, in)
+    return blocks.transpose(0, 2, 1, 3).reshape(4 * rows, 4 * cols)
 
-    kernel: QTensor
-    bias: QTensor | None = None
 
-    @property
-    def w0(self) -> np.ndarray:
-        return self.kernel.data[0]
+def fold_block(g: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`hamilton_block`: (4*out, 4*in) -> (4, out, in).
 
-    @property
-    def w1(self) -> np.ndarray:
-        return self.kernel.data[1]
-
-    @property
-    def w2(self) -> np.ndarray:
-        return self.kernel.data[2]
-
-    @property
-    def w3(self) -> np.ndarray:
-        return self.kernel.data[3]
-
-    def real_parameter_count(self) -> int:
-        n = 4 * self.kernel.size
-        if self.bias is not None:
-            n += 4 * self.bias.size
-        return n
+    Submatrix m collects the signed blocks it appears in, so the gradient of
+    a loss through the block matrix folds back onto the four submatrices.
+    """
+    rows, cols = g.shape[0] // 4, g.shape[1] // 4
+    blocks = g.reshape(4, rows, 4, cols).transpose(0, 2, 1, 3)  # (c, d, out, in)
+    c = np.arange(4)[None, :]
+    d = _SUBMATRIX  # row m holds d = m ^ c for each c, the block where W_m sits
+    signed = blocks[c, d] * _SIGN[c, d].astype(g.dtype)[:, :, None, None]  # (m, c, out, in)
+    return signed.sum(axis=1)
 
 
 @dataclass
@@ -153,108 +146,6 @@ def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) ->
     if padding:
         return xp[:, :, padding : padding + h, padding : padding + w].copy()
     return xp
-
-
-def _combine(products) -> np.ndarray:
-    """Combine per-(weight component, input component) real products into the
-    four output components; products[m][d] must be ``W_m applied to x_d``."""
-    out = []
-    for c in range(4):
-        acc = None
-        for d, (m, s) in enumerate(HAMILTON_TABLE[c]):
-            term = products[m][d] if s > 0 else -products[m][d]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return np.stack(out)
-
-
-# -- forwards ----------------------------------------------------------------
-
-
-def qdense_forward(x: QTensor, w: QWeight) -> QTensor:
-    """Quaternion fully connected layer: (B, in_q) -> (B, out_q)."""
-    if len(x.shape) != 2:
-        raise ShapeMismatchError(f"qdense expects (batch, in_q), got {x.shape}")
-    out_q, in_q = w.kernel.shape
-    if x.shape[1] != in_q:
-        raise ShapeMismatchError(
-            f"qdense input has {x.shape[1]} quaternion features, weight expects {in_q}",
-            left=x.shape,
-            right=w.kernel.shape,
-        )
-    # products[m] = x_all @ W_m^T, shape (4, B, out_q): index [m][d]
-    products = [np.matmul(x.data, w.kernel.data[m].T) for m in range(4)]
-    y = QTensor(_combine(products))
-    if w.bias is not None:
-        y = QTensor(y.data + w.bias.data[:, None, :])
-    return y
-
-
-def qconv2d_forward(x: QTensor, w: QWeight, cfg: ConvConfig) -> QTensor:
-    """Quaternion 2-D convolution (cross-correlation convention)."""
-    y, _ = _qconv2d_with_cache(x, w, cfg)
-    return y
-
-
-def _qconv2d_with_cache(x: QTensor, w: QWeight, cfg: ConvConfig):
-    b, c_in, h, wdt = _check_conv_input(x, cfg)
-    ho = conv_out_size(h, cfg.kernel, cfg.stride, cfg.padding)
-    wo = conv_out_size(wdt, cfg.kernel, cfg.stride, cfg.padding)
-    if w.kernel.shape != (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel):
-        raise ShapeMismatchError(
-            f"conv weight shape {w.kernel.shape} does not match config "
-            f"({cfg.out_q}, {cfg.in_q}, {cfg.kernel}, {cfg.kernel})"
-        )
-    cols = np.stack(
-        [im2col(x.data[d], cfg.kernel, cfg.stride, cfg.padding) for d in range(4)]
-    )  # (4, B, P, I*k*k)
-    wflat = w.kernel.data.reshape(4, cfg.out_q, -1)
-    products = [np.matmul(cols, wflat[m].T) for m in range(4)]  # each (4, B, P, O)
-    y = _combine(products)  # (4, B, P, O)
-    y = y.transpose(0, 1, 3, 2).reshape(4, b, cfg.out_q, ho, wo)
-    if w.bias is not None:
-        y = y + w.bias.data[:, None, :, None, None]
-    return QTensor(y), cols
-
-
-def qtransposed_conv2d_forward(x: QTensor, w: QWeight, cfg: ConvConfig) -> QTensor:
-    """Quaternion transposed convolution; weight kernel is (in_q, out_q, k, k)."""
-    y, _ = _qtconv2d_with_cache(x, w, cfg)
-    return y
-
-
-def _qtconv2d_with_cache(x: QTensor, w: QWeight, cfg: ConvConfig):
-    b, c_in, h, wdt = _check_conv_input(x, cfg)
-    if w.kernel.shape != (cfg.in_q, cfg.out_q, cfg.kernel, cfg.kernel):
-        raise ShapeMismatchError(
-            f"transposed conv weight shape {w.kernel.shape} does not match config "
-            f"({cfg.in_q}, {cfg.out_q}, {cfg.kernel}, {cfg.kernel})"
-        )
-    ho = tconv_out_size(h, cfg.kernel, cfg.stride, cfg.padding)
-    wo = tconv_out_size(wdt, cfg.kernel, cfg.stride, cfg.padding)
-    out_shape = (b, cfg.out_q, ho, wo)
-    # x as (4, B, P, in_q) with P the *input* positions
-    x2 = x.data.reshape(4, b, cfg.in_q, h * wdt).transpose(0, 1, 3, 2)
-    wflat = w.kernel.data.reshape(4, cfg.in_q, -1)  # (4, in_q, out_q*k*k)
-    products = [np.matmul(x2, wflat[m]) for m in range(4)]  # (4, B, P, O*k*k)
-    dcols = _combine(products)  # (4, B, P, O*k*k)
-    y = np.stack(
-        [col2im(dcols[c], out_shape, cfg.kernel, cfg.stride, cfg.padding) for c in range(4)]
-    )
-    if w.bias is not None:
-        y = y + w.bias.data[:, None, :, None, None]
-    return QTensor(y), x2
-
-
-def _check_conv_input(x: QTensor, cfg: ConvConfig):
-    if len(x.shape) != 4:
-        raise ShapeMismatchError(f"conv expects (batch, channels, H, W), got {x.shape}")
-    b, c_in, h, w = x.shape
-    if c_in != cfg.in_q:
-        raise ShapeMismatchError(
-            f"input has {c_in} quaternion channels, config expects {cfg.in_q}"
-        )
-    return b, c_in, h, w
 
 
 # -- activations and pooling --------------------------------------------------
@@ -351,8 +242,7 @@ def init_sigma(fan_in: int, fan_out: int, criterion: str) -> float:
 
 
 def quaternion_init(shape, fan_in: int, fan_out: int, criterion: str = "glorot",
-                    rng: np.random.Generator | int | None = None,
-                    bias_channels: int | None = None) -> QWeight:
+                    rng: np.random.Generator | int | None = None) -> QTensor:
     """Polar-form weight initializer.
 
     Per entry: a random pure unit quaternion u (componentwise uniform [0,1],
@@ -361,6 +251,7 @@ def quaternion_init(shape, fan_in: int, fan_out: int, criterion: str = "glorot",
     scale sigma so that the summed component variance is exactly 4 sigma^2
     with sigma = 1/sqrt(2(n_in+n_out)) (glorot) or 1/sqrt(2 n_in) (he).
     The components are W0 = phi cos(theta), W_i = phi u_i sin(theta).
+    Returns the kernel; biases are not drawn (layers start them at zero).
     """
     sigma = init_sigma(fan_in, fan_out, criterion)
     if not isinstance(rng, np.random.Generator):
@@ -374,15 +265,13 @@ def quaternion_init(shape, fan_in: int, fan_out: int, criterion: str = "glorot",
     u /= np.sqrt((u * u).sum(axis=0, keepdims=True))
     theta = rng.uniform(-np.pi, np.pi, size=shape)
     phi = sigma * np.sqrt((rng.standard_normal(size=(4, *shape)) ** 2).sum(axis=0))
-    kernel = np.stack(
-        [
-            phi * np.cos(theta),
-            phi * u[0] * np.sin(theta),
-            phi * u[1] * np.sin(theta),
-            phi * u[2] * np.sin(theta),
-        ]
+    return QTensor(
+        np.stack(
+            [
+                phi * np.cos(theta),
+                phi * u[0] * np.sin(theta),
+                phi * u[1] * np.sin(theta),
+                phi * u[2] * np.sin(theta),
+            ]
+        )
     )
-    # biases start at zero; shape[0] is out_q except for transposed convs,
-    # whose kernels are (in_q, out_q, k, k) and pass bias_channels explicitly
-    out_q = shape[0] if bias_channels is None else bias_channels
-    return QWeight(kernel=QTensor(kernel), bias=QTensor.zeros((out_q,)))

@@ -71,6 +71,13 @@ class Module:
         raise NotImplementedError
 
 
+def _state_array(name, arr, shape, dtype=None):
+    """``arr`` as loaded state for ``name``; a shape other than ``shape`` is refused."""
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"state {name!r} has shape {arr.shape}, expected {shape}")
+    return arr if dtype is None else arr.astype(dtype)
+
+
 class _WeightedModule(Module):
     """Base for modules with a quaternion kernel that may be spectrally normalized."""
 
@@ -95,7 +102,7 @@ class _WeightedModule(Module):
             return
         if self.sn_mode == "full":
             sigma, _ = qnorm.power_iteration_sigma(
-                qnorm.real_block_matrix(self.kernel.value), self.sn_full_state
+                L.hamilton_block(self.kernel.value.data), self.sn_full_state
             )
             self.sn_scale = np.full(4, 1.0 / sigma if sigma > 0 else 1.0)
         else:
@@ -130,13 +137,15 @@ class _WeightedModule(Module):
         return out
 
     def load_state(self, name, arr):
+        rows = self.kernel.value.shape[0]
         if self.sn_mode == "full" and name == f"{self.name}.sn_u":
-            self.sn_full_state.u = arr.astype(self.kernel.value.dtype)
+            self.sn_full_state.u = _state_array(name, arr, (4 * rows,), self.kernel.value.dtype)
             return
-        if self.sn_mode == "split" and name.startswith(f"{self.name}.sn_u"):
-            c = int(name[-1])
-            self.sn_split_state.states[c].u = arr.astype(self.kernel.value.dtype)
-            return
+        if self.sn_mode == "split":
+            for c, st in enumerate(self.sn_split_state.states):
+                if name == f"{self.name}.sn_u{c}":
+                    st.u = _state_array(name, arr, (rows,), self.kernel.value.dtype)
+                    return
         raise KeyError(name)
 
 
@@ -155,7 +164,7 @@ class QDense(_WeightedModule):
 
     def init_params(self, rng, criterion):
         w = L.quaternion_init((self.out_q, self.in_q), self.in_q, self.out_q, criterion, rng)
-        self.kernel.value.data[...] = w.kernel.data
+        self.kernel.value.data[...] = w.data
 
     def forward(self, leaves, x, mode):
         b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
@@ -183,7 +192,7 @@ class QConv(_WeightedModule):
             (self.cfg.out_q, self.cfg.in_q, k, k),
             self.cfg.in_q * rf, self.cfg.out_q * rf, criterion, rng,
         )
-        self.kernel.value.data[...] = w.kernel.data
+        self.kernel.value.data[...] = w.data
 
     def forward(self, leaves, x, mode):
         b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
@@ -210,9 +219,8 @@ class QTConv(_WeightedModule):
         w = L.quaternion_init(
             (self.cfg.in_q, self.cfg.out_q, k, k),
             self.cfg.in_q * rf, self.cfg.out_q * rf, criterion, rng,
-            bias_channels=self.cfg.out_q,
         )
-        self.kernel.value.data[...] = w.kernel.data
+        self.kernel.value.data[...] = w.data
 
     def forward(self, leaves, x, mode):
         b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
@@ -258,12 +266,13 @@ class QBN(Module):
         ]
 
     def load_state(self, name, arr):
+        st = self.state
         if name == f"{self.name}.running_mean":
-            self.state.running_mean.data[...] = arr
+            st.running_mean.data[...] = _state_array(name, arr, st.running_mean.data.shape)
         elif name == f"{self.name}.running_var":
-            self.state.running_var[...] = arr
+            st.running_var[...] = _state_array(name, arr, st.running_var.shape)
         elif name == f"{self.name}.bn_init":
-            self.state.initialized = bool(arr.reshape(-1)[0])
+            st.initialized = bool(_state_array(name, arr, (1,))[0])
         else:
             raise KeyError(name)
 
@@ -591,9 +600,7 @@ def measure_sigmas(model: Model) -> dict[str, float]:
             out[m.name] = max(float(np.linalg.svd(flat[c], compute_uv=False)[0])
                               for c in range(4))
         else:
-            out[m.name] = float(
-                np.linalg.svd(qnorm.real_block_matrix(k), compute_uv=False)[0]
-            )
+            out[m.name] = float(np.linalg.svd(L.hamilton_block(k.data), compute_uv=False)[0])
     return out
 
 

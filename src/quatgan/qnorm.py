@@ -1,5 +1,5 @@
 """Quaternion batch normalization, the augmented-covariance diagnostic, and
-quaternion spectral normalization driven by power iteration.
+the power iteration behind quaternion spectral normalization.
 
 QBN here is the proper-signal approximation: the four component variances are
 pooled into a single per-channel scale (the 4-sigma^2 aggregate), the
@@ -7,6 +7,11 @@ quaternion mean is subtracted component-wise, and the affine stage uses one
 real gain per channel plus a quaternion shift. Full whitening by the inverse
 square root of the augmented covariance is deliberately not implemented; the
 augmented covariance itself is available as a diagnostic only.
+
+Spectral normalization itself lives on the weighted modules
+(:meth:`quatgan.models._WeightedModule.update_sn_scale`): full mode runs
+:func:`power_iteration_sigma` on :func:`quatgan.layers.hamilton_block` of the
+kernel, split mode on each submatrix with a :class:`SplitSNState`.
 """
 
 from __future__ import annotations
@@ -16,21 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .layers import HAMILTON_TABLE, QWeight
 from .qtensor import QTensor
 
 __all__ = [
     "QBNState",
     "quaternion_mean",
     "qproper_variance",
-    "qbn_forward",
     "qbn",
     "augmented_covariance",
     "SNState",
     "power_iteration_sigma",
-    "real_block_matrix",
-    "qsn_split",
-    "qsn_full",
     "SplitSNState",
 ]
 
@@ -116,32 +116,6 @@ def _batch_stats(data: np.ndarray, eps: float):
     v = var_c.sum(axis=0, keepdims=True)
     s = np.sqrt(v + eps)
     return mu, xc, v, s, n
-
-
-def qbn_forward(x: QTensor, state: QBNState, mode: str = "train") -> QTensor:
-    """Normalize to zero quaternion mean and unit summed component variance,
-    then apply gamma (real gain) and beta (quaternion shift).
-
-    Train mode uses batch statistics and updates the running stats by
-    exponential moving average; eval mode uses the running stats and mutates
-    nothing.
-    """
-    data = x.data
-    if mode == "train":
-        mu, xc, v, s, _ = _batch_stats(data, state.epsilon)
-        _update_running(state, mu, v)
-        xhat = xc / s
-    elif mode == "eval":
-        if not state.initialized:
-            raise DomainError("QBN eval requested before any train-mode batch")
-        mu = _chan(state.running_mean.data, data.ndim)
-        s = np.sqrt(_chan(state.running_var, data.ndim) + state.epsilon)
-        xhat = (data - mu) / s
-    else:
-        raise DomainError(f"unknown QBN mode {mode!r}")
-    gamma = _chan(state.gamma.q0, data.ndim)
-    beta = _chan(state.beta.data, data.ndim)
-    return QTensor(gamma * xhat + beta)
 
 
 def _update_running(state: QBNState, mu, v):
@@ -292,20 +266,6 @@ def power_iteration_sigma(m: np.ndarray, state: SNState) -> tuple[float, SNState
     return float(u @ m @ v), state
 
 
-def real_block_matrix(kernel: QTensor) -> np.ndarray:
-    """Materialize the signed 4x4 block structure of a quaternion weight as a
-    single real matrix (4*rows, 4*cols); conv kernels are flattened to
-    (out, in*k*k) first. Used for spectral estimation and diagnostics only."""
-    comps = kernel.data.reshape(4, kernel.shape[0], -1)
-    rows, cols = comps.shape[1], comps.shape[2]
-    out = np.empty((4 * rows, 4 * cols), dtype=comps.dtype)
-    for c in range(4):
-        for d in range(4):
-            m, s = HAMILTON_TABLE[c][d]
-            out[c * rows : (c + 1) * rows, d * cols : (d + 1) * cols] = s * comps[m]
-    return out
-
-
 @dataclass
 class SplitSNState:
     """Four independent power-iteration states, one per submatrix."""
@@ -316,22 +276,3 @@ class SplitSNState:
     def __post_init__(self):
         for s in self.states:
             s.power_iters = self.power_iters
-
-
-def qsn_split(w: QWeight, state: SplitSNState) -> QWeight:
-    """Normalize each submatrix W_c by its own spectral norm estimate."""
-    flat = w.kernel.data.reshape(4, w.kernel.shape[0], -1)
-    out = np.empty_like(w.kernel.data)
-    for c in range(4):
-        sigma, _ = power_iteration_sigma(flat[c], state.states[c])
-        out[c] = w.kernel.data[c] / sigma if sigma > 0.0 else w.kernel.data[c]
-    return QWeight(kernel=QTensor(out), bias=w.bias)
-
-
-def qsn_full(w: QWeight, state: SNState) -> QWeight:
-    """Normalize all four submatrices by the spectral norm of the constructed
-    real block matrix, so the constructed matrix of the result has sigma 1."""
-    sigma, _ = power_iteration_sigma(real_block_matrix(w.kernel), state)
-    if sigma <= 0.0:
-        return QWeight(kernel=w.kernel.copy(), bias=w.bias)
-    return QWeight(kernel=QTensor(w.kernel.data / sigma), bias=w.bias)

@@ -22,7 +22,7 @@ from . import data as D
 from . import losses as LS
 from . import metrics as M
 from . import models as MD
-from .errors import ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, NumericError
 from .optim import AdamState, adam_step
 from .qtensor import QTensor
 
@@ -191,34 +191,80 @@ def save_checkpoint(path, config: TrainConfig, g: MD.Model, d: MD.Model,
     ckpt.save_tensors(path, tensors)
 
 
+RNG_STREAMS = ("noise", "data", "aux")
+
+
+def _count(tensors, name) -> int:
+    """A checkpoint counter: one nonnegative integer stored as f32."""
+    arr = tensors.get(name)
+    if arr is None:
+        raise CheckpointError(f"checkpoint lacks tensor {name!r}")
+    value = arr[0] if arr.shape == (1,) else np.nan
+    if not (np.isfinite(value) and value >= 0 and value == np.floor(value)):
+        raise CheckpointError(f"tensor {name!r} does not hold a nonnegative integer")
+    return int(value)
+
+
+def _require_shape(name, arr, shape):
+    if arr.shape != shape:
+        raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+
+
 def load_checkpoint(path):
-    """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file."""
+    """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file.
+
+    A malformed file raises :class:`CheckpointError`: a missing ``meta.*``
+    tensor or parameter, an undecodable config, or a tensor whose name is
+    unknown or whose shape does not match the model.
+    """
     tensors = ckpt.load_tensors(path)
-    config = TrainConfig.from_json(ckpt.unpack_text(tensors["meta.config"]))
-    spec = MD.preset_spec(config.model)
+    if "meta.config" not in tensors:
+        raise CheckpointError("checkpoint lacks tensor 'meta.config'")
+    try:
+        config = TrainConfig.from_json(ckpt.unpack_text(tensors["meta.config"]))
+        spec = MD.preset_spec(config.model)
+    except (ValueError, TypeError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+        raise CheckpointError(f"meta.config does not hold a valid config: {exc}") from exc
+    iteration = _count(tensors, "meta.iteration")
     spec.sn = config.sn_mode
     g, d = MD.build_gan(spec, dtype=np.float32)
     adams = {"g": AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2),
              "d": AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)}
     nets = {"g": g, "d": d}
+    params = {net: model.parameters() for net, model in nets.items()}
     rngs: dict[str, np.random.Generator] = {}
     for name, arr in tensors.items():
-        parts = name.split(".")
-        if parts[0] == "param":
-            nets[parts[1]].parameters()[".".join(parts[2:])].value.data[...] = arr
-        elif parts[0] == "state":
-            nets[parts[1]].load_state(".".join(parts[2:]), np.asarray(arr))
-        elif parts[0] == "adam":
-            opt = adams[parts[1]]
-            if parts[2] == "step":
-                opt.step = int(round(float(arr[0])))
-            elif parts[2] == "m":
-                opt.m[".".join(parts[3:])] = np.array(arr)
-            else:
-                opt.v[".".join(parts[3:])] = np.array(arr)
-        elif parts[0] == "rng":
-            rngs[parts[1]] = ckpt.unpack_rng_state(arr)
-    iteration = int(round(float(tensors["meta.iteration"][0])))
+        kind, net, key = (name.split(".", 2) + ["", ""])[:3]
+        if kind == "meta" and name in ("meta.config", "meta.iteration"):
+            continue
+        if kind == "rng" and net in RNG_STREAMS and not key:
+            rngs[net] = ckpt.unpack_rng_state(arr)
+        elif net not in nets:
+            raise CheckpointError(f"unknown tensor {name!r}")
+        elif kind == "param" and key in params[net]:
+            value = params[net][key].value.data
+            _require_shape(name, arr, value.shape)
+            value[...] = arr
+        elif kind == "state":
+            try:
+                nets[net].load_state(key, np.asarray(arr))
+            except KeyError:
+                raise CheckpointError(f"unknown tensor {name!r}") from None
+            except ValueError as exc:
+                raise CheckpointError(f"tensor {name!r}: {exc}") from exc
+        elif kind == "adam" and key == "step":
+            adams[net].step = _count(tensors, name)
+        elif kind == "adam" and key[:2] in ("m.", "v.") and key[2:] in params[net]:
+            _require_shape(name, arr, params[net][key[2:]].value.data.shape)
+            moments = adams[net].m if key[0] == "m" else adams[net].v
+            moments[key[2:]] = np.array(arr)
+        else:
+            raise CheckpointError(f"unknown tensor {name!r}")
+    missing = [f"param.{net}.{k}" for net in nets for k in params[net]
+               if f"param.{net}.{k}" not in tensors]
+    missing += [f"rng.{s}" for s in RNG_STREAMS if s not in rngs]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensors: {', '.join(missing)}")
     return config, g, d, adams["g"], adams["d"], rngs, iteration
 
 
@@ -293,6 +339,12 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
     The report carries loss curves, spectral-norm traces, Frechet-distance
     evaluations, and checkpoint/sample paths. Raises :class:`NumericError`
     with a diagnostic dump if any loss goes non-finite.
+
+    The curves cover the iterations this call runs, ``start_iteration`` (0,
+    or the checkpoint's iteration on resume) to ``config.iterations``.
+    ``fd_init`` is the distance at iteration 0, so it is ``None`` on a
+    resume; ``fd_best`` and ``fd_final`` are taken over the evaluations of
+    this call.
 
     ``resume_from`` continues from a checkpoint to ``config.iterations``, and
     the result equals the uninterrupted run bitwise (losses and every
@@ -437,7 +489,7 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
         g, spec, config.sample_count, os.path.join(config.out_dir, "samples"), rngs["aux"]
     )
     fds = report["fd_trace"]
-    report["fd_init"] = fds[0][1] if fds else None
+    report["fd_init"] = fds[0][1] if fds and fds[0][0] == 0 else None
     report["fd_best"] = min(fd for _, fd in fds) if fds else None
     report["fd_final"] = fds[-1][1] if fds else None
     with open(os.path.join(config.out_dir, "report.json"), "w") as fh:

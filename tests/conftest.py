@@ -23,3 +23,14 @@ def concise_product(q, p):
     scalar = q.q0 * p.q0 - qv @ pv
     vec = q.q0 * pv + p.q0 * qv + np.cross(qv, pv)
     return Quaternion(scalar, *vec)
+
+
+def run_op(op, *args):
+    """Value of a tape op applied to plain values: each QTensor argument
+    becomes a constant of a gradient-free tape, the rest pass through."""
+    from quatgan.autodiff import Tape
+    from quatgan.qtensor import QTensor
+
+    tape = Tape(needs_grad=False)
+    nodes = [tape.constant(a) if isinstance(a, QTensor) else a for a in args]
+    return op(*nodes).value

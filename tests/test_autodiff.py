@@ -1,9 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from quatgan import autodiff as ad
 from quatgan.errors import DomainError, ShapeMismatchError
-from quatgan.layers import QWeight
 from quatgan.optim import AdamState, adam_step
 from quatgan.qtensor import QTensor
 
@@ -47,6 +49,44 @@ class TestTapeRecording:
         tape.param("w", scalar_qt(1.0))
         with pytest.raises(DomainError):
             tape.param("w", scalar_qt(2.0))
+
+
+class TestTapeLifetime:
+    def _gan_step_tape(self):
+        from quatgan import losses as LS
+        from quatgan import models as MD
+
+        rng = np.random.default_rng(0)
+        spec = MD.preset_spec("qsngan_toy8")
+        spec.sn = "full"
+        g, d = MD.build_gan(spec)
+        g.init_params(rng)
+        d.init_params(rng)
+        MD.apply_spectral_norm(d)
+        tape = ad.Tape()
+        z = QTensor.from_real(rng.standard_normal((2, spec.noise_dim)))
+        fake = g.forward(tape, tape.constant(z), training=True)
+        loss = LS.hinge_generator_op(d.forward(tape, fake, training=True))
+        tape.backward(loss)
+        return tape, loss
+
+    def test_dropped_tape_is_freed_without_collector(self):
+        tape, loss = self._gan_step_tape()
+        ref = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_node_outliving_its_tape_raises_domain_error(self):
+        tape, loss = self._gan_step_tape()
+        del tape
+        with pytest.raises(DomainError):
+            loss.tape
+        with pytest.raises(DomainError):
+            ad.scale(loss, 2.0)
 
 
 class TestBackward:

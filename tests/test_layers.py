@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from conftest import run_op
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from quatgan import autodiff as ad
+from quatgan import models as MD
 from quatgan.errors import ConfigError, DomainError, ShapeMismatchError
 from quatgan.layers import (
     ConvConfig,
-    QWeight,
     conv_out_size,
     global_sum_pool,
     guided_max_pool,
     im2col,
     col2im,
+    fold_block,
+    hamilton_block,
     init_sigma,
-    qconv2d_forward,
-    qdense_forward,
-    qtransposed_conv2d_forward,
     quaternion_init,
     split_activation,
     split_pool,
@@ -32,23 +36,23 @@ def _at(t: QTensor, *idx) -> Quaternion:
     return Quaternion(*(float(t.data[(c, *idx)]) for c in range(4)))
 
 
-def dense_oracle(x: QTensor, w: QWeight) -> QTensor:
+def dense_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None = None) -> QTensor:
     """Scalar-loop reference: y[b,o] = sum_i w[o,i] * x[b,i] + bias[o]."""
     b, i_q = x.shape
-    o_q = w.kernel.shape[0]
+    o_q = kernel.shape[0]
     out = QTensor.zeros((b, o_q))
     for bb in range(b):
         for o in range(o_q):
             acc = Quaternion(0.0, 0.0, 0.0, 0.0)
             for i in range(i_q):
-                acc = acc.add(hamilton_product(_at(w.kernel, o, i), _at(x, bb, i)))
-            if w.bias is not None:
-                acc = acc.add(_at(w.bias, o))
+                acc = acc.add(hamilton_product(_at(kernel, o, i), _at(x, bb, i)))
+            if bias is not None:
+                acc = acc.add(_at(bias, o))
             out.data[:, bb, o] = acc
     return out
 
 
-def conv_oracle(x: QTensor, w: QWeight, cfg: ConvConfig) -> QTensor:
+def conv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, cfg: ConvConfig) -> QTensor:
     b, i_q, h, wd = x.shape
     ho = conv_out_size(h, cfg.kernel, cfg.stride, cfg.padding)
     wo = conv_out_size(wd, cfg.kernel, cfg.stride, cfg.padding)
@@ -63,15 +67,46 @@ def conv_oracle(x: QTensor, w: QWeight, cfg: ConvConfig) -> QTensor:
                     for i in range(i_q):
                         for ki in range(cfg.kernel):
                             for kj in range(cfg.kernel):
-                                wq = _at(w.kernel, o, i, ki, kj)
+                                wq = _at(kernel, o, i, ki, kj)
                                 xq = Quaternion(*(
                                     xp[c, bb, i, oh * cfg.stride + ki, ow * cfg.stride + kj]
                                     for c in range(4)
                                 ))
                                 acc = acc.add(hamilton_product(wq, xq))
-                    if w.bias is not None:
-                        acc = acc.add(_at(w.bias, o))
+                    if bias is not None:
+                        acc = acc.add(_at(bias, o))
                     out.data[:, bb, o, oh, ow] = acc
+    return out
+
+
+def tconv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, cfg: ConvConfig) -> QTensor:
+    """Scalar-loop reference for the transposed conv: input pixel (h, w)
+    adds W[i, o, ki, kj] * x[b, i, h, w] at output (h*s - p + ki, w*s - p + kj)."""
+    b, i_q, h, wd = x.shape
+    s, p = cfg.stride, cfg.padding
+    ho = tconv_out_size(h, cfg.kernel, s, p)
+    wo = tconv_out_size(wd, cfg.kernel, s, p)
+    acc = [[[[Quaternion(0.0, 0.0, 0.0, 0.0) if bias is None else _at(bias, o)
+              for _ in range(wo)] for _ in range(ho)] for o in range(cfg.out_q)]
+           for _ in range(b)]
+    for bb in range(b):
+        for i in range(i_q):
+            for ih in range(h):
+                for iw in range(wd):
+                    xq = _at(x, bb, i, ih, iw)
+                    for o in range(cfg.out_q):
+                        for ki in range(cfg.kernel):
+                            for kj in range(cfg.kernel):
+                                oh, ow = ih * s - p + ki, iw * s - p + kj
+                                if 0 <= oh < ho and 0 <= ow < wo:
+                                    term = hamilton_product(_at(kernel, i, o, ki, kj), xq)
+                                    acc[bb][o][oh][ow] = acc[bb][o][oh][ow].add(term)
+    out = QTensor.zeros((b, cfg.out_q, ho, wo))
+    for bb in range(b):
+        for o in range(cfg.out_q):
+            for oh in range(ho):
+                for ow in range(wo):
+                    out.data[:, bb, o, oh, ow] = acc[bb][o][oh][ow]
     return out
 
 
@@ -80,7 +115,7 @@ class TestQDense:
         x = _qt(rng, (3, 5))
         kernel = QTensor.zeros((5, 5))
         kernel.q0[...] = np.eye(5)
-        y = qdense_forward(x, QWeight(kernel))
+        y = run_op(ad.qdense, x, kernel)
         assert y.allclose(x)
 
     def test_single_channel_matches_hamilton(self, rng):
@@ -88,7 +123,7 @@ class TestQDense:
         kernel = QTensor.zeros((1, 1))
         kernel.q1[...] = 1.0
         x = _qt(rng, (4, 1))
-        y = qdense_forward(x, QWeight(kernel))
+        y = run_op(ad.qdense, x, kernel)
         for bb in range(4):
             want = hamilton_product(Quaternion(0, 1, 0, 0), _at(x, bb, 0))
             got = _at(y, bb, 0)
@@ -96,18 +131,19 @@ class TestQDense:
 
     def test_general_weight_matches_scalar_oracle(self, rng):
         x = _qt(rng, (2, 3))
-        w = QWeight(_qt(rng, (4, 3)), _qt(rng, (4,)))
-        assert qdense_forward(x, w).allclose(dense_oracle(x, w))
+        kernel, bias = _qt(rng, (4, 3)), _qt(rng, (4,))
+        assert run_op(ad.qdense, x, kernel, bias).allclose(dense_oracle(x, kernel, bias))
 
     def test_parameter_ratio_quarter(self):
         w = quaternion_init((16, 16), 16, 16, "glorot", 0)
-        assert 4 * w.kernel.size == 1024  # vs 64*64 = 4096 for the real layer
-        assert w.real_parameter_count() == 1024 + 64
+        assert 4 * w.size == 1024  # vs 64*64 = 4096 for the real layer
+        layer = MD.Model("m", [MD.QDense("fc", 16, 16)])
+        assert MD.count_parameters(layer) == 1024 + 64
 
     def test_dimension_mismatch(self, rng):
         x = _qt(rng, (2, 3))
         with pytest.raises(ShapeMismatchError):
-            qdense_forward(x, QWeight(_qt(rng, (4, 5))))
+            run_op(ad.qdense, x, _qt(rng, (4, 5)))
 
 
 class TestQConv2d:
@@ -116,70 +152,76 @@ class TestQConv2d:
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
         cfg = ConvConfig(1, 1, 0, 3, 3)
-        assert qconv2d_forward(x, QWeight(kernel), cfg).allclose(x)
+        assert run_op(ad.qconv2d, x, kernel, None, cfg).allclose(x)
 
     def test_one_by_one_equals_dense_per_pixel(self, rng):
         x = _qt(rng, (2, 3, 3, 3))
         kernel = _qt(rng, (2, 3, 1, 1))
         bias = _qt(rng, (2,))
         cfg = ConvConfig(1, 1, 0, 3, 2)
-        y = qconv2d_forward(x, QWeight(kernel, bias), cfg)
-        wd = QWeight(QTensor(kernel.data[:, :, :, 0, 0]), bias)
+        y = run_op(ad.qconv2d, x, kernel, bias, cfg)
+        wd = QTensor(kernel.data[:, :, :, 0, 0])
         for ph in range(3):
             for pw in range(3):
                 pix = QTensor(np.ascontiguousarray(x.data[:, :, :, ph, pw]))
-                want = qdense_forward(pix, wd)
+                want = run_op(ad.qdense, pix, wd, bias)
                 assert np.allclose(y.data[:, :, :, ph, pw], want.data, atol=1e-12)
 
     def test_shape_arithmetic(self, rng):
         x = _qt(rng, (1, 2, 8, 8))
-        w = QWeight(_qt(rng, (2, 2, 3, 3)))
-        y = qconv2d_forward(x, w, ConvConfig(3, 1, 1, 2, 2))
+        y = run_op(ad.qconv2d, x, _qt(rng, (2, 2, 3, 3)), None, ConvConfig(3, 1, 1, 2, 2))
         assert y.shape == (1, 2, 8, 8)
 
     def test_matches_scalar_loop_oracle(self, rng):
         x = _qt(rng, (2, 2, 4, 4))
-        w = QWeight(_qt(rng, (2, 2, 3, 3)), _qt(rng, (2,)))
+        kernel, bias = _qt(rng, (2, 2, 3, 3)), _qt(rng, (2,))
         cfg = ConvConfig(3, 1, 1, 2, 2)
-        got = qconv2d_forward(x, w, cfg)
-        want = conv_oracle(x, w, cfg)
+        got = run_op(ad.qconv2d, x, kernel, bias, cfg)
+        want = conv_oracle(x, kernel, bias, cfg)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
     def test_strided_matches_oracle(self, rng):
         x = _qt(rng, (1, 2, 6, 6))
-        w = QWeight(_qt(rng, (3, 2, 2, 2)))
+        kernel = _qt(rng, (3, 2, 2, 2))
         cfg = ConvConfig(2, 2, 0, 2, 3)
         assert np.allclose(
-            qconv2d_forward(x, w, cfg).data, conv_oracle(x, w, cfg).data, atol=1e-12
+            run_op(ad.qconv2d, x, kernel, None, cfg).data,
+            conv_oracle(x, kernel, None, cfg).data,
+            atol=1e-12,
         )
 
     def test_kernel_larger_than_padded_input(self, rng):
         x = _qt(rng, (1, 1, 2, 2))
-        w = QWeight(_qt(rng, (1, 1, 5, 5)))
         with pytest.raises(ShapeMismatchError):
-            qconv2d_forward(x, w, ConvConfig(5, 1, 0, 1, 1))
+            run_op(ad.qconv2d, x, _qt(rng, (1, 1, 5, 5)), None, ConvConfig(5, 1, 0, 1, 1))
 
 
 class TestTransposedConv:
     def test_shape_formula(self, rng):
         assert tconv_out_size(8, 4, 2, 1) == 16
         x = _qt(rng, (1, 2, 8, 8))
-        w = QWeight(_qt(rng, (2, 2, 4, 4)))
-        y = qtransposed_conv2d_forward(x, w, ConvConfig(4, 2, 1, 2, 2))
+        y = run_op(ad.qtconv2d, x, _qt(rng, (2, 2, 4, 4)), None, ConvConfig(4, 2, 1, 2, 2))
         assert y.shape == (1, 2, 16, 16)
 
     def test_identity_one_by_one(self, rng):
         x = _qt(rng, (2, 3, 4, 4))
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
-        y = qtransposed_conv2d_forward(x, QWeight(kernel), ConvConfig(1, 1, 0, 3, 3))
+        y = run_op(ad.qtconv2d, x, kernel, None, ConvConfig(1, 1, 0, 3, 3))
         assert y.allclose(x)
+
+    @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (3, 1, 1), (2, 2, 0)])
+    def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
+        x = _qt(rng, (2, 2, 3, 3))
+        kernel, bias = _qt(rng, (2, 3, k, k)), _qt(rng, (3,))
+        cfg = ConvConfig(k, stride, pad, 2, 3)
+        got = run_op(ad.qtconv2d, x, kernel, bias, cfg)
+        want = tconv_oracle(x, kernel, bias, cfg)
+        assert np.allclose(got.data, want.data, atol=1e-12)
 
     def test_adjoint_of_conv_with_conjugated_weights(self, rng):
         """<conv(x), g> = <x, tconv(g, adapted w)>: the input gradient of the
         quaternion conv equals the transposed conv with conjugated kernel."""
-        from quatgan import autodiff as ad
-
         x = _qt(rng, (2, 2, 4, 4))
         kernel = _qt(rng, (3, 2, 3, 3))
         cfg = ConvConfig(3, 1, 1, 2, 3)
@@ -193,8 +235,8 @@ class TestTransposedConv:
 
         adapted = kernel.data.copy()
         adapted[1:] = -adapted[1:]
-        tw = QWeight(QTensor(adapted))  # (out,in,k,k) already matches the (in,out) slot
-        got = qtransposed_conv2d_forward(g, tw, ConvConfig(3, 1, 1, 3, 2))
+        tw = QTensor(adapted)  # (out,in,k,k) already matches the (in,out) slot
+        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(3, 1, 1, 3, 2))
         assert np.allclose(got.data, dx.data, atol=1e-10)
 
     def test_im2col_col2im_adjoint(self, rng):
@@ -203,6 +245,42 @@ class TestTransposedConv:
         lhs = (im2col(x, 3, 1, 1) * cols).sum()
         rhs = (x * col2im(cols, x.shape, 3, 1, 1)).sum()
         assert abs(lhs - rhs) < 1e-10
+
+
+_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+class TestHamiltonBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(a=arrays(np.float64, 4, elements=_finite), b=arrays(np.float64, 4, elements=_finite))
+    def test_homomorphism_on_one_by_one_kernels(self, a, b):
+        """The block of a product is the product of the blocks."""
+        ab = hamilton_product(Quaternion(*a), Quaternion(*b))
+        lhs = hamilton_block(np.array(ab, dtype=float).reshape(4, 1, 1))
+        rhs = hamilton_block(a.reshape(4, 1, 1)) @ hamilton_block(b.reshape(4, 1, 1))
+        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+    def test_fold_is_adjoint(self, data, rows, cols):
+        """<hamilton_block(w), G> == <w, fold_block(G)>."""
+        w = data.draw(arrays(np.float64, (4, rows, cols), elements=_finite))
+        g = data.draw(arrays(np.float64, (4 * rows, 4 * cols), elements=_finite))
+        lhs = float((hamilton_block(w) * g).sum())
+        rhs = float((w * fold_block(g)).sum())
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    def test_conv_kernel_flattens_trailing_dims(self, rng):
+        w = rng.standard_normal((4, 2, 3, 3, 3))
+        assert np.array_equal(hamilton_block(w), hamilton_block(w.reshape(4, 2, 27)))
+        assert hamilton_block(w).shape == (8, 108)
+
+    def test_float32_stays_float32(self, rng):
+        w = rng.standard_normal((4, 3, 2)).astype(np.float32)
+        assert hamilton_block(w).dtype == np.float32
+        assert fold_block(hamilton_block(w)).dtype == np.float32
+        x = QTensor(rng.standard_normal((4, 5, 2)).astype(np.float32))
+        assert run_op(ad.qdense, x, QTensor(w)).dtype == np.float32
 
 
 class TestSplitOps:
@@ -309,14 +387,14 @@ class TestInit:
     def test_seed_determinism(self):
         a = quaternion_init((8, 8), 8, 8, "glorot", 7)
         b = quaternion_init((8, 8), 8, 8, "glorot", 7)
-        assert np.array_equal(a.kernel.data, b.kernel.data)
+        assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("criterion,fans", [("glorot", (32, 48)), ("he", (32, 48))])
     def test_summed_component_variance_is_4_sigma_squared(self, criterion, fans):
         n = 100_000
         w = quaternion_init((n,), fans[0], fans[1], criterion, rng=3)
         sigma = init_sigma(fans[0], fans[1], criterion)
-        total_var = sum(w.kernel.data[c].var() for c in range(4))
+        total_var = sum(w.data[c].var() for c in range(4))
         assert abs(total_var - 4 * sigma**2) / (4 * sigma**2) < 0.05
 
     def test_component_means_near_zero(self):
@@ -324,10 +402,12 @@ class TestInit:
         w = quaternion_init((n,), 16, 16, "glorot", rng=11)
         sigma = init_sigma(16, 16, "glorot")
         for c in range(4):
-            comp = w.kernel.data[c]
+            comp = w.data[c]
             stderr = comp.std() / np.sqrt(n)
             assert abs(comp.mean()) < 3 * stderr + 1e-12, (c, comp.mean(), stderr)
 
     def test_bias_zero_by_default(self):
-        w = quaternion_init((4, 4), 4, 4, "glorot", 0)
-        assert np.all(w.bias.data == 0.0)
+        layer = MD.QDense("fc", 4, 4)
+        layer.init_params(np.random.default_rng(0), "glorot")
+        assert np.any(layer.kernel.value.data != 0.0)
+        assert np.all(layer.bias.value.data == 0.0)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from conftest import run_op
 
 from quatgan import autodiff as ad
 from quatgan import models as MD
 from quatgan.errors import ConfigError
 from quatgan.layers import ConvConfig
-from quatgan.qnorm import real_block_matrix
 from quatgan.qtensor import QTensor
 from quatgan.train import make_noise
 
@@ -167,11 +167,11 @@ class TestShapes:
         x = QTensor(rng.standard_normal((4, 2, 2, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        from quatgan.layers import QWeight, qconv2d_forward, split_pool
+        from quatgan.layers import split_pool
 
         sc = block.children["sc"]
         pooled = split_pool(x, "avg", 2)
-        want = qconv2d_forward(pooled, QWeight(sc.kernel.value, sc.bias.value), sc.cfg)
+        want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.cfg)
         assert np.allclose(y.value.data, want.data, atol=1e-12)
 
     def test_first_block_sums_residual_and_shortcut(self, rng):
@@ -183,14 +183,14 @@ class TestShapes:
         x = QTensor(rng.standard_normal((4, 2, 1, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        from quatgan.layers import QWeight, qconv2d_forward, split_activation, split_pool
+        from quatgan.layers import split_activation, split_pool
 
         c1, c2, sc = (block.children[k] for k in ("conv1", "conv2", "sc"))
-        h = qconv2d_forward(x, QWeight(c1.kernel.value, c1.bias.value), c1.cfg)
+        h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
         h = split_activation(h, "relu")
-        h = qconv2d_forward(h, QWeight(c2.kernel.value, c2.bias.value), c2.cfg)
+        h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.cfg)
         h = split_pool(h, "avg", 2)
-        s = qconv2d_forward(x, QWeight(sc.kernel.value, sc.bias.value), sc.cfg)
+        s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
         s = split_pool(s, "avg", 2)
         assert np.allclose(y.value.data, (h + s).data, atol=1e-12)
 

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
+from conftest import run_op
 
 from quatgan import autodiff as ad
+from quatgan import models as MD
 from quatgan.errors import DomainError, ShapeMismatchError
-from quatgan.layers import ConvConfig, QWeight, qconv2d_forward
+from quatgan.layers import ConvConfig, hamilton_block
 from quatgan.qnorm import (
     QBNState,
     SNState,
-    SplitSNState,
     augmented_covariance,
     power_iteration_sigma,
-    qbn_forward,
+    qbn,
     qproper_variance,
-    qsn_full,
-    qsn_split,
     quaternion_mean,
-    real_block_matrix,
 )
 from quatgan.qtensor import QTensor
 
@@ -65,6 +63,15 @@ class TestStatistics:
     def test_variance_needs_batch(self):
         with pytest.raises(DomainError):
             qproper_variance(QTensor(np.ones((4, 1, 2))))
+
+
+def qbn_forward(x: QTensor, state: QBNState, mode: str = "train") -> QTensor:
+    """Value of the QBN tape op: batch statistics (updating the running ones)
+    in train mode, running statistics in eval mode."""
+    def op(xn, gamma, beta):
+        return qbn(xn, gamma, beta, state, training=mode == "train")
+
+    return run_op(op, x, state.gamma, state.beta)
 
 
 class TestQBNForward:
@@ -216,11 +223,11 @@ class TestRealBlockMatrix:
     def test_identity_weight(self):
         kernel = QTensor.zeros((3, 3))
         kernel.q0[...] = np.eye(3)
-        assert np.array_equal(real_block_matrix(kernel), np.eye(12))
+        assert np.array_equal(hamilton_block(kernel.data), np.eye(12))
 
     def test_block_signs(self, rng):
         kernel = QTensor(rng.standard_normal((4, 2, 2)))
-        m = real_block_matrix(kernel)
+        m = hamilton_block(kernel.data)
         w0, w1, w2, w3 = kernel.data
         rows = [
             np.hstack([w0, -w1, -w2, -w3]),
@@ -232,15 +239,30 @@ class TestRealBlockMatrix:
 
     def test_matvec_matches_forward(self, rng):
         """The constructed matrix acting on stacked components equals qdense."""
-        from quatgan.layers import qdense_forward
-
         kernel = QTensor(rng.standard_normal((4, 3, 2)))
         x = QTensor(rng.standard_normal((4, 1, 2)))
-        y = qdense_forward(x, QWeight(kernel))
-        m = real_block_matrix(kernel)
+        y = run_op(ad.qdense, x, kernel)
+        m = hamilton_block(kernel.data)
         stacked = x.data[:, 0, :].reshape(-1)
         want = m @ stacked
         assert np.allclose(y.data[:, 0, :].reshape(-1), want, atol=1e-12)
+
+
+def _normalized(kernel: QTensor, mode: str, power_iters: int) -> QTensor:
+    """Effective kernel of a dense or conv module with spectral norm enabled,
+    after one SN refresh running ``power_iters`` power-iteration rounds."""
+    if len(kernel.shape) == 2:
+        layer = MD.QDense("w", kernel.shape[1], kernel.shape[0], bias=False)
+    else:
+        o, i, k, _ = kernel.shape
+        layer = MD.QConv("w", ConvConfig(k, 1, k // 2, i, o), bias=False)
+    layer.kernel.value = kernel
+    layer.enable_sn(mode)
+    states = layer.sn_split_state.states if mode == "split" else [layer.sn_full_state]
+    for state in states:
+        state.power_iters = power_iters
+    layer.update_sn_scale()
+    return layer.effective_kernel()
 
 
 class TestQSN:
@@ -249,62 +271,59 @@ class TestQSN:
         for _ in range(4):
             q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             comps.append(q)
-        w = QWeight(QTensor(np.stack(comps)))
-        out = qsn_split(w, SplitSNState(power_iters=30))
-        assert np.allclose(out.kernel.data, w.kernel.data, atol=1e-6)
+        kernel = QTensor(np.stack(comps))
+        out = _normalized(kernel, "split", 30)
+        assert np.allclose(out.data, kernel.data, atol=1e-6)
 
     def test_split_scales_largest_submatrix(self):
         comps = np.stack([5.0 * np.eye(4), np.eye(4), np.eye(4), np.eye(4)])
-        w = QWeight(QTensor(comps))
-        out = qsn_split(w, SplitSNState(power_iters=10))
-        assert np.allclose(out.kernel.data[0], np.eye(4), atol=1e-10)
-        assert np.allclose(out.kernel.data[1:], comps[1:], atol=1e-10)
+        out = _normalized(QTensor(comps), "split", 10)
+        assert np.allclose(out.data[0], np.eye(4), atol=1e-10)
+        assert np.allclose(out.data[1:], comps[1:], atol=1e-10)
 
     def test_split_submatrix_sigmas_one_but_constructed_differs(self):
         rng = np.random.default_rng(21)
-        w = QWeight(QTensor(rng.standard_normal((4, 6, 6))))
-        out = qsn_split(w, SplitSNState(power_iters=200))
+        out = _normalized(QTensor(rng.standard_normal((4, 6, 6))), "split", 200)
         for c in range(4):
-            s = np.linalg.svd(out.kernel.data[c], compute_uv=False)[0]
+            s = np.linalg.svd(out.data[c], compute_uv=False)[0]
             assert abs(s - 1.0) < 1e-3
-        constructed = np.linalg.svd(real_block_matrix(out.kernel), compute_uv=False)[0]
+        constructed = np.linalg.svd(hamilton_block(out.data), compute_uv=False)[0]
         assert abs(constructed - 1.0) > 0.05  # the recorded counterexample
 
     def test_full_identity_unchanged(self):
         kernel = QTensor.zeros((3, 3))
         kernel.q0[...] = np.eye(3)
-        out = qsn_full(QWeight(kernel), SNState(power_iters=10))
-        assert np.allclose(out.kernel.data, kernel.data, atol=1e-12)
+        out = _normalized(kernel, "full", 10)
+        assert np.allclose(out.data, kernel.data, atol=1e-12)
 
     def test_full_scale_invariance(self, rng):
         kernel = QTensor(rng.standard_normal((4, 5, 5)))
-        a = qsn_full(QWeight(kernel), SNState(power_iters=200))
-        b = qsn_full(QWeight(QTensor(7.0 * kernel.data)), SNState(power_iters=200))
-        assert np.allclose(a.kernel.data, b.kernel.data, atol=1e-8)
+        a = _normalized(kernel, "full", 200)
+        b = _normalized(QTensor(7.0 * kernel.data), "full", 200)
+        assert np.allclose(a.data, b.data, atol=1e-8)
 
     def test_full_constructed_sigma_is_one(self, rng):
-        kernel = QTensor(rng.standard_normal((4, 8, 8)))
-        out = qsn_full(QWeight(kernel), SNState(power_iters=200))
-        sigma = np.linalg.svd(real_block_matrix(out.kernel), compute_uv=False)[0]
+        out = _normalized(QTensor(rng.standard_normal((4, 8, 8))), "full", 200)
+        sigma = np.linalg.svd(hamilton_block(out.data), compute_uv=False)[0]
         assert abs(sigma - 1.0) < 1e-3
 
     def test_full_idempotent(self, rng):
         kernel = QTensor(rng.standard_normal((4, 6, 6)))
-        once = qsn_full(QWeight(kernel), SNState(power_iters=300))
-        twice = qsn_full(once, SNState(power_iters=300))
-        rel = np.abs(twice.kernel.data - once.kernel.data).max() / np.abs(once.kernel.data).max()
+        once = _normalized(kernel, "full", 300)
+        twice = _normalized(once, "full", 300)
+        rel = np.abs(twice.data - once.data).max() / np.abs(once.data).max()
         assert rel < 1e-6
 
     def test_normalized_conv_is_contractive_on_random_pairs(self):
         rng = np.random.default_rng(5)
-        kernel = QTensor(rng.standard_normal((4, 3, 3, 3, 3)))
-        w = qsn_full(QWeight(kernel), SNState(power_iters=300))
+        kernel = _normalized(QTensor(rng.standard_normal((4, 3, 3, 3, 3))), "full", 300)
         cfg = ConvConfig(3, 1, 1, 3, 3)
         for _ in range(10):
             x1 = QTensor(rng.standard_normal((4, 1, 3, 8, 8)))
             x2 = QTensor(rng.standard_normal((4, 1, 3, 8, 8)))
             num = np.linalg.norm(
-                qconv2d_forward(x1, w, cfg).data - qconv2d_forward(x2, w, cfg).data
+                run_op(ad.qconv2d, x1, kernel, None, cfg).data
+                - run_op(ad.qconv2d, x2, kernel, None, cfg).data
             )
             den = np.linalg.norm(x1.data - x2.data)
             assert num / den <= 1.0 + 5e-2

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from quatgan import checkpoint as C
+from quatgan import cli
 from quatgan import models as MD
 from quatgan import train as T
-from quatgan.errors import ConfigError, NumericError
+from quatgan.errors import CheckpointError, ConfigError, NumericError
 
 
 def toy_config(tmp_path, **overrides):
@@ -173,6 +174,24 @@ class TestTrainingLoop:
         assert resumed["d_losses"] == full["d_losses"][half:]
         assert_same_final_state(tmp_path / "full", tmp_path / "rest")
 
+    def test_resume_report_has_no_initial_distance(self, tmp_path, capsys):
+        half = toy_config(tmp_path, iterations=4, checkpoint_every=4, eval_every=4)
+        T.train(half)
+        mid = os.path.join(half.out_dir, "checkpoint_000004.qgn")
+        resumed = T.train(toy_config(tmp_path, iterations=8, checkpoint_every=4,
+                                     eval_every=4), resume_from=mid)
+        assert resumed["start_iteration"] == 4
+        assert [it for it, _ in resumed["fd_trace"]] == [8]
+        assert resumed["fd_init"] is None
+        assert resumed["fd_final"] == resumed["fd_trace"][-1][1]
+
+        cfg_path = tmp_path / "resume.json"
+        cfg_path.write_text(toy_config(tmp_path, iterations=8, checkpoint_every=4, eval_every=4,
+                                       out_dir=str(tmp_path / "cli")).to_json())
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path), "--resume", mid]) == 0
+        assert "fd init n/a" in capsys.readouterr().out
+
     def test_critic_iteration_audit(self, tmp_path):
         cfg = toy_config(tmp_path, critic_iters=5, iterations=4, checkpoint_every=0,
                          eval_every=0)
@@ -251,3 +270,130 @@ class TestCheckpointIntegration:
         report = T.train(cfg)
         assert len(report["g_losses"]) == 3
         assert all(np.isfinite(v) for v in report["g_losses"])
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """A 4-iteration qsngan_toy8 checkpoint with Adam moments and SN vectors."""
+    tmp = tmp_path_factory.mktemp("ckpt")
+    cfg = toy_config(tmp, iterations=4, checkpoint_every=4, eval_every=0)
+    T.train(cfg)
+    return os.path.join(cfg.out_dir, "checkpoint_000004.qgn")
+
+
+def _load_edited(tmp_path, source, edit):
+    """Apply ``edit`` to the tensor dict of ``source``, save, and reload it."""
+    tensors = {k: np.array(v) for k, v in C.load_tensors(source).items()}
+    edit(tensors)
+    path = str(tmp_path / "edited.qgn")
+    C.save_tensors(path, tensors)
+    return T.load_checkpoint(path)
+
+
+class TestCheckpointLoader:
+    def test_fuzzed_header_loads_or_raises_checkpoint_error(self, tmp_path, toy_checkpoint):
+        """Truncations and byte flips in the first 2 KB either load or raise
+        CheckpointError; no other exception escapes the loader."""
+        blob = open(toy_checkpoint, "rb").read()
+        rng = np.random.default_rng(2104)
+        path = str(tmp_path / "fuzz.qgn")
+        outcomes = {"loaded": 0, "refused": 0}
+        for case in range(300):
+            if case % 3 == 0:
+                data = blob[: int(rng.integers(0, 2048))]
+            else:
+                data = bytearray(blob)
+                for pos in rng.integers(0, 2048, size=int(rng.integers(1, 4))):
+                    data[pos] ^= int(rng.integers(1, 256))
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                T.load_checkpoint(path)
+                outcomes["loaded"] += 1
+            except CheckpointError:
+                outcomes["refused"] += 1
+        assert outcomes["refused"] > 0 and sum(outcomes.values()) == 300
+
+    def test_non_utf8_tensor_name(self, tmp_path, toy_checkpoint):
+        data = bytearray(open(toy_checkpoint, "rb").read())
+        data[10] = 0xFF  # first byte of the first tensor name
+        path = tmp_path / "name.qgn"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
+            T.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe", b"{not json", b"[1, 2]", b"42",
+                                      b'{"model": "nope"}', b'{"model": "qsngan_toy8", "x": 1}'])
+    def test_bad_config_text(self, tmp_path, toy_checkpoint, text):
+        def edit(t):
+            t["meta.config"] = np.frombuffer(text, dtype=np.uint8).astype(np.float32)
+
+        with pytest.raises(CheckpointError):
+            _load_edited(tmp_path, toy_checkpoint, edit)
+
+    @pytest.mark.parametrize("case", [
+        "missing_config", "missing_iteration", "fractional_iteration", "missing_param",
+        "missing_rng", "unknown_param", "unknown_kind", "unknown_net", "unknown_state",
+        "unknown_adam_slot", "misshaped_param", "misshaped_state", "misshaped_sn_vector",
+        "misshaped_moment", "misshaped_rng", "bad_adam_step",
+    ])
+    def test_structural_faults(self, tmp_path, toy_checkpoint, case):
+        def first(t, prefix):
+            return sorted(k for k in t if k.startswith(prefix))[0]
+
+        def edit(t):
+            if case == "missing_config":
+                del t["meta.config"]
+            elif case == "missing_iteration":
+                del t["meta.iteration"]
+            elif case == "fractional_iteration":
+                t["meta.iteration"] = np.array([2.5], dtype=np.float32)
+            elif case == "missing_param":
+                del t[first(t, "param.g.")]
+            elif case == "missing_rng":
+                del t["rng.aux"]
+            elif case == "unknown_param":
+                t["param.g.bogus.kernel"] = np.zeros(3, dtype=np.float32)
+            elif case == "unknown_kind":
+                t["zzz.g.x"] = np.zeros(1, dtype=np.float32)
+            elif case == "unknown_net":
+                t["param.x.kernel"] = np.zeros(1, dtype=np.float32)
+            elif case == "unknown_state":
+                t["state.d.bogus"] = np.zeros(1, dtype=np.float32)
+            elif case == "unknown_adam_slot":
+                t["adam.g.x." + first(t, "param.g.")[8:]] = np.zeros(1, dtype=np.float32)
+            elif case == "misshaped_param":
+                name = first(t, "param.d.")
+                t[name] = t[name].reshape(-1)
+            elif case == "misshaped_state":
+                name = first(t, "state.g.")
+                t[name] = np.concatenate([t[name].reshape(-1), [0.0]]).astype(np.float32)
+            elif case == "misshaped_sn_vector":
+                name = next(k for k in sorted(t) if k.endswith(".sn_u"))
+                t[name] = t[name][:-1]
+            elif case == "misshaped_moment":
+                name = first(t, "adam.d.m.")
+                t[name] = t[name][..., :1]
+            elif case == "misshaped_rng":
+                t["rng.noise"] = t["rng.noise"][:-1]
+            elif case == "bad_adam_step":
+                t["adam.g.step"] = np.array([-1.0], dtype=np.float32)
+
+        with pytest.raises(CheckpointError):
+            _load_edited(tmp_path, toy_checkpoint, edit)
+
+    def test_unedited_checkpoint_still_loads(self, tmp_path, toy_checkpoint):
+        config, g, d, g_adam, d_adam, rngs, it = _load_edited(tmp_path, toy_checkpoint,
+                                                               lambda t: None)
+        assert it == 4 and g_adam.step == 4 and set(rngs) == set(T.RNG_STREAMS)
+
+    def test_sample_on_corrupt_checkpoint_exits_3(self, tmp_path, toy_checkpoint):
+        data = bytearray(open(toy_checkpoint, "rb").read())
+        data[10] = 0xFF
+        bad = tmp_path / "bad.qgn"
+        bad.write_bytes(bytes(data))
+        short = tmp_path / "short.qgn"
+        short.write_bytes(bytes(data[:100]))
+        for path in (bad, short):
+            argv = ["sample", "--checkpoint", str(path), "--out", str(tmp_path / "s"), "--n", "1"]
+            assert cli.main(argv) == 3
