@@ -6,7 +6,8 @@ Hamilton-product layers whose four shared submatrices form one signed real
 block matrix (`layers.hamilton_block`), a minimal reverse-mode autodiff tape
 with per-component gradients, proper-signal quaternion batch normalization,
 two quaternion spectral-normalization schemes, and the QDCGAN / QSNGAN
-architectures with real-valued twins for parameter comparison.
+architectures, whose parameter counts are compared with those of real-valued
+twins read off the same models (`count_twin_parameters`).
 """
 
 from .quaternion import Quaternion
@@ -14,7 +15,13 @@ from .qtensor import QTensor
 from .layers import ConvConfig, fold_block, hamilton_block
 from .autodiff import Tape, grad_check
 from .optim import AdamState, adam_step
-from .models import ModelSpec, build_qdcgan, build_qsngan, build_real_twin, count_parameters
+from .models import (
+    ModelSpec,
+    build_qdcgan,
+    build_qsngan,
+    count_parameters,
+    count_twin_parameters,
+)
 from .train import TrainConfig
 
 __version__ = "0.1.0"
@@ -32,7 +39,7 @@ __all__ = [
     "ModelSpec",
     "build_qdcgan",
     "build_qsngan",
-    "build_real_twin",
     "count_parameters",
+    "count_twin_parameters",
     "TrainConfig",
 ]

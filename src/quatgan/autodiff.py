@@ -33,9 +33,9 @@ class Node:
     the cyclic garbage collector.
     """
 
-    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "param_name", "param_kind")
+    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "param_name")
 
-    def __init__(self, tape, nid, op, inputs, value, bwd=None, param_name=None, param_kind=None):
+    def __init__(self, tape, nid, op, inputs, value, bwd=None, param_name=None):
         self._tape = weakref.ref(tape)
         self.nid = nid
         self.op = op
@@ -43,7 +43,6 @@ class Node:
         self.value = value
         self.bwd = bwd
         self.param_name = param_name
-        self.param_kind = param_kind
 
     @property
     def tape(self) -> "Tape":
@@ -89,14 +88,12 @@ class Tape:
     def constant(self, value: QTensor) -> Node:
         return self.record("const", (), lambda: value)
 
-    def param(self, name: str, value: QTensor, kind: str = "quat") -> Node:
-        """Register a leaf parameter. ``kind`` is 'quat' for full quaternion
-        parameters or 'real' for real-valued ones carried in q0."""
+    def param(self, name: str, value: QTensor) -> Node:
+        """Register a leaf parameter."""
         if name in self.params:
             raise DomainError(f"parameter {name!r} already registered on this tape")
         node = self.record("param", (), lambda: value)
         node.param_name = name
-        node.param_kind = kind
         self.params[name] = node.nid
         return node
 
@@ -171,35 +168,11 @@ def scale(a: Node, c: float) -> Node:
 
 
 def scale_components(a: Node, factors) -> Node:
-    """Multiply each quaternion component by its own scalar factor."""
-    f = np.asarray(factors, dtype=float).reshape(4, *([1] * 0))
-
-    def fwd(av):
-        return QTensor(av.data * f.reshape(4, *([1] * len(av.shape))))
-
-    def bwd(g):
-        return (g * f.reshape(4, *([1] * (g.ndim - 1))),)
-
-    return a.tape.record("scale_components", (a,), fwd, bwd)
-
-
-def hamilton_mul(a: Node, b: Node) -> Node:
-    """Elementwise quaternion product; gradients are g*conj(b) and conj(a)*g."""
-    from . import qtensor as qt
-
-    saved = {}
-
-    def fwd(av, bv):
-        saved["a"], saved["b"] = av, bv
-        return qt.hamilton_product(av, bv)
-
-    def bwd(g):
-        gq = QTensor(g)
-        ga = qt.hamilton_product(gq, qt.conjugate(saved["b"]))
-        gb = qt.hamilton_product(qt.conjugate(saved["a"]), gq)
-        return ga.data, gb.data
-
-    return a.tape.record("hamilton", (a, b), fwd, bwd)
+    """Multiply each quaternion component by its own scalar factor; the
+    factors are cast to ``a``'s dtype, so a float32 input stays float32."""
+    f = np.asarray(factors, dtype=a.value.dtype).reshape(4, *([1] * len(a.value.shape)))
+    return a.tape.record("scale_components", (a,), lambda av: QTensor(av.data * f),
+                         lambda g: (g * f,))
 
 
 def reshape(a: Node, shape) -> Node:
@@ -426,13 +399,6 @@ def avg_pool(x: Node, window: int) -> Node:
     return x.tape.record("avg_pool", (x,), fwd, bwd)
 
 
-def sum_pool(x: Node, window: int) -> Node:
-    def bwd(g):
-        return (np.repeat(np.repeat(g, window, axis=-2), window, axis=-1),)
-
-    return x.tape.record("sum_pool", (x,), lambda xv: L.split_pool(xv, "sum", window), bwd)
-
-
 def global_sum_pool(x: Node) -> Node:
     saved = {}
 
@@ -444,26 +410,6 @@ def global_sum_pool(x: Node) -> Node:
         return (np.broadcast_to(g, saved["shape"]).copy(),)
 
     return x.tape.record("global_sum_pool", (x,), fwd, bwd)
-
-
-def guided_max_pool(x: Node, window: int) -> Node:
-    saved = {}
-
-    def fwd(xv):
-        y, idx = L._guided_max_pool_with_idx(xv, window)
-        saved["idx"] = idx
-        saved["shape"] = xv.data.shape
-        return y
-
-    def bwd(g):
-        # route each output quaternion's gradient to the winning position
-        b4, bb, cc, ho, wo = g.shape
-        flat = np.zeros((4, bb, cc, ho, wo, window * window), dtype=g.dtype)
-        np.put_along_axis(flat, saved["idx"][None, ..., None], g[..., None], axis=-1)
-        v = flat.reshape(4, bb, cc, ho, wo, window, window).transpose(0, 1, 2, 3, 5, 4, 6)
-        return (v.reshape(saved["shape"]),)
-
-    return x.tape.record("guided_max_pool", (x,), fwd, bwd)
 
 
 def upsample2x(x: Node) -> Node:
@@ -558,24 +504,6 @@ def component_sum(x: Node) -> Node:
         return (np.broadcast_to(g[0][None, :, None], (4, saved["b"], 1)).copy(),)
 
     return x.tape.record("component_sum", (x,), fwd, bwd)
-
-
-def real_sigmoid(x: Node) -> Node:
-    """Logistic function on the q0 channel (other components must be unused)."""
-    saved = {}
-
-    def fwd(xv):
-        out = np.zeros_like(xv.data)
-        out[0] = L._sigmoid(xv.q0)
-        saved["y0"] = out[0]
-        return QTensor(out)
-
-    def bwd(g):
-        dg = np.zeros_like(g)
-        dg[0] = g[0] * saved["y0"] * (1.0 - saved["y0"])
-        return (dg,)
-
-    return x.tape.record("real_sigmoid", (x,), fwd, bwd)
 
 
 # -- gradient checking ----------------------------------------------------------

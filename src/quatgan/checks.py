@@ -129,8 +129,6 @@ def check_pool(kind):
         def build(tape, leaves):
             if kind == "avg":
                 return _loss(ad.avg_pool(leaves["x"], 2))
-            if kind == "sum":
-                return _loss(ad.sum_pool(leaves["x"], 2))
             return _loss(ad.global_sum_pool(leaves["x"]))
 
         return grad_check(build, params, TOL, STEP)
@@ -138,36 +136,11 @@ def check_pool(kind):
     return run
 
 
-def check_guided_max_pool(rng):
-    # resample until window amplitude argmax margins are clear of the FD step
-    for _ in range(20):
-        x = _qt(rng, (1, 1, 4, 4))
-        amp = x.amplitude().reshape(1, 1, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
-        amp = np.sort(amp, axis=1)
-        if np.all(amp[:, 3] - amp[:, 2] > 1e-3):
-            break
-    params = {"x": x}
-
-    def build(tape, leaves):
-        return _loss(ad.guided_max_pool(leaves["x"], 2))
-
-    return grad_check(build, params, TOL, STEP)
-
-
 def check_upsample(rng):
     params = {"x": _qt(rng, (2, 2, 3, 3))}
 
     def build(tape, leaves):
         return _loss(ad.upsample2x(leaves["x"]))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_hamilton_mul(rng):
-    params = {"a": _qt(rng, (3, 2)), "b": _qt(rng, (3, 2))}
-
-    def build(tape, leaves):
-        return _loss(ad.hamilton_mul(leaves["a"], leaves["b"]))
 
     return grad_check(build, params, TOL, STEP)
 
@@ -405,11 +378,8 @@ SUITES = {
         ("split_tanh", check_activation("tanh")),
         ("split_sigmoid", check_activation("sigmoid")),
         ("avg_pool", check_pool("avg")),
-        ("sum_pool", check_pool("sum")),
         ("global_sum_pool", check_pool("global")),
-        ("guided_max_pool", check_guided_max_pool),
         ("upsample2x", check_upsample),
-        ("hamilton_mul", check_hamilton_mul),
         ("real_dense", check_real_dense),
     ],
     "norm": [

@@ -83,9 +83,8 @@ def cmd_eval(args) -> int:
 def cmd_count_params(args) -> int:
     spec = MD.preset_spec(args.spec)
     g, d = MD.build_gan(spec)
-    gt, dt = MD.build_real_twin(spec)
     gq, dq = MD.count_parameters(g), MD.count_parameters(d)
-    gr, dr = gt.count_parameters(), dt.count_parameters()
+    gr, dr = MD.count_twin_parameters(spec)
     print(f"model {args.spec}")
     print(f"  quaternion G: {gq:>12,}   real twin G: {gr:>12,}")
     print(f"  quaternion D: {dq:>12,}   real twin D: {dr:>12,}")

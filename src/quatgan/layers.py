@@ -27,7 +27,6 @@ __all__ = [
     "fold_block",
     "split_activation",
     "split_pool",
-    "guided_max_pool",
     "global_sum_pool",
     "upsample_nearest2x",
     "quaternion_init",
@@ -188,40 +187,16 @@ def _pool_view(x: QTensor, window: int) -> np.ndarray:
 
 
 def split_pool(x: QTensor, kind: str, window: int) -> QTensor:
-    """Average or sum pooling applied per component (non-overlapping windows)."""
+    """Average pooling applied per component (non-overlapping windows)."""
     v = _pool_view(x, window)
     if kind == "avg":
         return QTensor(v.mean(axis=(-3, -1)))
-    if kind == "sum":
-        return QTensor(v.sum(axis=(-3, -1)))
-    raise ConfigError(f"unknown pooling kind {kind!r}, expected 'avg' or 'sum'")
+    raise ConfigError(f"unknown pooling kind {kind!r}, expected 'avg'")
 
 
 def global_sum_pool(x: QTensor) -> QTensor:
     """Sum over all spatial positions; spatial dims collapse to 1x1."""
     return QTensor(x.data.sum(axis=(-2, -1), keepdims=True))
-
-
-def guided_max_pool(x: QTensor, window: int) -> QTensor:
-    """Max pooling guided by the quaternion amplitude.
-
-    Within each window the position with the largest amplitude wins and the
-    whole quaternion at that position is emitted, so no components from
-    different positions are ever mixed.
-    """
-    y, _ = _guided_max_pool_with_idx(x, window)
-    return y
-
-
-def _guided_max_pool_with_idx(x: QTensor, window: int):
-    v = _pool_view(x, window)  # (4, B, C, Ho, w, Wo, w)
-    flat = v.transpose(0, 1, 2, 3, 5, 4, 6)  # (4, B, C, Ho, Wo, w, w)
-    s = flat.shape
-    flat = flat.reshape(*s[:-2], window * window)
-    amp = np.sqrt((flat * flat).sum(axis=0))
-    idx = amp.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[None, ..., None], axis=-1)[..., 0]
-    return QTensor(out), idx
 
 
 def upsample_nearest2x(x: QTensor) -> QTensor:

@@ -1,6 +1,7 @@
 """GAN architectures in the quaternion framework: declarative specs, the
-module/Model machinery, residual blocks, parameter accounting, and real-valued
-twin networks for comparison.
+module/Model machinery, residual blocks, and parameter accounting, including
+the counts of the real-valued twins that the quaternion models are compared
+with.
 
 Block channel conventions follow the spectral-norm GAN lineage: generator
 residual blocks use conv1 in->out / conv2 out->out with a learnable 1x1
@@ -12,7 +13,7 @@ dimension-preserving refiner keeps an identity shortcut).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +26,11 @@ from .qtensor import QTensor
 __all__ = [
     "ModelSpec",
     "Model",
-    "RealModel",
     "build_qdcgan",
     "build_qsngan",
-    "build_real_twin",
     "build_gan",
     "count_parameters",
+    "count_twin_parameters",
     "apply_spectral_norm",
     "sn_warmup",
     "measure_sigmas",
@@ -79,14 +79,36 @@ def _state_array(name, arr, shape, dtype=None):
 
 
 class _WeightedModule(Module):
-    """Base for modules with a quaternion kernel that may be spectrally normalized."""
+    """Base for modules with a quaternion kernel that may be spectrally normalized.
 
-    def __init__(self, name):
+    ``kernel_shape`` is the quaternion kernel shape; it holds ``in_q * out_q``
+    quaternions per tap, and the bias holds ``out_q``.
+    """
+
+    def __init__(self, name, kernel_shape, in_q, out_q, bias, dtype):
         super().__init__(name)
+        self.in_q, self.out_q = in_q, out_q
+        self.kernel = Param(QTensor.zeros(kernel_shape, dtype=dtype))
+        self.bias = Param(QTensor.zeros((out_q,), dtype=dtype)) if bias else None
         self.sn_mode = None
         self.sn_full_state = None
         self.sn_split_state = None
         self.sn_scale = None  # per-component 1/sigma factors for the current step
+
+    def params(self):
+        out = [(f"{self.name}.kernel", self.kernel)]
+        if self.bias is not None:
+            out.append((f"{self.name}.bias", self.bias))
+        return out
+
+    def init_params(self, rng, criterion):
+        shape = self.kernel.value.shape
+        taps = int(np.prod(shape)) // (self.in_q * self.out_q)
+        w = L.quaternion_init(shape, self.in_q * taps, self.out_q * taps, criterion, rng)
+        self.kernel.value.data[...] = w.data
+
+    def _bias_node(self, leaves):
+        return leaves.get(f"{self.name}.bias") if self.bias is not None else None
 
     def enable_sn(self, mode: str):
         self.sn_mode = mode
@@ -100,14 +122,15 @@ class _WeightedModule(Module):
     def update_sn_scale(self):
         if self.sn_mode is None:
             return
+        kernel = self.kernel.value
         if self.sn_mode == "full":
             sigma, _ = qnorm.power_iteration_sigma(
-                L.hamilton_block(self.kernel.value.data), self.sn_full_state
+                L.hamilton_block(kernel.data), self.sn_full_state
             )
-            self.sn_scale = np.full(4, 1.0 / sigma if sigma > 0 else 1.0)
+            self.sn_scale = np.full(4, 1.0 / sigma if sigma > 0 else 1.0, dtype=kernel.dtype)
         else:
-            flat = self.kernel.value.data.reshape(4, self.kernel.value.shape[0], -1)
-            scale = np.ones(4)
+            flat = kernel.data.reshape(4, kernel.shape[0], -1)
+            scale = np.ones(4, dtype=kernel.dtype)
             for c in range(4):
                 sigma, _ = qnorm.power_iteration_sigma(flat[c], self.sn_split_state.states[c])
                 if sigma > 0:
@@ -151,80 +174,30 @@ class _WeightedModule(Module):
 
 class QDense(_WeightedModule):
     def __init__(self, name, in_q, out_q, bias=True, dtype=np.float64):
-        super().__init__(name)
-        self.in_q, self.out_q = in_q, out_q
-        self.kernel = Param(QTensor.zeros((out_q, in_q), dtype=dtype))
-        self.bias = Param(QTensor.zeros((out_q,), dtype=dtype)) if bias else None
-
-    def params(self):
-        out = [(f"{self.name}.kernel", self.kernel)]
-        if self.bias is not None:
-            out.append((f"{self.name}.bias", self.bias))
-        return out
-
-    def init_params(self, rng, criterion):
-        w = L.quaternion_init((self.out_q, self.in_q), self.in_q, self.out_q, criterion, rng)
-        self.kernel.value.data[...] = w.data
+        super().__init__(name, (out_q, in_q), in_q, out_q, bias, dtype)
 
     def forward(self, leaves, x, mode):
-        b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
-        return ad.qdense(x, self._kernel_node(leaves), b)
+        return ad.qdense(x, self._kernel_node(leaves), self._bias_node(leaves))
 
 
 class QConv(_WeightedModule):
     def __init__(self, name, cfg: L.ConvConfig, bias=True, dtype=np.float64):
-        super().__init__(name)
-        self.cfg = cfg
         k = cfg.kernel
-        self.kernel = Param(QTensor.zeros((cfg.out_q, cfg.in_q, k, k), dtype=dtype))
-        self.bias = Param(QTensor.zeros((cfg.out_q,), dtype=dtype)) if bias else None
-
-    def params(self):
-        out = [(f"{self.name}.kernel", self.kernel)]
-        if self.bias is not None:
-            out.append((f"{self.name}.bias", self.bias))
-        return out
-
-    def init_params(self, rng, criterion):
-        k = self.cfg.kernel
-        rf = k * k
-        w = L.quaternion_init(
-            (self.cfg.out_q, self.cfg.in_q, k, k),
-            self.cfg.in_q * rf, self.cfg.out_q * rf, criterion, rng,
-        )
-        self.kernel.value.data[...] = w.data
+        super().__init__(name, (cfg.out_q, cfg.in_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
+        self.cfg = cfg
 
     def forward(self, leaves, x, mode):
-        b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
-        return ad.qconv2d(x, self._kernel_node(leaves), b, self.cfg)
+        return ad.qconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
 
 
 class QTConv(_WeightedModule):
     def __init__(self, name, cfg: L.ConvConfig, bias=True, dtype=np.float64):
-        super().__init__(name)
-        self.cfg = cfg
         k = cfg.kernel
-        self.kernel = Param(QTensor.zeros((cfg.in_q, cfg.out_q, k, k), dtype=dtype))
-        self.bias = Param(QTensor.zeros((cfg.out_q,), dtype=dtype)) if bias else None
-
-    def params(self):
-        out = [(f"{self.name}.kernel", self.kernel)]
-        if self.bias is not None:
-            out.append((f"{self.name}.bias", self.bias))
-        return out
-
-    def init_params(self, rng, criterion):
-        k = self.cfg.kernel
-        rf = k * k
-        w = L.quaternion_init(
-            (self.cfg.in_q, self.cfg.out_q, k, k),
-            self.cfg.in_q * rf, self.cfg.out_q * rf, criterion, rng,
-        )
-        self.kernel.value.data[...] = w.data
+        super().__init__(name, (cfg.in_q, cfg.out_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
+        self.cfg = cfg
 
     def forward(self, leaves, x, mode):
-        b = leaves.get(f"{self.name}.bias") if self.bias is not None else None
-        return ad.qtconv2d(x, self._kernel_node(leaves), b, self.cfg)
+        return ad.qtconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
 
 
 class RealDense(Module):
@@ -296,23 +269,9 @@ class SplitAct(Module):
         return ad.split_act(x, self.kind, self.alpha)
 
 
-class AvgPool(Module):
-    def __init__(self, name, window=2):
-        super().__init__(name)
-        self.window = window
-
-    def forward(self, leaves, x, mode):
-        return ad.avg_pool(x, self.window)
-
-
 class GlobalSumPool(Module):
     def forward(self, leaves, x, mode):
         return ad.global_sum_pool(x)
-
-
-class Upsample2x(Module):
-    def forward(self, leaves, x, mode):
-        return ad.upsample2x(x)
 
 
 class FlattenSpatial(Module):
@@ -467,6 +426,15 @@ class FirstDiscBlock(Composite):
         return ad.add(h, sc)
 
 
+def _leaves(module: Module):
+    """``module`` itself, or the leaves of a ``Composite`` in declaration order."""
+    if isinstance(module, Composite):
+        for child in module.children.values():
+            yield from _leaves(child)
+    else:
+        yield module
+
+
 def _require_quat_width(*widths):
     for w in widths:
         if w % 4:
@@ -516,8 +484,7 @@ class Model:
             m.init_params(rng, criterion)
 
     def bind(self, tape: ad.Tape) -> dict[str, ad.Node]:
-        return {name: tape.param(name, p.value, p.kind)
-                for name, p in self.parameters().items()}
+        return {name: tape.param(name, p.value) for name, p in self.parameters().items()}
 
     def forward(self, tape: ad.Tape, x: ad.Node, training: bool = False,
                 update_stats: bool | None = None, leaves=None) -> ad.Node:
@@ -537,40 +504,22 @@ class Model:
         node = tape.constant(x)
         return self.forward(tape, node, training=training, update_stats=update_stats).value
 
-    def weighted_modules(self):
+    def leaf_modules(self):
         for m in self.modules:
-            stack = [m]
-            while stack:
-                cur = stack.pop()
-                if isinstance(cur, Composite):
-                    stack.extend(reversed(list(cur.children.values())))
-                elif isinstance(cur, _WeightedModule):
-                    yield cur
+            yield from _leaves(m)
 
-    def astype(self, dtype):
-        for _, p in self.parameters().items():
-            p.value.data = p.value.data.astype(dtype)
-        for m in self.modules:
-            stack = [m]
-            while stack:
-                cur = stack.pop()
-                if isinstance(cur, Composite):
-                    stack.extend(cur.children.values())
-                elif isinstance(cur, QBN):
-                    cur.state.running_mean.data = cur.state.running_mean.data.astype(dtype)
-                    cur.state.running_var = cur.state.running_var.astype(dtype)
-        return self
+    def weighted_modules(self):
+        return (m for m in self.leaf_modules() if isinstance(m, _WeightedModule))
+
+
+def _scalars(p: Param) -> int:
+    return p.value.data.size if p.kind == "quat" else p.value.q0.size
 
 
 def count_parameters(model) -> int:
     """Exact count of trainable real scalars (quaternion parameters count all
     four components; real-kind parameters count the q0 payload only)."""
-    if isinstance(model, RealModel):
-        return model.count_parameters()
-    total = 0
-    for _, p in model.parameters().items():
-        total += p.value.data.size if p.kind == "quat" else p.value.q0.size
-    return total
+    return sum(_scalars(p) for p in model.parameters().values())
 
 
 def apply_spectral_norm(model: Model):
@@ -609,7 +558,7 @@ def measure_sigmas(model: Model) -> dict[str, float]:
 
 @dataclass
 class ModelSpec:
-    """Declarative architecture description shared by builders and twins.
+    """Declarative architecture description read by the builders.
 
     ``g_widths`` lists real-channel widths: the initial feature width followed
     by each generator block's output width. ``d_widths`` lists the first
@@ -749,276 +698,50 @@ def build_gan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
 # -- real twins -----------------------------------------------------------------------
 
 
-class _RLayer:
-    def count(self) -> int:
+def _twin_parameters(m: Module, in_ch: int | None = None, out_ch: int | None = None) -> int:
+    """Parameters of the real layer that stands for ``m`` in the real twin.
+
+    A quaternion weighted layer becomes the real layer of its Hamilton block
+    (:func:`layers.hamilton_block`): ``4*out_q`` by ``4*in_q`` real channels
+    per tap, four times the kernel's scalars, plus ``4*out_q`` biases.
+    ``in_ch``/``out_ch`` replace those real channel counts where the twin
+    differs from the block. A QBN over C quaternion channels becomes a real
+    BN over 4C channels (gain and shift each); a ``RealDense`` is real already.
+    """
+    if isinstance(m, QBN):
+        return 8 * m.state.channels
+    if isinstance(m, RealDense):
+        return sum(_scalars(p) for _, p in m.params())
+    if not isinstance(m, _WeightedModule):
         return 0
-
-    def init_params(self, rng):
-        pass
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    taps = m.kernel.value.data.size // (4 * m.in_q * m.out_q)
+    in_ch, out_ch = in_ch or 4 * m.in_q, out_ch or 4 * m.out_q
+    return out_ch * in_ch * taps + (out_ch if m.bias is not None else 0)
 
 
-class RDense(_RLayer):
-    def __init__(self, in_f, out_f):
-        self.w = np.zeros((out_f, in_f))
-        self.b = np.zeros(out_f)
+def count_twin_parameters(spec: ModelSpec) -> tuple[int, int]:
+    """Parameter counts of the real-valued twins of the G and D of ``spec``.
 
-    def count(self):
-        return self.w.size + self.b.size
-
-    def init_params(self, rng):
-        a = np.sqrt(6.0 / sum(self.w.shape))
-        self.w = rng.uniform(-a, a, size=self.w.shape)
-
-    def forward(self, x):
-        return x @ self.w.T + self.b
-
-
-class RConv(_RLayer):
-    def __init__(self, in_f, out_f, kernel, stride=1, padding=0):
-        self.w = np.zeros((out_f, in_f, kernel, kernel))
-        self.b = np.zeros(out_f)
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-
-    def count(self):
-        return self.w.size + self.b.size
-
-    def init_params(self, rng):
-        fan = self.w.shape[1] * self.kernel ** 2 + self.w.shape[0] * self.kernel ** 2
-        a = np.sqrt(6.0 / fan)
-        self.w = rng.uniform(-a, a, size=self.w.shape)
-
-    def forward(self, x):
-        b = x.shape[0]
-        ho = L.conv_out_size(x.shape[2], self.kernel, self.stride, self.padding)
-        wo = L.conv_out_size(x.shape[3], self.kernel, self.stride, self.padding)
-        cols = L.im2col(x, self.kernel, self.stride, self.padding)
-        y = cols @ self.w.reshape(self.w.shape[0], -1).T + self.b
-        return y.transpose(0, 2, 1).reshape(b, -1, ho, wo)
-
-
-class RTConv(_RLayer):
-    def __init__(self, in_f, out_f, kernel, stride=2, padding=1):
-        self.w = np.zeros((in_f, out_f, kernel, kernel))
-        self.b = np.zeros(out_f)
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-
-    def count(self):
-        return self.w.size + self.b.size
-
-    def init_params(self, rng):
-        fan = (self.w.shape[0] + self.w.shape[1]) * self.kernel ** 2
-        self.w = rng.uniform(-np.sqrt(6.0 / fan), np.sqrt(6.0 / fan), size=self.w.shape)
-
-    def forward(self, x):
-        b, c, h, w = x.shape
-        ho = L.tconv_out_size(h, self.kernel, self.stride, self.padding)
-        wo = L.tconv_out_size(w, self.kernel, self.stride, self.padding)
-        x2 = x.reshape(b, c, h * w).transpose(0, 2, 1)
-        dcols = x2 @ self.w.reshape(c, -1)
-        out = L.col2im(dcols, (b, self.w.shape[1], ho, wo), self.kernel, self.stride, self.padding)
-        return out + self.b[None, :, None, None]
-
-
-class RBN(_RLayer):
-    def __init__(self, channels):
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-
-    def count(self):
-        return self.gamma.size + self.beta.size
-
-    def forward(self, x):
-        axes = (0,) + tuple(range(2, x.ndim))
-        mu = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
-        shape = (1, -1) + (1,) * (x.ndim - 2)
-        return self.gamma.reshape(shape) * (x - mu) / np.sqrt(var + 1e-5) + self.beta.reshape(shape)
-
-
-class RAct(_RLayer):
-    def __init__(self, kind, alpha=0.2):
-        self.kind, self.alpha = kind, alpha
-
-    def forward(self, x):
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x > 0, x, self.alpha * x)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        return L._sigmoid(x)
-
-
-class RPool(_RLayer):
-    def __init__(self, window=2):
-        self.window = window
-
-    def forward(self, x):
-        b, c, h, w = x.shape
-        v = x.reshape(b, c, h // self.window, self.window, w // self.window, self.window)
-        return v.mean(axis=(3, 5))
-
-
-class RGlobalSum(_RLayer):
-    def forward(self, x):
-        return x.sum(axis=(2, 3))
-
-
-class RUp2(_RLayer):
-    def forward(self, x):
-        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-
-
-class RFlatten(_RLayer):
-    def forward(self, x):
-        return x.reshape(x.shape[0], -1)
-
-
-class RReshape(_RLayer):
-    def __init__(self, channels, h, w):
-        self.channels, self.h, self.w = channels, h, w
-
-    def forward(self, x):
-        return x.reshape(x.shape[0], self.channels, self.h, self.w)
-
-
-class RGenBlock(_RLayer):
-    def __init__(self, in_f, out_f):
-        self.bn1, self.conv1 = RBN(in_f), RConv(in_f, out_f, 3, 1, 1)
-        self.bn2, self.conv2 = RBN(out_f), RConv(out_f, out_f, 3, 1, 1)
-        self.sc = RConv(in_f, out_f, 1)
-        self.up, self.act = RUp2(), RAct("relu")
-
-    def count(self):
-        return sum(l.count() for l in (self.bn1, self.conv1, self.bn2, self.conv2, self.sc))
-
-    def init_params(self, rng):
-        for l in (self.conv1, self.conv2, self.sc):
-            l.init_params(rng)
-
-    def forward(self, x):
-        h = self.act.forward(self.bn1.forward(x))
-        h = self.conv1.forward(self.up.forward(h))
-        h = self.conv2.forward(self.act.forward(self.bn2.forward(h)))
-        return h + self.sc.forward(self.up.forward(x))
-
-
-class RDiscBlock(_RLayer):
-    def __init__(self, in_f, out_f, downsample):
-        self.conv1 = RConv(in_f, in_f, 3, 1, 1)
-        self.conv2 = RConv(in_f, out_f, 3, 1, 1)
-        self.downsample = downsample
-        self.learn_sc = downsample or in_f != out_f
-        self.sc = RConv(in_f, out_f, 1) if self.learn_sc else None
-        self.pool, self.act = RPool(), RAct("relu")
-
-    def count(self):
-        n = self.conv1.count() + self.conv2.count()
-        return n + (self.sc.count() if self.sc else 0)
-
-    def init_params(self, rng):
-        for l in (self.conv1, self.conv2) + ((self.sc,) if self.sc else ()):
-            l.init_params(rng)
-
-    def forward(self, x):
-        h = self.conv2.forward(self.act.forward(self.conv1.forward(self.act.forward(x))))
-        if self.downsample:
-            h = self.pool.forward(h)
-        sc = self.pool.forward(x) if self.downsample else x
-        if self.sc is not None:
-            sc = self.sc.forward(sc)
-        return h + sc
-
-
-class RFirstBlock(_RLayer):
-    def __init__(self, in_ch, out_f):
-        self.conv1 = RConv(in_ch, out_f, 3, 1, 1)
-        self.conv2 = RConv(out_f, out_f, 3, 1, 1)
-        self.sc = RConv(in_ch, out_f, 1)
-        self.pool, self.act = RPool(), RAct("relu")
-
-    def count(self):
-        return self.conv1.count() + self.conv2.count() + self.sc.count()
-
-    def init_params(self, rng):
-        for l in (self.conv1, self.conv2, self.sc):
-            l.init_params(rng)
-
-    def forward(self, x):
-        h = self.pool.forward(self.conv2.forward(self.act.forward(self.conv1.forward(x))))
-        return h + self.pool.forward(self.sc.forward(x))
-
-
-class RealModel:
-    """Real-valued baseline with identical topology; forward and parameter
-    counting only (tape training is not wired up for twins)."""
-
-    def __init__(self, name, layers):
-        self.name = name
-        self.layers = layers
-
-    def count_parameters(self):
-        return sum(l.count() for l in self.layers)
-
-    def init_params(self, rng):
-        for l in self.layers:
-            l.init_params(rng)
-
-    def forward(self, x):
-        for l in self.layers:
-            x = l.forward(x)
-        return x
-
-
-def build_real_twin(spec: ModelSpec) -> tuple[RealModel, RealModel]:
-    """Same topology with full-width real layers. The quaternion-vs-real image
-    boundary differs by family: the qsngan twin models 3-channel RGB images
-    (its final conv emits 3 channels and its first block consumes 3), the
-    qdcgan twin keeps the exact 4-real-channel correspondence."""
+    A twin has the topology of the quaternion model built by
+    :func:`build_gan`, with each layer replaced as :func:`_twin_parameters`
+    says. There are two exceptions. The image carries ``img_ch`` real
+    channels: 3 for qsngan, whose twin models RGB, and 4 for qdcgan. So G's
+    last weighted layer writes ``img_ch`` channels, and the layers of D's
+    input module that take one quaternion channel read ``img_ch``. And D's
+    last weighted layer, the decision head, has one real output.
+    """
     img_ch = 3 if spec.family == "qsngan" else 4
-    if spec.family == "qsngan":
-        s = spec.base_spatial
-        base = spec.g_widths[0]
-        gl: list[_RLayer] = [RDense(spec.noise_dim, s * s * base), RReshape(base, s, s)]
-        prev = base
-        for w in spec.g_widths[1:]:
-            gl.append(RGenBlock(prev, w))
-            prev = w
-        gl += [RBN(prev), RAct("relu"), RConv(prev, img_ch, 3, 1, 1), RAct("tanh")]
-        dl: list[_RLayer] = [RFirstBlock(img_ch, spec.d_widths[0])]
-        prev = spec.d_widths[0]
-        for w, down in zip(spec.d_widths[1:], spec.d_downsample):
-            dl.append(RDiscBlock(prev, w, down))
-            prev = w
-        dl += [RAct("relu"), RGlobalSum(), RDense(prev, 1)]
-        return RealModel("g_twin", gl), RealModel("d_twin", dl)
-
-    s = spec.base_spatial
-    widths = spec.g_widths
-    gl = [RDense(spec.noise_dim, widths[0] * s * s), RReshape(widths[0], s, s)]
-    chain = widths + [img_ch]
-    for i in range(len(chain) - 1):
-        gl.append(RTConv(chain[i], chain[i + 1], 4, 2, 1))
-        if i < len(chain) - 2:
-            if spec.norm == "qbn":
-                gl.append(RBN(chain[i + 1]))
-            gl.append(RAct("relu"))
-        else:
-            gl.append(RAct("tanh"))
-    d_chain = [img_ch] + widths[::-1]
-    dl = []
-    size = spec.image_size
-    for i in range(len(d_chain) - 1):
-        dl.append(RConv(d_chain[i], d_chain[i + 1], 4, 2, 1))
-        if i > 0 and spec.norm == "qbn":
-            dl.append(RBN(d_chain[i + 1]))
-        dl.append(RAct("relu"))
-        size //= 2
-    dl += [RFlatten(), RDense(d_chain[-1] * size * size, 1), RAct("sigmoid")]
-    return RealModel("g_twin", gl), RealModel("d_twin", dl)
+    g, d = build_gan(spec)
+    g_image = list(g.weighted_modules())[-1]
+    d_head = list(d.weighted_modules())[-1]
+    d_image = {m for m in _leaves(d.modules[0])
+               if isinstance(m, _WeightedModule) and m.in_q == 1}
+    g_twin = sum(_twin_parameters(m, out_ch=img_ch if m is g_image else None)
+                 for m in g.leaf_modules())
+    d_twin = sum(_twin_parameters(m, in_ch=img_ch if m in d_image else None,
+                                  out_ch=1 if m is d_head else None)
+                 for m in d.leaf_modules())
+    return g_twin, d_twin
 
 
 # -- presets ------------------------------------------------------------------------

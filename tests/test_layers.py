@@ -12,7 +12,6 @@ from quatgan.layers import (
     ConvConfig,
     conv_out_size,
     global_sum_pool,
-    guided_max_pool,
     im2col,
     col2im,
     fold_block,
@@ -311,12 +310,6 @@ class TestSplitOps:
         y = split_pool(x, "avg", 2)
         assert np.allclose(y.data, 2.5)
 
-    def test_sum_pool_ones(self):
-        x = QTensor(np.ones((4, 1, 1, 4, 4)))
-        y = split_pool(x, "sum", 2)
-        assert y.shape == (1, 1, 2, 2)
-        assert np.allclose(y.data, 4.0)
-
     def test_global_sum_pool_matches_loop(self, rng):
         x = _qt(rng, (2, 3, 4, 4))
         y = global_sum_pool(x)
@@ -335,46 +328,6 @@ class TestSplitOps:
         y = upsample_nearest2x(x)
         assert y.shape == (1, 1, 4, 4)
         assert np.all(y.data[:, :, :, 0:2, 0:2] == x.data[:, :, :, 0:1, 0:1])
-
-
-class TestGuidedMaxPool:
-    def test_amplitude_wins(self):
-        x = QTensor.zeros((1, 1, 2, 2))
-        x.data[:, 0, 0, 0, 0] = [1.0, 0.0, 0.0, 0.0]   # amplitude 1
-        x.data[:, 0, 0, 0, 1] = [0.0, 3.0, 0.0, 0.0]   # amplitude 3
-        y = guided_max_pool(x, 2)
-        assert np.allclose(y.data[:, 0, 0, 0, 0], [0.0, 3.0, 0.0, 0.0])
-
-    def test_constant_input(self):
-        x = QTensor(np.tile(np.array([1.0, -2.0, 0.5, 0.25]).reshape(4, 1, 1, 1, 1), (1, 1, 1, 4, 4)))
-        y = guided_max_pool(x, 2)
-        assert np.allclose(y.data, x.data[:, :, :, :2, :2])
-
-    def test_no_component_mixing_vs_split_max(self):
-        # split max would fabricate (2, 9): guided picks the whole quaternion
-        x2 = QTensor.zeros((1, 1, 2, 2))
-        x2.data[:, 0, 0, 0, 0] = [2.0, 0.0, 0.0, 0.0]
-        x2.data[:, 0, 0, 0, 1] = [1.0, 9.0, 0.0, 0.0]
-        got = guided_max_pool(x2, 2)
-        assert np.allclose(got.data[:, 0, 0, 0, 0], [1.0, 9.0, 0.0, 0.0])
-        split_max = x2.data.max(axis=(3, 4))
-        assert np.allclose(split_max[:, 0, 0], [2.0, 9.0, 0.0, 0.0])  # the mix guided avoids
-
-    def test_outputs_are_window_elements(self, rng):
-        x = _qt(rng, (2, 2, 4, 4))
-        y = guided_max_pool(x, 2)
-        for b in range(2):
-            for ch in range(2):
-                for oh in range(2):
-                    for ow in range(2):
-                        window = x.data[:, b, ch, 2 * oh : 2 * oh + 2, 2 * ow : 2 * ow + 2]
-                        got = y.data[:, b, ch, oh, ow]
-                        matches = [
-                            np.allclose(window[:, i, j], got)
-                            for i in range(2)
-                            for j in range(2)
-                        ]
-                        assert any(matches)
 
 
 class TestInit:

@@ -3,6 +3,7 @@ import pytest
 from conftest import run_op
 
 from quatgan import autodiff as ad
+from quatgan import cli
 from quatgan import models as MD
 from quatgan.errors import ConfigError
 from quatgan.layers import ConvConfig
@@ -38,8 +39,8 @@ class TestParameterAccounting:
 
     def test_real_twin_dense_is_exactly_4x_weights(self):
         quat = MD.Model("m", [MD.QDense("fc", 16, 16)])
-        twin = MD.RealModel("t", [MD.RDense(64, 64)])
-        assert twin.count_parameters() == 64 * 64 + 64  # 4160
+        twin = MD._twin_parameters(quat.modules[0])
+        assert twin == 64 * 64 + 64  # 4160
         q_weights = 4 * 16 * 16
         r_weights = 64 * 64
         assert r_weights == 4 * q_weights
@@ -64,9 +65,8 @@ class TestParameterAccounting:
     def test_table_counts_celeba(self):
         spec = MD.preset_spec("qsngan_celeba128")
         g, d = MD.build_qsngan(spec)
-        gt, dt = MD.build_real_twin(spec)
         gq, dq = MD.count_parameters(g), MD.count_parameters(d)
-        gr, dr = gt.count_parameters(), dt.count_parameters()
+        gr, dr = MD.count_twin_parameters(spec)
         assert gq == 9_631_204          # exact reproduction of the reported G
         assert gr == 32_150_787         # exact reproduction of the reported twin G
         assert abs(gq - 9_631_204) / 9_631_204 <= 0.02
@@ -82,6 +82,28 @@ class TestParameterAccounting:
         total = MD.count_parameters(g) + MD.count_parameters(d)
         assert abs(total - 5_545_188) / 5_545_188 <= 0.02
 
+    @pytest.mark.parametrize("name,counts", [
+        ("qsngan_celeba128", (9_631_204, 7_260_676, 32_150_787, 29_017_857)),
+        ("qsngan_cifar32", (1_469_124, 264_836, 4_276_739, 1_053_825)),
+        ("qsngan_stl48", (3_005_028, 2_540_036, 4_878_083, 10_141_441)),
+        ("qsngan_toy16", (159_876, 28_932, 241_283, 114_049)),
+        ("qsngan_toy8", (71_420, 7_428, 86_659, 28_801)),
+        ("qdcgan_toy16", (42_572, 9_908, 167_012, 36_065)),
+        ("qdcgan_toy8", (17_412, 1_060, 68_100, 2_593)),
+    ])
+    def test_preset_counts_pinned(self, name, counts):
+        """Quaternion G, D and real-twin G, D parameter counts of every preset."""
+        spec = MD.preset_spec(name)
+        g, d = MD.build_gan(spec)
+        got = (MD.count_parameters(g), MD.count_parameters(d), *MD.count_twin_parameters(spec))
+        assert got == counts
+
+    def test_count_params_cli(self, capsys):
+        assert cli.main(["count-params", "--spec", "qsngan_toy16"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "  total       :      188,808   twin total :      355,332"
+        assert out[-1] == "  ratio quaternion/real: 0.5314"
+
     @pytest.mark.parametrize("name", ["qsngan_celeba128", "qsngan_cifar32",
                                       "qsngan_stl48", "qsngan_toy16", "qdcgan_toy16"])
     def test_ratio_band(self, name):
@@ -91,13 +113,11 @@ class TestParameterAccounting:
         whose first dense is itself quaternion)."""
         spec = MD.preset_spec(name)
         g, d = MD.build_gan(spec)
-        gt, dt = MD.build_real_twin(spec)
-        d_ratio = MD.count_parameters(d) / dt.count_parameters()
+        gr, dr = MD.count_twin_parameters(spec)
+        d_ratio = MD.count_parameters(d) / dr
         assert 0.24 < d_ratio < 0.31, (name, d_ratio)
         if name in ("qsngan_celeba128", "qdcgan_toy16"):
-            ratio = (MD.count_parameters(g) + MD.count_parameters(d)) / (
-                gt.count_parameters() + dt.count_parameters()
-            )
+            ratio = (MD.count_parameters(g) + MD.count_parameters(d)) / (gr + dr)
             assert 0.24 < ratio < 0.31, (name, ratio)
 
 
@@ -194,32 +214,6 @@ class TestShapes:
         s = split_pool(s, "avg", 2)
         assert np.allclose(y.value.data, (h + s).data, atol=1e-12)
 
-    def test_twin_forward_shapes_match_qdcgan(self, rng):
-        spec = MD.preset_spec("qdcgan_toy16")
-        g, d = MD.build_qdcgan(spec)
-        g.init_params(rng)
-        gt, dt = MD.build_real_twin(spec)
-        gt.init_params(rng)
-        dt.init_params(rng)
-        z = make_noise(spec, 2, rng, dtype=np.float64)
-        img_q = g.forward_array(z, training=True, update_stats=False)
-        img_r = gt.forward(rng.standard_normal((2, spec.noise_dim)))
-        # 1 quaternion channel <-> 4 real channels
-        assert img_r.shape == (2, 4, 16, 16)
-        assert img_q.shape == (2, 1, 16, 16)
-        dec = dt.forward(img_r)
-        assert dec.shape == (2, 1)
-
-    def test_twin_forward_shapes_match_qsngan_interior(self, rng):
-        spec = MD.preset_spec("qsngan_toy16")
-        gt, dt = MD.build_real_twin(spec)
-        gt.init_params(rng)
-        dt.init_params(rng)
-        img = gt.forward(rng.standard_normal((2, spec.noise_dim)))
-        assert img.shape == (2, 3, 16, 16)  # twin models RGB directly
-        dec = dt.forward(img)
-        assert dec.shape == (2, 1)
-
 
 class TestSpectralNormIntegration:
     def test_full_mode_normalizes_constructed_matrices(self, rng):
@@ -247,6 +241,20 @@ class TestSpectralNormIntegration:
         MD.apply_spectral_norm(d)  # no-op
         for m in d.weighted_modules():
             assert m.sn_scale is None
+
+    @pytest.mark.parametrize("sn", ["full", "split"])
+    def test_float32_discriminator_records_no_float64(self, rng, sn):
+        spec = MD.preset_spec("qsngan_toy16")
+        spec.sn = sn
+        _, d = MD.build_qsngan(spec, dtype=np.float32)
+        d.init_params(rng)
+        MD.sn_warmup(d, iters=2)
+        tape = ad.Tape()
+        x = QTensor(rng.standard_normal((4, 2, 1, 16, 16)).astype(np.float32))
+        loss = ad.sum_components_total(d.forward(tape, tape.constant(x), training=True))
+        assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
+        grads = tape.backward(loss)
+        assert all(g.dtype == np.float32 for g in grads.values())
 
     def test_effective_weights_are_scaled_in_forward(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
