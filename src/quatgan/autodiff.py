@@ -278,28 +278,46 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
     return x.tape.record("qdense", inputs, fwd, bwd)
 
 
+def _taps_first(m: np.ndarray, taps: int) -> np.ndarray:
+    """Reorder the rows of a Hamilton block (or its transpose) from
+    (component, channel, tap) to the channels-last patch order
+    (tap, component, channel)."""
+    rows, cols = m.shape
+    return m.reshape(4, -1, taps, cols).transpose(2, 0, 1, 3).reshape(rows, cols)
+
+
+def _taps_last(m: np.ndarray, taps: int) -> np.ndarray:
+    """Inverse of :func:`_taps_first`."""
+    rows, cols = m.shape
+    return m.reshape(taps, 4, -1, cols).transpose(1, 2, 0, 3).reshape(rows, cols)
+
+
 def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
     """Quaternion 2-D convolution (cross-correlation convention).
 
-    The four input components become 4*in_q real channels, so one im2col
-    gives (B*P, 4*in_q*k*k) patch rows and the layer is one GEMM against the
-    Hamilton block of the kernel flattened to (out_q, in_q*k*k).
+    The input is moved to a channels-last (B, H, W, 4*in_q) real map, its
+    channels in (component, channel) order, so one :func:`layers.im2col`
+    gives (B*P, k*k*4*in_q) patch rows in (tap, component, channel) order.
+    The layer is one GEMM against the Hamilton block of the kernel whose
+    columns are reordered from (component, channel, tap) to that order; the
+    kernel gradient is reordered back before :func:`layers.fold_block`.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     k, o = cfg.kernel, cfg.out_q
+    taps = k * k
 
     def fwd(xv, kv, *rest):
         b, i, h, w = _check_conv_input(xv, cfg)
         _check_kernel(kv, (o, i, k, k), "conv")
         ho = L.conv_out_size(h, k, cfg.stride, cfg.padding)
         wo = L.conv_out_size(w, k, cfg.stride, cfg.padding)
-        x_real = xv.data.transpose(1, 0, 2, 3, 4).reshape(b, 4 * i, h, w)
-        cols = L.im2col(x_real, k, cfg.stride, cfg.padding).reshape(b * ho * wo, -1)
-        block = L.hamilton_block(kv.data)
+        x_cl = np.ascontiguousarray(xv.data.transpose(1, 3, 4, 0, 2).reshape(b, h, w, 4 * i))
+        cols = L.im2col(x_cl, k, cfg.stride, cfg.padding)
+        block_t = _taps_first(L.hamilton_block(kv.data).T, taps)  # (k*k*4*in_q, 4*out_q)
         if x.tape.needs_grad:
-            saved.update(cols=cols, block=block, x_shape=x_real.shape)
-        y = (cols @ block.T).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
+            saved.update(cols=cols, block_t=block_t, x_shape=x_cl.shape)
+        y = (cols @ block_t).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
@@ -308,10 +326,11 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
         _, b, _, ho, wo = g.shape
         g2 = g.transpose(1, 3, 4, 0, 2).reshape(b * ho * wo, 4 * o)
         x_shape = saved["x_shape"]
-        dcols = (g2 @ saved["block"]).reshape(b, ho * wo, -1)
+        dcols = g2 @ saved["block_t"].T
         dx = L.col2im(dcols, x_shape, k, cfg.stride, cfg.padding)
-        dx = dx.reshape(b, 4, cfg.in_q, *x_shape[2:]).transpose(1, 0, 2, 3, 4)
-        dk = L.fold_block(g2.T @ saved["cols"]).reshape(4, o, cfg.in_q, k, k)
+        dx = dx.reshape(*x_shape[:3], 4, cfg.in_q).transpose(3, 0, 4, 1, 2)
+        dblock = _taps_last(saved["cols"].T @ g2, taps).T
+        dk = L.fold_block(dblock).reshape(4, o, cfg.in_q, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))
@@ -322,14 +341,18 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
 def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
     """Quaternion transposed convolution; the kernel is (in_q, out_q, k, k).
 
-    Each input position is one real row of 4*in_q values; one GEMM against
+    Each input position is one real row of 4*in_q values. One GEMM against
     the Hamilton block of the per-component transposed kernel
-    (out_q*k*k, in_q) gives the patch columns that col2im scatters into the
-    4*out_q real output channels.
+    (out_q*k*k, in_q), its rows reordered from (component, channel, tap) to
+    (tap, component, channel), gives the patch columns that the
+    channels-last :func:`layers.col2im` scatters into a (B, Ho, Wo, 4*out_q)
+    real map; the backward pass reads the gradient's patches with
+    :func:`layers.im2col` and reorders the kernel gradient back.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     k, i, o = cfg.kernel, cfg.in_q, cfg.out_q
+    taps = k * k
 
     def fwd(xv, kv, *rest):
         b, _, h, w = _check_conv_input(xv, cfg)
@@ -337,24 +360,23 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
         ho = L.tconv_out_size(h, k, cfg.stride, cfg.padding)
         wo = L.tconv_out_size(w, k, cfg.stride, cfg.padding)
         x2 = xv.data.transpose(1, 3, 4, 0, 2).reshape(b * h * w, 4 * i)
-        block = L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1))
+        block = _taps_first(L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1)), taps)
         if x.tape.needs_grad:
             saved.update(x2=x2, block=block, hw=(h, w))
-        dcols = (x2 @ block.T).reshape(b, h * w, -1)
-        y = L.col2im(dcols, (b, 4 * o, ho, wo), k, cfg.stride, cfg.padding)
-        y = y.reshape(b, 4, o, ho, wo).transpose(1, 0, 2, 3, 4)
+        y = L.col2im(x2 @ block.T, (b, ho, wo, 4 * o), k, cfg.stride, cfg.padding)
+        y = y.reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
         _, b, _, ho, wo = g.shape
-        g_real = g.transpose(1, 0, 2, 3, 4).reshape(b, 4 * o, ho, wo)
-        gcols = L.im2col(g_real, k, cfg.stride, cfg.padding)  # (B, P_in, 4*o*k*k)
-        gcols = gcols.reshape(-1, gcols.shape[2])
+        g_cl = np.ascontiguousarray(g.transpose(1, 3, 4, 0, 2).reshape(b, ho, wo, 4 * o))
+        gcols = L.im2col(g_cl, k, cfg.stride, cfg.padding)  # (B*P_in, k*k*4*out_q)
         h, w = saved["hw"]
         dx = (gcols @ saved["block"]).reshape(b, h, w, 4, i).transpose(3, 0, 4, 1, 2)
-        dk = L.fold_block(gcols.T @ saved["x2"]).transpose(0, 2, 1).reshape(4, i, o, k, k)
+        dblock = _taps_last(gcols.T @ saved["x2"], taps)
+        dk = L.fold_block(dblock).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))
@@ -386,17 +408,11 @@ def split_act(x: Node, kind: str, alpha: float = 0.2) -> Node:
 
 
 def avg_pool(x: Node, window: int) -> Node:
-    saved = {}
-
-    def fwd(xv):
-        saved["shape"] = xv.data.shape
-        return L.split_pool(xv, "avg", window)
-
     def bwd(g):
         g4 = np.repeat(np.repeat(g, window, axis=-2), window, axis=-1)
         return (g4 / (window * window),)
 
-    return x.tape.record("avg_pool", (x,), fwd, bwd)
+    return x.tape.record("avg_pool", (x,), lambda xv: L.split_pool(xv, window), bwd)
 
 
 def global_sum_pool(x: Node) -> Node:
@@ -415,8 +431,7 @@ def global_sum_pool(x: Node) -> Node:
 def upsample2x(x: Node) -> Node:
     def bwd(g):
         s = g.shape
-        v = g.reshape(*s[:-2], s[-2] // 2, 2, s[-1] // 2, 2)
-        return (v.sum(axis=(-3, -1)),)
+        return (L.window_sum(g.reshape(*s[:-2], s[-2] // 2, 2, s[-1] // 2, 2)),)
 
     return x.tape.record("upsample2x", (x,), lambda xv: L.upsample_nearest2x(xv), bwd)
 

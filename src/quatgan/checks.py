@@ -5,7 +5,9 @@ Each check runs in float64 at step 1e-6 against tolerance 1e-4. Inputs are
 drawn from seeded generators; checks whose operations have kinks (ReLU
 family, hinge margins, amplitude argmax) retry a couple of seeds so a draw
 that lands on a measure-zero kink is resampled away -- a genuine gradient bug
-fails for every seed.
+fails for every seed. The conv, pooling and upsampling checks run on
+non-square maps, so a layout change that mixes up height and width fails
+them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def check_qdense(rng):
 
 
 def check_qconv(rng):
-    x = _qt(rng, (2, 2, 4, 4))
+    x = _qt(rng, (2, 2, 4, 5))
     cfg = L.ConvConfig(3, 1, 1, 2, 3)
     params = {"k": _qt(rng, (3, 2, 3, 3)), "b": _qt(rng, (3,))}
 
@@ -71,7 +73,7 @@ def check_qconv(rng):
 
 
 def check_qconv_strided(rng):
-    x = _qt(rng, (2, 2, 6, 6))
+    x = _qt(rng, (2, 2, 6, 4))
     cfg = L.ConvConfig(2, 2, 0, 2, 2)
     params = {"k": _qt(rng, (2, 2, 2, 2)), "b": _qt(rng, (2,))}
 
@@ -84,7 +86,7 @@ def check_qconv_strided(rng):
 def check_qconv_input_grad(rng):
     cfg = L.ConvConfig(3, 1, 1, 2, 2)
     k = _qt(rng, (2, 2, 3, 3))
-    params = {"x": _qt(rng, (2, 2, 4, 4))}
+    params = {"x": _qt(rng, (2, 2, 4, 5))}
 
     def build(tape, leaves):
         return _loss(ad.qconv2d(leaves["x"], tape.constant(k), None, cfg))
@@ -93,7 +95,7 @@ def check_qconv_input_grad(rng):
 
 
 def check_qtconv(rng):
-    x = _qt(rng, (2, 2, 3, 3))
+    x = _qt(rng, (2, 2, 3, 4))
     cfg = L.ConvConfig(4, 2, 1, 2, 2)
     params = {"k": _qt(rng, (2, 2, 4, 4)), "b": _qt(rng, (2,)), "x": x}
 
@@ -124,7 +126,7 @@ def check_activation(kind):
 
 def check_pool(kind):
     def run(rng):
-        params = {"x": _qt(rng, (2, 2, 4, 4))}
+        params = {"x": _qt(rng, (2, 2, 4, 6))}
 
         def build(tape, leaves):
             if kind == "avg":
@@ -137,7 +139,7 @@ def check_pool(kind):
 
 
 def check_upsample(rng):
-    params = {"x": _qt(rng, (2, 2, 3, 3))}
+    params = {"x": _qt(rng, (2, 2, 3, 4))}
 
     def build(tape, leaves):
         return _loss(ad.upsample2x(leaves["x"]))

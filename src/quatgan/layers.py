@@ -10,6 +10,15 @@ adjoint. They are the only code that reads the sign pattern: the dense, conv
 and transposed-conv tape ops in :mod:`quatgan.autodiff` run one real GEMM
 against the block, fold their kernel gradient back through the adjoint, and
 spectral normalization and the sigma diagnostics measure the same block.
+
+The convolution primitives are channels-last. :func:`im2col` maps a real
+(B, H, W, C) map to one (B*Ho*Wo, k*k*C) patch matrix whose columns run in
+(ki, kj, c) order, so every tap copies whole contiguous C-vectors, and
+:func:`col2im` is its adjoint. A quaternion map enters them with its four
+components moved inward, C = 4*channels in (component, channel) order, so
+the conv ops reorder the block's (component, channel, tap) columns to
+(tap, component, channel); the block's singular values, and so spectral
+normalization, do not depend on that order.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor
@@ -27,6 +37,7 @@ __all__ = [
     "fold_block",
     "split_activation",
     "split_pool",
+    "window_sum",
     "global_sum_pool",
     "upsample_nearest2x",
     "quaternion_init",
@@ -119,31 +130,39 @@ def tconv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, P, C*k*k) patch matrix, P = Ho*Wo."""
-    b, c, h, w = x.shape
+    """Channels-last patch matrix: (B, H, W, C) -> (B*Ho*Wo, k*k*C).
+
+    Row (b, oh, ow) holds the zero-padded input window whose top-left corner
+    is (oh*stride - padding, ow*stride - padding); its columns run in
+    (ki, kj, c) order, so the copy moves contiguous C-vectors. A 1x1,
+    stride-1, unpadded call on a contiguous map returns a view of ``x``.
+    """
+    b, h, w, c = x.shape
     ho = conv_out_size(h, kernel, stride, padding)
     wo = conv_out_size(w, kernel, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c, kernel, kernel, ho, wo), dtype=x.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols[:, :, ki, kj] = x[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b, ho * wo, c * kernel * kernel)
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x
+        x = xp
+    # (B, Ho, Wo, C, k, k) view of every window; one copy writes the patch
+    # rows in order, its inner loop over contiguous C-vectors
+    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kernel * kernel * c)
 
 
 def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to (B, C, H, W)."""
-    b, c, h, w = x_shape
+    """Adjoint of :func:`im2col`: scatter-add (B*Ho*Wo, k*k*C) patch rows,
+    columns in (ki, kj, c) order, back into a (B, H, W, C) map."""
+    b, h, w, c = x_shape
     ho = conv_out_size(h, kernel, stride, padding)
     wo = conv_out_size(w, kernel, stride, padding)
-    c6 = cols.reshape(b, ho, wo, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    c6 = cols.reshape(b, ho, wo, kernel, kernel, c)
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     for ki in range(kernel):
         for kj in range(kernel):
-            xp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += c6[:, :, ki, kj]
+            xp[:, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += c6[:, :, :, ki, kj]
     if padding:
-        return xp[:, :, padding : padding + h, padding : padding + w].copy()
+        return xp[:, padding : padding + h, padding : padding + w].copy()
     return xp
 
 
@@ -186,12 +205,26 @@ def _pool_view(x: QTensor, window: int) -> np.ndarray:
     return x.data.reshape(*b4, h // window, window, w // window, window)
 
 
-def split_pool(x: QTensor, kind: str, window: int) -> QTensor:
+def split_pool(x: QTensor, window: int) -> QTensor:
     """Average pooling applied per component (non-overlapping windows)."""
-    v = _pool_view(x, window)
-    if kind == "avg":
-        return QTensor(v.mean(axis=(-3, -1)))
-    raise ConfigError(f"unknown pooling kind {kind!r}, expected 'avg'")
+    out = window_sum(_pool_view(x, window))
+    out /= window * window
+    return QTensor(out)
+
+
+def window_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of a (..., h, window, w, window) view over its two window axes.
+
+    Adds the window**2 strided slices ``v[..., i, :, j]``; numpy reduces
+    over two strided axes of one view several times slower.
+    """
+    window = v.shape[-1]
+    out = v[..., 0, :, 0].copy()
+    for i in range(window):
+        for j in range(window):
+            if i or j:
+                out += v[..., i, :, j]
+    return out
 
 
 def global_sum_pool(x: QTensor) -> QTensor:

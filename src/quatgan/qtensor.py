@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .quaternion import Quaternion
 
-__all__ = ["QTensor", "hamilton_product", "conjugate"]
+__all__ = ["QTensor"]
 
 
 class QTensor:
@@ -150,26 +150,3 @@ def _check_same_shape(a: QTensor, b: QTensor):
             left=a.shape,
             right=b.shape,
         )
-
-
-def hamilton_product(a: QTensor, b: QTensor) -> QTensor:
-    """Elementwise Hamilton product of two equally-shaped tensors."""
-    _check_same_shape(a, b)
-    a0, a1, a2, a3 = a.data
-    b0, b1, b2, b3 = b.data
-    return QTensor(
-        np.stack(
-            [
-                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-            ]
-        )
-    )
-
-
-def conjugate(a: QTensor) -> QTensor:
-    out = a.data.copy()
-    out[1:] = -out[1:]
-    return QTensor(out)

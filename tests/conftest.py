@@ -25,6 +25,39 @@ def concise_product(q, p):
     return Quaternion(scalar, *vec)
 
 
+def tensor_hamilton(a, b):
+    """Independent oracle for the elementwise Hamilton product of two
+    equally shaped QTensors, written out component by component."""
+    from quatgan.errors import ShapeMismatchError
+    from quatgan.qtensor import QTensor
+
+    if a.shape != b.shape:
+        raise ShapeMismatchError(
+            f"QTensor shapes differ: {a.shape} vs {b.shape}", left=a.shape, right=b.shape
+        )
+    a0, a1, a2, a3 = a.data
+    b0, b1, b2, b3 = b.data
+    return QTensor(
+        np.stack(
+            [
+                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            ]
+        )
+    )
+
+
+def tensor_conjugate(a):
+    """Oracle for the elementwise conjugate: q1..q3 negated."""
+    from quatgan.qtensor import QTensor
+
+    out = a.data.copy()
+    out[1:] = -out[1:]
+    return QTensor(out)
+
+
 def run_op(op, *args):
     """Value of a tape op applied to plain values: each QTensor argument
     becomes a constant of a gradient-free tape, the rest pass through."""

@@ -27,6 +27,9 @@ from quatgan.quaternion import Quaternion, hamilton_product
 from quatgan.qtensor import QTensor
 
 
+_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
 def _qt(rng, shape):
     return QTensor(rng.standard_normal((4, *shape)))
 
@@ -171,10 +174,11 @@ class TestQConv2d:
         y = run_op(ad.qconv2d, x, _qt(rng, (2, 2, 3, 3)), None, ConvConfig(3, 1, 1, 2, 2))
         assert y.shape == (1, 2, 8, 8)
 
-    def test_matches_scalar_loop_oracle(self, rng):
-        x = _qt(rng, (2, 2, 4, 4))
-        kernel, bias = _qt(rng, (2, 2, 3, 3)), _qt(rng, (2,))
-        cfg = ConvConfig(3, 1, 1, 2, 2)
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), (2, 2, 0), (1, 1, 0)])
+    def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
+        x = _qt(rng, (2, 2, 6, 8))
+        kernel, bias = _qt(rng, (2, 2, k, k)), _qt(rng, (2,))
+        cfg = ConvConfig(k, stride, pad, 2, 2)
         got = run_op(ad.qconv2d, x, kernel, bias, cfg)
         want = conv_oracle(x, kernel, bias, cfg)
         assert np.allclose(got.data, want.data, atol=1e-12)
@@ -211,7 +215,7 @@ class TestTransposedConv:
 
     @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (3, 1, 1), (2, 2, 0)])
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
-        x = _qt(rng, (2, 2, 3, 3))
+        x = _qt(rng, (2, 2, 3, 5))
         kernel, bias = _qt(rng, (2, 3, k, k)), _qt(rng, (3,))
         cfg = ConvConfig(k, stride, pad, 2, 3)
         got = run_op(ad.qtconv2d, x, kernel, bias, cfg)
@@ -239,14 +243,28 @@ class TestTransposedConv:
         assert np.allclose(got.data, dx.data, atol=1e-10)
 
     def test_im2col_col2im_adjoint(self, rng):
-        x = rng.standard_normal((2, 3, 5, 5))
-        cols = rng.standard_normal((2, 25, 27))
+        x = rng.standard_normal((2, 5, 5, 3))
+        cols = rng.standard_normal((50, 27))
         lhs = (im2col(x, 3, 1, 1) * cols).sum()
         rhs = (x * col2im(cols, x.shape, 3, 1, 1)).sum()
         assert abs(lhs - rhs) < 1e-10
 
 
-_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+class TestIm2colAdjoint:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), stride=st.integers(1, 2),
+           pad=st.integers(0, 2), c=st.integers(1, 5), b=st.integers(1, 2))
+    def test_col2im_is_adjoint_of_im2col(self, data, k, stride, pad, c, b):
+        """<im2col(x), cols> == <x, col2im(cols)> on non-square maps."""
+        low = max(1, k - 2 * pad)
+        h = data.draw(st.integers(low, 7), label="h")
+        w = data.draw(st.integers(low, 7).filter(lambda v: v != h), label="w")
+        x = data.draw(arrays(np.float64, (b, h, w, c), elements=_finite))
+        ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+        cols = data.draw(arrays(np.float64, (b * ho * wo, k * k * c), elements=_finite))
+        lhs = float((im2col(x, k, stride, pad) * cols).sum())
+        rhs = float((x * col2im(cols, x.shape, k, stride, pad)).sum())
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 class TestHamiltonBlock:
@@ -307,7 +325,7 @@ class TestSplitOps:
 
     def test_avg_pool_constant(self):
         x = QTensor(np.full((4, 1, 1, 4, 4), 2.5))
-        y = split_pool(x, "avg", 2)
+        y = split_pool(x, 2)
         assert np.allclose(y.data, 2.5)
 
     def test_global_sum_pool_matches_loop(self, rng):
@@ -321,7 +339,7 @@ class TestSplitOps:
 
     def test_pool_divisibility(self, rng):
         with pytest.raises(ShapeMismatchError):
-            split_pool(_qt(rng, (1, 1, 5, 5)), "avg", 2)
+            split_pool(_qt(rng, (1, 1, 5, 5)), 2)
 
     def test_upsample(self, rng):
         x = _qt(rng, (1, 1, 2, 2))

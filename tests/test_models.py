@@ -190,7 +190,7 @@ class TestShapes:
         from quatgan.layers import split_pool
 
         sc = block.children["sc"]
-        pooled = split_pool(x, "avg", 2)
+        pooled = split_pool(x, 2)
         want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.cfg)
         assert np.allclose(y.value.data, want.data, atol=1e-12)
 
@@ -209,9 +209,9 @@ class TestShapes:
         h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
         h = split_activation(h, "relu")
         h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.cfg)
-        h = split_pool(h, "avg", 2)
+        h = split_pool(h, 2)
         s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
-        s = split_pool(s, "avg", 2)
+        s = split_pool(s, 2)
         assert np.allclose(y.value.data, (h + s).data, atol=1e-12)
 
 

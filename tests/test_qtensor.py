@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import tensor_conjugate as conjugate, tensor_hamilton as hamilton_product
 
 from quatgan.errors import ShapeMismatchError
 from quatgan.quaternion import Quaternion, hamilton_product as scalar_hamilton
-from quatgan.qtensor import QTensor, conjugate, hamilton_product
+from quatgan.qtensor import QTensor
 
 
 class TestQTensor:
