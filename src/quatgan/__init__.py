@@ -10,7 +10,6 @@ architectures, whose parameter counts are compared with those of real-valued
 twins read off the same models (`count_twin_parameters`).
 """
 
-from .quaternion import Quaternion
 from .qtensor import QTensor
 from .layers import ConvConfig, fold_block, hamilton_block
 from .autodiff import Tape, grad_check
@@ -27,7 +26,6 @@ from .train import TrainConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion",
     "QTensor",
     "ConvConfig",
     "hamilton_block",

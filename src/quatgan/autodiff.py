@@ -187,22 +187,6 @@ def reshape(a: Node, shape) -> Node:
                          lambda g: (g.reshape((4, *saved["shape"])),))
 
 
-def sum_components_total(a: Node) -> Node:
-    """Sum over all components and elements -> real scalar loss node."""
-    saved = {}
-
-    def fwd(av):
-        saved["shape"] = av.data.shape
-        out = np.zeros(4, dtype=av.dtype)
-        out[0] = av.data.sum()
-        return QTensor(out)
-
-    def bwd(g):
-        return (np.broadcast_to(g.reshape(4, -1)[0, 0], saved["shape"]).copy(),)
-
-    return a.tape.record("sum_components_total", (a,), fwd, bwd)
-
-
 def inner_const(a: Node, k: QTensor) -> Node:
     """Inner product <a, k> = sum_c sum a_c k_c against a constant."""
 
@@ -384,11 +368,11 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
     return x.tape.record("qtconv2d", inputs, fwd, bwd)
 
 
-def split_act(x: Node, kind: str, alpha: float = 0.2) -> Node:
+def split_act(x: Node, kind: str) -> Node:
     saved = {}
 
     def fwd(xv):
-        y = L.split_activation(xv, kind, alpha)
+        y = L.split_activation(xv, kind)
         saved["x"], saved["y"] = xv.data, y.data
         return y
 
@@ -396,8 +380,6 @@ def split_act(x: Node, kind: str, alpha: float = 0.2) -> Node:
         xd, yd = saved["x"], saved["y"]
         if kind == "relu":
             return (g * (xd > 0.0),)
-        if kind == "leaky_relu":
-            return (g * np.where(xd > 0.0, 1.0, alpha),)
         if kind == "tanh":
             return (g * (1.0 - yd * yd),)
         if kind == "sigmoid":

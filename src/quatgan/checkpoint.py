@@ -41,7 +41,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", len(tensors)))
         for name, raw in zip(names, raws):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            # not np.ascontiguousarray, which promotes a rank-0 tensor to rank 1
+            arr = np.asarray(tensors[name], dtype="<f4", order="C")
             fh.write(struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape))
             fh.write(arr)
 

@@ -26,7 +26,10 @@ def _load_config(path) -> T.TrainConfig:
         config = T.TrainConfig.from_json(fh.read())
     env_seed = os.environ.get("QGAN_SEED")
     if env_seed is not None:
-        config.seed = int(env_seed)
+        try:
+            config.seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"QGAN_SEED must be an integer, got {env_seed!r}") from None
     return config
 
 

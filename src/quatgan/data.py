@@ -8,7 +8,6 @@ and the channels on the imaginary units.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 
@@ -18,12 +17,9 @@ from .errors import DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
-    "encapsulate_image",
-    "decapsulate_image",
     "encapsulate_batch",
     "decapsulate_batch",
     "synth_dataset",
-    "channel_correlation",
     "write_ppm",
     "read_ppm",
     "to_uint8",
@@ -36,24 +32,9 @@ __all__ = [
 PACKED_MAGIC = b"QIMG"
 
 
-def encapsulate_image(rgb: np.ndarray) -> QTensor:
-    """(3, H, W) pixels in [-1, 1] -> pure quaternion map (1, H, W)."""
-    rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[0] != 3:
-        raise ShapeMismatchError(f"expected (3, H, W) image, got {rgb.shape}")
-    data = np.zeros((4, 1, *rgb.shape[1:]), dtype=rgb.dtype)
-    data[1:, 0] = rgb
-    return QTensor(data)
-
-
-def decapsulate_image(x: QTensor) -> np.ndarray:
-    """Drop q0 and return the (3, H, W) channels clamped to [-1, 1]."""
-    if len(x.shape) != 3 or x.shape[0] != 1:
-        raise ShapeMismatchError(f"expected quaternion map (1, H, W), got {x.shape}")
-    return np.clip(x.data[1:, 0], -1.0, 1.0)
-
-
 def encapsulate_batch(rgb: np.ndarray) -> QTensor:
+    """(N, 3, H, W) pixels in [-1, 1] -> pure quaternion batch (N, 1, H, W),
+    red on i, green on j, blue on k."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 4 or rgb.shape[1] != 3:
         raise ShapeMismatchError(f"expected (N, 3, H, W) batch, got {rgb.shape}")
@@ -63,14 +44,10 @@ def encapsulate_batch(rgb: np.ndarray) -> QTensor:
 
 
 def decapsulate_batch(x: QTensor) -> np.ndarray:
+    """Drop q0 and return the (N, 3, H, W) channels clamped to [-1, 1]."""
     if len(x.shape) != 4 or x.shape[1] != 1:
         raise ShapeMismatchError(f"expected quaternion batch (N, 1, H, W), got {x.shape}")
     return np.clip(x.data[1:, :, 0].transpose(1, 0, 2, 3), -1.0, 1.0)
-
-
-def q0_residual(x: QTensor) -> float:
-    """Mean |q0| of a generated batch; a diagnostic, not an error."""
-    return float(np.abs(x.data[0]).mean())
 
 
 # -- synthetic data ---------------------------------------------------------------
@@ -111,20 +88,6 @@ def synth_dataset(n: int, size: int, seed: int = 0) -> np.ndarray:
         noise = 0.04 * rng.standard_normal((3, size, size))
         images[idx] = np.clip(weights[:, None, None] * lum[None] + noise, -1.0, 1.0)
     return images
-
-
-def channel_correlation(images: np.ndarray) -> float:
-    """Mean pairwise Pearson correlation between channels, averaged over images."""
-    total, count = 0.0, 0
-    for img in images:
-        flat = img.reshape(3, -1)
-        c = np.corrcoef(flat)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if np.isfinite(c[a, b]):
-                    total += c[a, b]
-                    count += 1
-    return total / max(count, 1)
 
 
 # -- u8 conversion and PPM --------------------------------------------------------

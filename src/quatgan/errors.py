@@ -15,7 +15,7 @@ class ShapeMismatchError(QuatError, ValueError):
 
 
 class DomainError(QuatError, ValueError):
-    """An input violates a mathematical precondition (zero quaternion, non-unit axis, ...)."""
+    """An input violates a mathematical precondition (too small a batch, a negative weight, ...)."""
 
 
 class ConfigError(QuatError, ValueError):

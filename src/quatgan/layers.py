@@ -168,15 +168,13 @@ def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) ->
 
 # -- activations and pooling --------------------------------------------------
 
-ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid")
+ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 
-def split_activation(x: QTensor, kind: str, alpha: float = 0.2) -> QTensor:
+def split_activation(x: QTensor, kind: str) -> QTensor:
     """Apply a real scalar nonlinearity independently to each component."""
     if kind == "relu":
         return QTensor(np.maximum(x.data, 0.0))
-    if kind == "leaky_relu":
-        return QTensor(np.where(x.data > 0.0, x.data, alpha * x.data))
     if kind == "tanh":
         return QTensor(np.tanh(x.data))
     if kind == "sigmoid":

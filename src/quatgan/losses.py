@@ -1,15 +1,13 @@
-"""GAN objectives in the quaternion framework.
+"""GAN objectives in the quaternion framework, as fused tape operations.
 
-Pure functions operate on plain arrays (or QTensors for the quaternion
-cross-entropy) and are the reference forms the tests check against scalar
-loops; the ``*_op`` variants are fused tape operations producing a scalar
-loss node (value carried in q0). Probability inputs are clamped to
-[eps, 1-eps] with eps = 1e-7; the pure forms warn when clamping fires.
+Each ``*_op`` records one node whose value is a scalar loss carried in q0.
+The hinge and Wasserstein ops read (B,) real decisions carried in q0. The
+quaternion cross-entropy scores a quaternion estimate in (0, 1) against a
+constant target; estimates are clamped to [eps, 1-eps] with eps = 1e-7, and
+clamped entries get zero gradient.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -19,12 +17,6 @@ from .qtensor import QTensor
 
 __all__ = [
     "EPS",
-    "gan_loss",
-    "quaternion_cross_entropy",
-    "hinge_losses",
-    "wgan_gp_loss",
-    "bce_discriminator_op",
-    "bce_generator_op",
     "qce_op",
     "hinge_discriminator_op",
     "hinge_generator_op",
@@ -33,63 +25,6 @@ __all__ = [
 ]
 
 EPS = 1e-7
-
-
-def _clamp_probs(values: np.ndarray, warn: bool) -> np.ndarray:
-    if warn and (np.any(values <= 0.0) or np.any(values >= 1.0)):
-        warnings.warn("probabilities outside (0,1) clamped to [eps, 1-eps]", stacklevel=3)
-    return np.clip(values, EPS, 1.0 - EPS)
-
-
-def gan_loss(d_real: np.ndarray, d_fake: np.ndarray) -> tuple[float, float]:
-    """Original adversarial objective on post-sigmoid decisions.
-
-    loss_d = -mean(log d_real) - mean(log(1 - d_fake)); the generator uses the
-    non-saturating form loss_g = -mean(log d_fake).
-    """
-    r = _clamp_probs(np.asarray(d_real, dtype=float), warn=True)
-    f = _clamp_probs(np.asarray(d_fake, dtype=float), warn=True)
-    loss_d = float(-np.mean(np.log(r)) - np.mean(np.log(1.0 - f)))
-    loss_g = float(-np.mean(np.log(f)))
-    return loss_d, loss_g
-
-
-def quaternion_cross_entropy(target: QTensor, estimate: QTensor) -> float:
-    """Four-component sum of binary cross-entropies, averaged over the batch."""
-    if target.shape != estimate.shape:
-        raise ShapeMismatchError(
-            f"target shape {target.shape} != estimate shape {estimate.shape}"
-        )
-    t = target.data
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("targets must lie in [0, 1]")
-    e = _clamp_probs(estimate.data, warn=False)
-    n = estimate.data.shape[1] if estimate.data.ndim > 1 else 1
-    total = -(t * np.log(e) + (1.0 - t) * np.log(1.0 - e)).sum()
-    return float(total / n)
-
-
-def hinge_losses(d_real: np.ndarray, d_fake: np.ndarray) -> tuple[float, float]:
-    """Hinge objective on raw (pre-activation) discriminator scalars."""
-    r = np.asarray(d_real, dtype=float)
-    f = np.asarray(d_fake, dtype=float)
-    loss_d = float(np.mean(np.maximum(0.0, 1.0 - r)) + np.mean(np.maximum(0.0, 1.0 + f)))
-    loss_g = float(-np.mean(f))
-    return loss_d, loss_g
-
-
-def wgan_gp_loss(d_real: np.ndarray, d_fake: np.ndarray,
-                 interp_grad_norms: np.ndarray, lam: float) -> float:
-    """Wasserstein critic loss with gradient penalty, minimized by the critic."""
-    if lam < 0.0:
-        raise DomainError(f"penalty weight must be nonnegative, got {lam}")
-    r = np.asarray(d_real, dtype=float)
-    f = np.asarray(d_fake, dtype=float)
-    n = np.asarray(interp_grad_norms, dtype=float)
-    return float(-np.mean(r) + np.mean(f) + lam * np.mean((n - 1.0) ** 2))
-
-
-# -- tape ops -------------------------------------------------------------------
 
 
 def _scalar_node(tape_owner: Node, op: str, inputs, fwd_value, bwd):
@@ -105,46 +40,6 @@ def _q0(v: QTensor) -> np.ndarray:
     if len(v.shape) != 1:
         raise ShapeMismatchError(f"expected a real batch of shape (B,), got {v.shape}")
     return v.q0
-
-
-def bce_discriminator_op(d_real: Node, d_fake: Node) -> Node:
-    saved = {}
-
-    def value(rv, fv):
-        r = np.clip(_q0(rv), EPS, 1.0 - EPS)
-        f = np.clip(_q0(fv), EPS, 1.0 - EPS)
-        saved.update(r=r, f=f, rin=(_q0(rv) > EPS) & (_q0(rv) < 1 - EPS),
-                     fin=(_q0(fv) > EPS) & (_q0(fv) < 1 - EPS))
-        return -np.mean(np.log(r)) - np.mean(np.log(1.0 - f))
-
-    def bwd(g):
-        g0 = g.reshape(4, -1)[0, 0]
-        b = saved["r"].shape[0]
-        dr = np.zeros((4, b), dtype=g.dtype)
-        df = np.zeros((4, b), dtype=g.dtype)
-        dr[0] = g0 * np.where(saved["rin"], -1.0 / (b * saved["r"]), 0.0)
-        df[0] = g0 * np.where(saved["fin"], 1.0 / (b * (1.0 - saved["f"])), 0.0)
-        return dr, df
-
-    return _scalar_node(d_real, "bce_d", (d_real, d_fake), value, bwd)
-
-
-def bce_generator_op(d_fake: Node) -> Node:
-    saved = {}
-
-    def value(fv):
-        f = np.clip(_q0(fv), EPS, 1.0 - EPS)
-        saved.update(f=f, fin=(_q0(fv) > EPS) & (_q0(fv) < 1 - EPS))
-        return -np.mean(np.log(f))
-
-    def bwd(g):
-        g0 = g.reshape(4, -1)[0, 0]
-        b = saved["f"].shape[0]
-        df = np.zeros((4, b), dtype=g.dtype)
-        df[0] = g0 * np.where(saved["fin"], -1.0 / (b * saved["f"]), 0.0)
-        return (df,)
-
-    return _scalar_node(d_fake, "bce_g", (d_fake,), value, bwd)
 
 
 def qce_op(target: QTensor, estimate: Node) -> Node:

@@ -61,6 +61,10 @@ class Module:
         """(name, array) pairs of non-trainable state for checkpointing."""
         return []
 
+    def state_names(self):
+        """Names of every state a checkpoint must hold, including states not set yet."""
+        return [name for name, _ in self.states()]
+
     def load_state(self, name: str, arr: np.ndarray):
         raise KeyError(name)
 
@@ -149,26 +153,27 @@ class _WeightedModule(Module):
             node = ad.scale_components(node, self.sn_scale)
         return node
 
-    def states(self):
-        out = []
-        if self.sn_mode == "full" and self.sn_full_state.u is not None:
-            out.append((f"{self.name}.sn_u", self.sn_full_state.u))
+    def _sn_states(self):
+        """(name, SNState) per power-iteration vector of this weight."""
+        if self.sn_mode == "full":
+            return [(f"{self.name}.sn_u", self.sn_full_state)]
         if self.sn_mode == "split":
-            for c, st in enumerate(self.sn_split_state.states):
-                if st.u is not None:
-                    out.append((f"{self.name}.sn_u{c}", st.u))
-        return out
+            return [(f"{self.name}.sn_u{c}", st)
+                    for c, st in enumerate(self.sn_split_state.states)]
+        return []
+
+    def states(self):
+        return [(name, st.u) for name, st in self._sn_states() if st.u is not None]
+
+    def state_names(self):
+        return [name for name, _ in self._sn_states()]
 
     def load_state(self, name, arr):
-        rows = self.kernel.value.shape[0]
-        if self.sn_mode == "full" and name == f"{self.name}.sn_u":
-            self.sn_full_state.u = _state_array(name, arr, (4 * rows,), self.kernel.value.dtype)
-            return
-        if self.sn_mode == "split":
-            for c, st in enumerate(self.sn_split_state.states):
-                if name == f"{self.name}.sn_u{c}":
-                    st.u = _state_array(name, arr, (rows,), self.kernel.value.dtype)
-                    return
+        size = self.kernel.value.shape[0] * (4 if self.sn_mode == "full" else 1)
+        for sname, st in self._sn_states():
+            if name == sname:
+                st.u = _state_array(name, arr, (size,), self.kernel.value.dtype)
+                return
         raise KeyError(name)
 
 
@@ -261,12 +266,12 @@ class QBN(Module):
 
 
 class SplitAct(Module):
-    def __init__(self, name, kind, alpha=0.2):
+    def __init__(self, name, kind):
         super().__init__(name)
-        self.kind, self.alpha = kind, alpha
+        self.kind = kind
 
     def forward(self, leaves, x, mode):
-        return ad.split_act(x, self.kind, self.alpha)
+        return ad.split_act(x, self.kind)
 
 
 class GlobalSumPool(Module):
@@ -469,6 +474,9 @@ class Model:
             for sname, arr in m.states():
                 out[sname] = arr
         return out
+
+    def state_names(self) -> list[str]:
+        return [name for m in self.leaf_modules() for name in m.state_names()]
 
     def load_state(self, name, arr):
         for m in self.modules:

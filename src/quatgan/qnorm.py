@@ -1,12 +1,11 @@
-"""Quaternion batch normalization, the augmented-covariance diagnostic, and
-the power iteration behind quaternion spectral normalization.
+"""Quaternion batch normalization and the power iteration behind quaternion
+spectral normalization.
 
 QBN here is the proper-signal approximation: the four component variances are
 pooled into a single per-channel scale (the 4-sigma^2 aggregate), the
 quaternion mean is subtracted component-wise, and the affine stage uses one
 real gain per channel plus a quaternion shift. Full whitening by the inverse
-square root of the augmented covariance is deliberately not implemented; the
-augmented covariance itself is available as a diagnostic only.
+square root of the augmented covariance is deliberately not implemented.
 
 Spectral normalization itself lives on the weighted modules
 (:meth:`quatgan.models._WeightedModule.update_sn_scale`): full mode runs
@@ -25,17 +24,14 @@ from .qtensor import QTensor
 
 __all__ = [
     "QBNState",
-    "quaternion_mean",
-    "qproper_variance",
     "qbn",
-    "augmented_covariance",
     "SNState",
     "power_iteration_sigma",
     "SplitSNState",
 ]
 
 
-# -- statistics ---------------------------------------------------------------
+# -- batch normalization --------------------------------------------------------
 
 
 def _reduce_axes(data: np.ndarray):
@@ -43,25 +39,6 @@ def _reduce_axes(data: np.ndarray):
     if data.ndim < 3:
         raise ShapeMismatchError(f"expected (batch, channels, ...) input, got {data.shape[1:]}")
     return (1,) + tuple(range(3, data.ndim))
-
-
-def quaternion_mean(x: QTensor) -> QTensor:
-    """Arithmetic mean per component over batch and spatial dims: one
-    quaternion per channel."""
-    if len(x.shape) < 2 or x.shape[0] < 1:
-        raise DomainError(f"mean needs a non-empty (batch, channels, ...) input, got {x.shape}")
-    return QTensor(x.data.mean(axis=_reduce_axes(x.data)))
-
-
-def qproper_variance(x: QTensor) -> np.ndarray:
-    """Per-channel 4-sigma^2 aggregate: the sum of the four per-component
-    biased variances about the quaternion mean."""
-    if len(x.shape) < 2 or x.shape[0] < 2:
-        raise DomainError(f"variance needs batch >= 2, got shape {x.shape}")
-    axes = _reduce_axes(x.data)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var_c = ((x.data - mu) ** 2).mean(axis=axes)
-    return var_c.sum(axis=0)
 
 
 @dataclass
@@ -172,46 +149,6 @@ def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = 
         return dx, dgamma, dbeta
 
     return x.tape.record("qbn", (x, gamma, beta), fwd, bwd)
-
-
-# -- augmented covariance -------------------------------------------------------
-
-_INVOLUTION_SIGNS = np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],       # identity
-        [1.0, 1.0, -1.0, -1.0],     # about i
-        [1.0, -1.0, 1.0, -1.0],     # about j
-        [1.0, -1.0, -1.0, 1.0],     # about k
-    ]
-)
-
-
-def augmented_covariance(x: QTensor) -> np.ndarray:
-    """Real-inner-product covariance of the augmented vector [q, q^i, q^j, q^k].
-
-    Input shape (batch, d). The result is a symmetric (4d, 4d) real matrix of
-    sixteen d x d blocks: block (a, b) at (m, n) is the covariance
-    E{ <q^a_m - mean, q^b_n - mean> } with <p, r> = sum_c p_c r_c. For a
-    proper signal the off-diagonal blocks vanish and the diagonal approaches
-    4 sigma^2 I. Diagnostic only; no whitening is derived from it.
-    """
-    if len(x.shape) != 2:
-        raise ShapeMismatchError(f"augmented covariance expects (batch, d), got {x.shape}")
-    b, d = x.shape
-    if b < 2:
-        raise DomainError(f"augmented covariance needs batch >= 2, got {b}")
-    reps = []
-    for signs in _INVOLUTION_SIGNS:
-        r = x.data * signs[:, None, None]
-        reps.append(r - r.mean(axis=1, keepdims=True))
-    out = np.empty((4 * d, 4 * d))
-    for a in range(4):
-        for bb in range(a, 4):
-            block = np.einsum("cbm,cbn->mn", reps[a], reps[bb]) / b
-            out[a * d : (a + 1) * d, bb * d : (bb + 1) * d] = block
-            if bb != a:
-                out[bb * d : (bb + 1) * d, a * d : (a + 1) * d] = block.T
-    return out
 
 
 # -- spectral normalization ------------------------------------------------------

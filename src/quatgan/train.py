@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (QBN needs batch variance)")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
+        if self.sample_count < 1:
+            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.loss not in LOSS_FAMILIES:
             raise ConfigError(f"unknown loss {self.loss!r}; choose from {sorted(LOSS_FAMILIES)}")
         if self.sn_mode not in ("none", "split", "full"):
@@ -83,12 +85,19 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        raw = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # a missing field, or a value of the wrong type
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator, dtype=np.float32) -> QTensor:
@@ -146,6 +155,8 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
 def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
                  rng: np.random.Generator, dtype=np.float32) -> list[str]:
     """Write n PPM samples plus an n-up grid image; returns the paths."""
+    if n < 1:
+        raise ConfigError(f"sample count must be >= 1, got {n}")
     os.makedirs(out_dir, exist_ok=True)
     images = generate_images(g, spec, n, rng, dtype=dtype)
     paths = []
@@ -213,9 +224,12 @@ def _require_shape(name, arr, shape):
 def load_checkpoint(path):
     """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file.
 
-    A malformed file raises :class:`CheckpointError`: a missing ``meta.*``
-    tensor or parameter, an undecodable config, or a tensor whose name is
-    unknown or whose shape does not match the model.
+    A malformed file raises :class:`CheckpointError`: an undecodable config,
+    a tensor whose name is unknown or whose shape does not match the model,
+    or a missing tensor. A checkpoint must hold every ``meta.*``, parameter,
+    RNG stream, QBN statistic and spectral-norm vector, both Adam steps, and
+    an Adam ``m`` and ``v`` for every parameter of a net whose step is above
+    0.
     """
     tensors = ckpt.load_tensors(path)
     if "meta.config" not in tensors:
@@ -223,7 +237,7 @@ def load_checkpoint(path):
     try:
         config = TrainConfig.from_json(ckpt.unpack_text(tensors["meta.config"]))
         spec = MD.preset_spec(config.model)
-    except (ValueError, TypeError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+    except ConfigError as exc:
         raise CheckpointError(f"meta.config does not hold a valid config: {exc}") from exc
     iteration = _count(tensors, "meta.iteration")
     spec.sn = config.sn_mode
@@ -260,9 +274,14 @@ def load_checkpoint(path):
             moments[key[2:]] = np.array(arr)
         else:
             raise CheckpointError(f"unknown tensor {name!r}")
-    missing = [f"param.{net}.{k}" for net in nets for k in params[net]
-               if f"param.{net}.{k}" not in tensors]
-    missing += [f"rng.{s}" for s in RNG_STREAMS if s not in rngs]
+    required = [f"rng.{s}" for s in RNG_STREAMS]
+    for net, model in nets.items():
+        required.append(f"adam.{net}.step")
+        required += [f"param.{net}.{k}" for k in params[net]]
+        required += [f"state.{net}.{k}" for k in model.state_names()]
+        if adams[net].step > 0:
+            required += [f"adam.{net}.{slot}.{k}" for slot in "mv" for k in params[net]]
+    missing = [name for name in required if name not in tensors]
     if missing:
         raise CheckpointError(f"checkpoint lacks tensors: {', '.join(missing)}")
     return config, g, d, adams["g"], adams["d"], rngs, iteration

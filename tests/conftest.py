@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,37 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_quaternion(rng, scale=2.0):
-    from quatgan.quaternion import Quaternion
+class Quaternion(NamedTuple):
+    """Scalar quaternion q0 + q1 i + q2 j + q3 k: the element type of the
+    scalar-loop oracles."""
 
+    q0: float
+    q1: float
+    q2: float
+    q3: float
+
+    def add(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(*(a + b for a, b in zip(self, other)))
+
+
+def hamilton_product(q: Quaternion, p: Quaternion) -> Quaternion:
+    """Scalar oracle for the quaternion product q*p (non-commutative),
+    written out component by component."""
+    return Quaternion(
+        q.q0 * p.q0 - q.q1 * p.q1 - q.q2 * p.q2 - q.q3 * p.q3,
+        q.q0 * p.q1 + q.q1 * p.q0 + q.q2 * p.q3 - q.q3 * p.q2,
+        q.q0 * p.q2 - q.q1 * p.q3 + q.q2 * p.q0 + q.q3 * p.q1,
+        q.q0 * p.q3 + q.q1 * p.q2 - q.q2 * p.q1 + q.q3 * p.q0,
+    )
+
+
+def random_quaternion(rng, scale=2.0):
     return Quaternion(*(scale * rng.standard_normal(4)))
 
 
 def concise_product(q, p):
     """Independent oracle for the quaternion product: scalar part
     q0*p0 - q.p, vector part q0*p + p0*q + q x p."""
-    from quatgan.quaternion import Quaternion
-
     qv = np.array([q.q1, q.q2, q.q3])
     pv = np.array([p.q1, p.q2, p.q3])
     scalar = q.q0 * p.q0 - qv @ pv

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from quatgan import checkpoint as C
 from quatgan.errors import CheckpointError
@@ -26,6 +32,26 @@ class TestTensorFormat:
         C.save_tensors(p1, tensors)
         C.save_tensors(p2, C.load_tensors(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensors=st.dictionaries(
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=12),
+        arrays(np.float32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)),
+        max_size=6,
+    ))
+    def test_save_load_save_property(self, tensors):
+        """Any f32 tensors of rank 0-4, zero-size sides included, keep their
+        names, shapes and payload bytes, and a re-save is byte-identical."""
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp, "a.qgn"), Path(tmp, "b.qgn")
+            C.save_tensors(p1, tensors)
+            back = C.load_tensors(p1)
+            assert list(back) == sorted(tensors)
+            for name, arr in tensors.items():
+                assert back[name].shape == arr.shape
+                assert back[name].tobytes() == arr.astype("<f4").tobytes()
+            C.save_tensors(p2, back)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.qgn"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import run_op
+from conftest import Quaternion, hamilton_product, run_op
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,7 +23,6 @@ from quatgan.layers import (
     tconv_out_size,
     upsample_nearest2x,
 )
-from quatgan.quaternion import Quaternion, hamilton_product
 from quatgan.qtensor import QTensor
 
 
@@ -32,6 +31,10 @@ _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 def _qt(rng, shape):
     return QTensor(rng.standard_normal((4, *shape)))
+
+
+def assert_qclose(a: QTensor, b: QTensor):
+    np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-12)
 
 
 def _at(t: QTensor, *idx) -> Quaternion:
@@ -118,7 +121,7 @@ class TestQDense:
         kernel = QTensor.zeros((5, 5))
         kernel.q0[...] = np.eye(5)
         y = run_op(ad.qdense, x, kernel)
-        assert y.allclose(x)
+        assert_qclose(y, x)
 
     def test_single_channel_matches_hamilton(self, rng):
         # weight = pure i unit: output must be i * x
@@ -134,7 +137,7 @@ class TestQDense:
     def test_general_weight_matches_scalar_oracle(self, rng):
         x = _qt(rng, (2, 3))
         kernel, bias = _qt(rng, (4, 3)), _qt(rng, (4,))
-        assert run_op(ad.qdense, x, kernel, bias).allclose(dense_oracle(x, kernel, bias))
+        assert_qclose(run_op(ad.qdense, x, kernel, bias), dense_oracle(x, kernel, bias))
 
     def test_parameter_ratio_quarter(self):
         w = quaternion_init((16, 16), 16, 16, "glorot", 0)
@@ -154,7 +157,7 @@ class TestQConv2d:
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
         cfg = ConvConfig(1, 1, 0, 3, 3)
-        assert run_op(ad.qconv2d, x, kernel, None, cfg).allclose(x)
+        assert_qclose(run_op(ad.qconv2d, x, kernel, None, cfg), x)
 
     def test_one_by_one_equals_dense_per_pixel(self, rng):
         x = _qt(rng, (2, 3, 3, 3))
@@ -211,7 +214,7 @@ class TestTransposedConv:
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
         y = run_op(ad.qtconv2d, x, kernel, None, ConvConfig(1, 1, 0, 3, 3))
-        assert y.allclose(x)
+        assert_qclose(y, x)
 
     @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (3, 1, 1), (2, 2, 0)])
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
@@ -308,16 +311,11 @@ class TestSplitOps:
 
     def test_tanh_zero(self):
         z = QTensor.zeros((3, 3))
-        assert split_activation(z, "tanh").allclose(z)
+        assert_qclose(split_activation(z, "tanh"), z)
 
     def test_sigmoid_range(self, rng):
         y = split_activation(_qt(rng, (10,)), "sigmoid")
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
-
-    def test_leaky_relu_slope(self):
-        x = QTensor(np.array([-2.0, 2.0, -1.0, 1.0]).reshape(4, 1))
-        y = split_activation(x, "leaky_relu", alpha=0.2)
-        assert np.allclose(y.data.reshape(4), [-0.4, 2.0, -0.2, 1.0])
 
     def test_unknown_kind(self, rng):
         with pytest.raises(ConfigError):

@@ -212,7 +212,7 @@ class TestShapes:
         h = split_pool(h, 2)
         s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
         s = split_pool(s, 2)
-        assert np.allclose(y.value.data, (h + s).data, atol=1e-12)
+        assert np.allclose(y.value.data, h.data + s.data, atol=1e-12)
 
 
 class TestSpectralNormIntegration:
@@ -251,7 +251,8 @@ class TestSpectralNormIntegration:
         MD.sn_warmup(d, iters=2)
         tape = ad.Tape()
         x = QTensor(rng.standard_normal((4, 2, 1, 16, 16)).astype(np.float32))
-        loss = ad.sum_components_total(d.forward(tape, tape.constant(x), training=True))
+        y = d.forward(tape, tape.constant(x), training=True)
+        loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
         assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
         grads = tape.backward(loss)
         assert all(g.dtype == np.float32 for g in grads.values())

@@ -4,16 +4,13 @@ from conftest import run_op
 
 from quatgan import autodiff as ad
 from quatgan import models as MD
-from quatgan.errors import DomainError, ShapeMismatchError
+from quatgan.errors import DomainError
 from quatgan.layers import ConvConfig, hamilton_block
 from quatgan.qnorm import (
     QBNState,
     SNState,
-    augmented_covariance,
     power_iteration_sigma,
     qbn,
-    qproper_variance,
-    quaternion_mean,
 )
 from quatgan.qtensor import QTensor
 
@@ -23,48 +20,6 @@ def proper_signal(rng, batch, channels, sigma=1.0):
     return QTensor(sigma * rng.standard_normal((4, batch, channels)))
 
 
-class TestStatistics:
-    def test_mean_of_constant_batch(self):
-        data = np.tile(np.array([1.0, -2.0, 3.0, 0.5]).reshape(4, 1, 1), (1, 8, 2))
-        mu = quaternion_mean(QTensor(data))
-        assert np.allclose(mu.data, [[1.0, 1.0], [-2.0, -2.0], [3.0, 3.0], [0.5, 0.5]])
-
-    def test_mean_symmetry(self):
-        data = np.zeros((4, 2, 1))
-        data[0, 0, 0], data[0, 1, 0] = 1.0, -1.0
-        assert np.allclose(quaternion_mean(QTensor(data)).data, 0.0)
-
-    def test_mean_matches_loop(self, rng):
-        x = QTensor(rng.standard_normal((4, 6, 3)))
-        mu = quaternion_mean(x)
-        for c in range(4):
-            for ch in range(3):
-                acc = 0.0
-                for b in range(6):
-                    acc += x.data[c, b, ch]
-                assert abs(mu.data[c, ch] - acc / 6) < 1e-12
-
-    def test_variance_constant_is_zero(self):
-        x = QTensor(np.ones((4, 8, 2)))
-        assert np.allclose(qproper_variance(x), 0.0)
-
-    def test_variance_of_unit_components(self, rng):
-        x = proper_signal(rng, 4096, 3)
-        v = qproper_variance(x)
-        assert np.all(np.abs(v - 4.0) / 4.0 < 0.05)
-
-    def test_variance_single_varying_component(self, rng):
-        x = QTensor.zeros((64, 1))
-        q0 = rng.standard_normal(64)
-        x.data[0, :, 0] = q0
-        v = qproper_variance(x)
-        assert abs(v[0] - q0.var()) < 1e-12
-
-    def test_variance_needs_batch(self):
-        with pytest.raises(DomainError):
-            qproper_variance(QTensor(np.ones((4, 1, 2))))
-
-
 def qbn_forward(x: QTensor, state: QBNState, mode: str = "train") -> QTensor:
     """Value of the QBN tape op: batch statistics (updating the running ones)
     in train mode, running statistics in eval mode."""
@@ -72,6 +27,56 @@ def qbn_forward(x: QTensor, state: QBNState, mode: str = "train") -> QTensor:
         return qbn(xn, gamma, beta, state, training=mode == "train")
 
     return run_op(op, x, state.gamma, state.beta)
+
+
+def batch_stats(x: QTensor):
+    """Per-channel quaternion mean and 4-sigma^2 aggregate of one train-mode
+    QBN batch, read back from the running statistics its first batch sets."""
+    state = QBNState(channels=x.shape[1])
+    qbn_forward(x, state, mode="train")
+    return state.running_mean.data, state.running_var
+
+
+class TestStatistics:
+    def test_mean_of_constant_batch(self):
+        data = np.tile(np.array([1.0, -2.0, 3.0, 0.5]).reshape(4, 1, 1), (1, 8, 2))
+        mu, _ = batch_stats(QTensor(data))
+        assert np.allclose(mu, [[1.0, 1.0], [-2.0, -2.0], [3.0, 3.0], [0.5, 0.5]])
+
+    def test_mean_symmetry(self):
+        data = np.zeros((4, 2, 1))
+        data[0, 0, 0], data[0, 1, 0] = 1.0, -1.0
+        assert np.allclose(batch_stats(QTensor(data))[0], 0.0)
+
+    def test_mean_matches_loop(self, rng):
+        x = QTensor(rng.standard_normal((4, 6, 3)))
+        mu, _ = batch_stats(x)
+        for c in range(4):
+            for ch in range(3):
+                acc = 0.0
+                for b in range(6):
+                    acc += x.data[c, b, ch]
+                assert abs(mu[c, ch] - acc / 6) < 1e-12
+
+    def test_variance_constant_is_zero(self):
+        x = QTensor(np.ones((4, 8, 2)))
+        assert np.allclose(batch_stats(x)[1], 0.0)
+
+    def test_variance_of_unit_components(self, rng):
+        x = proper_signal(rng, 4096, 3)
+        _, v = batch_stats(x)
+        assert np.all(np.abs(v - 4.0) / 4.0 < 0.05)
+
+    def test_variance_single_varying_component(self, rng):
+        x = QTensor.zeros((64, 1))
+        q0 = rng.standard_normal(64)
+        x.data[0, :, 0] = q0
+        _, v = batch_stats(x)
+        assert abs(v[0] - q0.var()) < 1e-12
+
+    def test_variance_needs_batch(self):
+        with pytest.raises(DomainError):
+            batch_stats(QTensor(np.ones((4, 1, 2))))
 
 
 class TestQBNForward:
@@ -139,48 +144,6 @@ class TestQBNForward:
         y = qbn_forward(x, state, mode="train")
         means = y.data.mean(axis=(1, 3, 4))
         assert np.all(np.abs(means) < 1e-6)
-
-
-class TestAugmentedCovariance:
-    def test_proper_signal_is_nearly_diagonal(self):
-        rng = np.random.default_rng(8)
-        x = proper_signal(rng, 8192, 4)
-        cov = augmented_covariance(x)
-        d = 4
-        off_sq = 0.0
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    off_sq += (cov[a * d:(a + 1) * d, b * d:(b + 1) * d] ** 2).sum()
-        total = (cov ** 2).sum()
-        assert np.sqrt(off_sq / total) < 0.05
-        # diagonal approaches 4 sigma^2 I
-        assert np.all(np.abs(np.diag(cov) - 4.0) / 4.0 < 0.1)
-
-    def test_constant_signal_zero(self):
-        x = QTensor(np.tile(np.arange(4.0).reshape(4, 1, 1), (1, 16, 2)))
-        assert np.allclose(augmented_covariance(x), 0.0)
-
-    def test_improper_signal_detected(self):
-        rng = np.random.default_rng(4)
-        x = QTensor.zeros((4096, 2))
-        base = rng.standard_normal((4096, 2))
-        x.data[0] = base
-        x.data[1] = base  # q1 = q0, q2 = q3 = 0: maximally improper
-        cov = augmented_covariance(x)
-        d = 2
-        cross = cov[0:d, d: 2 * d]  # block (q, q^i)
-        assert np.abs(np.diag(cross)).min() > 0.5
-
-    def test_symmetry_and_nonneg_diagonal(self, rng):
-        x = QTensor(rng.standard_normal((4, 256, 3)))
-        cov = augmented_covariance(x)
-        assert np.abs(cov - cov.T).max() < 1e-10
-        assert np.all(np.diag(cov) >= 0.0)
-
-    def test_batch_requirement(self):
-        with pytest.raises(DomainError):
-            augmented_covariance(QTensor(np.ones((4, 1, 2))))
 
 
 class TestPowerIteration:

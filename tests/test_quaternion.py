@@ -1,26 +1,22 @@
+"""The scalar Hamilton-product oracle of ``conftest`` against the unit
+relations, an independent formula and the algebraic invariants of the
+product."""
+
 import math
 
 import numpy as np
-import pytest
 
-from quatgan.errors import DomainError
-from quatgan.quaternion import (
-    DEFAULT_AXIS,
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    conjugate,
-    hamilton_product,
-    inverse,
-    involution,
-    norm,
-    polar_form,
-    pure_product,
-)
+from conftest import Quaternion, concise_product, hamilton_product, random_quaternion
 
-from conftest import concise_product, random_quaternion
+ONE, I, J, K = (Quaternion(*row) for row in np.eye(4))
+
+
+def conj(q: Quaternion) -> Quaternion:
+    return Quaternion(q.q0, -q.q1, -q.q2, -q.q3)
+
+
+def norm(q: Quaternion) -> float:
+    return math.sqrt(sum(c * c for c in q))
 
 
 def assert_close(a: Quaternion, b: Quaternion, tol=1e-12):
@@ -76,23 +72,26 @@ class TestHamiltonProduct:
 
 
 class TestConjugateNorm:
+    """Invariants of the product under conjugation and the Euclidean norm."""
+
     def test_conjugate_basic(self):
-        assert conjugate(Quaternion(1, 1, 0, 0)) == Quaternion(1, -1, 0, 0)
-        pure = Quaternion(0, 2.0, -3.0, 4.0)
-        assert conjugate(pure) == Quaternion(0, -2.0, 3.0, -4.0)
+        # the conjugate is a product of q with the units: q* = -(q + iqi + jqj + kqk) / 2
+        for q in (Quaternion(1, 1, 0, 0), Quaternion(0, 2.0, -3.0, 4.0), Quaternion(1, 2, 3, 4)):
+            total = q
+            for u in (I, J, K):
+                total = total.add(hamilton_product(hamilton_product(u, q), u))
+            assert Quaternion(*(-c / 2 for c in total)) == conj(q)
 
     def test_conjugate_involutive(self, rng):
-        for _ in range(20):
-            q = random_quaternion(rng)
-            assert conjugate(conjugate(q)) == q
+        # conjugation reverses products: (qp)* = p* q*, and applying it twice is the identity
+        for _ in range(1000):
+            q, p = random_quaternion(rng), random_quaternion(rng)
+            assert conj(conj(q)) == q
+            assert_close(conj(hamilton_product(q, p)), hamilton_product(conj(p), conj(q)))
 
     def test_q_times_conjugate_is_norm_squared(self):
-        got = hamilton_product(Quaternion(1, 2, 3, 4), conjugate(Quaternion(1, 2, 3, 4)))
+        got = hamilton_product(Quaternion(1, 2, 3, 4), conj(Quaternion(1, 2, 3, 4)))
         assert_close(got, Quaternion(30, 0, 0, 0))
-
-    def test_norm_values(self):
-        assert norm(Quaternion(1, 1, 1, 1)) == 2.0
-        assert norm(Quaternion(0, 0, 0, 0)) == 0.0
 
     def test_norm_multiplicative(self, rng):
         q, p = Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8)
@@ -107,86 +106,50 @@ class TestConjugateNorm:
     def test_norm_squared_is_scalar_part_of_qq_conj(self, rng):
         for _ in range(1000):
             q = random_quaternion(rng)
-            prod = hamilton_product(q, conjugate(q))
+            prod = hamilton_product(q, conj(q))
             assert math.isclose(prod.q0, norm(q) ** 2, rel_tol=1e-12)
             assert max(abs(prod.q1), abs(prod.q2), abs(prod.q3)) < 1e-12 * max(1.0, prod.q0)
 
 
+def unit(q: Quaternion) -> Quaternion:
+    n = norm(q)
+    return Quaternion(*(c / n for c in q))
+
+
+def involution(q: Quaternion, axis: Quaternion) -> Quaternion:
+    """q^axis = -axis q axis for a pure unit axis."""
+    return Quaternion(*(-c for c in hamilton_product(hamilton_product(axis, q), axis)))
+
+
 class TestInverse:
+    """The inverse q* / |q|^2, written inline, undoes the product."""
+
     def test_unit_quaternion_inverse_is_conjugate(self, rng):
         for _ in range(20):
-            q = random_quaternion(rng)
-            n = norm(q)
-            u = Quaternion(*(c / n for c in q))
-            assert_close(inverse(u), conjugate(u), tol=1e-12)
-
-    def test_real_scalar(self):
-        assert inverse(Quaternion(2, 0, 0, 0)) == Quaternion(0.5, 0, 0, 0)
+            u = unit(random_quaternion(rng))
+            assert_close(hamilton_product(u, conj(u)), ONE)
+            assert_close(hamilton_product(conj(u), u), ONE)
 
     def test_round_trip(self, rng):
         for _ in range(50):
             q = random_quaternion(rng)
-            got = hamilton_product(q, inverse(q))
-            assert_close(got, ONE, tol=1e-10)
-
-    def test_zero_not_invertible(self):
-        with pytest.raises(DomainError):
-            inverse(Quaternion(0, 0, 0, 0))
-
-
-class TestPolarForm:
-    def test_identity(self):
-        mag, theta, axis = polar_form(ONE)
-        assert mag == 1.0 and theta == 0.0 and axis == DEFAULT_AXIS
-
-    def test_pure_i(self):
-        mag, theta, axis = polar_form(Quaternion(0, 1, 0, 0))
-        assert mag == 1.0
-        assert math.isclose(theta, math.pi / 2, rel_tol=1e-15)
-        assert axis == I
-
-    def test_pure_quaternions_have_theta_half_pi(self, rng):
-        for _ in range(20):
-            v = rng.standard_normal(3)
-            q = Quaternion(0.0, *v)
-            if norm(q) == 0:
-                continue
-            _, theta, _ = polar_form(q)
-            assert math.isclose(theta, math.pi / 2, rel_tol=1e-15)
-
-    def test_round_trip(self, rng):
-        for _ in range(1000):
-            q = random_quaternion(rng)
-            if norm(q) == 0:
-                continue
-            mag, theta, axis = polar_form(q)
-            rebuilt = Quaternion(
-                mag * math.cos(theta),
-                mag * math.sin(theta) * axis.q1,
-                mag * math.sin(theta) * axis.q2,
-                mag * math.sin(theta) * axis.q3,
-            )
-            assert_close(rebuilt, q, tol=1e-10)
-
-    def test_negative_real(self):
-        mag, theta, axis = polar_form(Quaternion(-3, 0, 0, 0))
-        assert mag == 3.0 and math.isclose(theta, math.pi) and axis == DEFAULT_AXIS
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            polar_form(Quaternion(0, 0, 0, 0))
+            n2 = norm(q) ** 2
+            inv = Quaternion(*(c / n2 for c in conj(q)))
+            assert_close(hamilton_product(q, inv), ONE, tol=1e-10)
+            assert_close(hamilton_product(inv, q), ONE, tol=1e-10)
 
 
 class TestInvolution:
+    """The perpendicular involutions -mu q mu, computed with the product."""
+
     def test_perpendicular_involutions_match_componentwise_form(self, rng):
         # axis i flips (q2, q3); axis j flips (q1, q3); axis k flips (q1, q2)
         flips = {I: (1, 1, -1, -1), J: (1, -1, 1, -1), K: (1, -1, -1, 1)}
         for _ in range(50):
             q = random_quaternion(rng)
             for axis, signs in flips.items():
-                got = involution(q, axis)
                 want = Quaternion(*(s * c for s, c in zip(signs, q)))
-                assert_close(got, want, tol=1e-12)
+                assert_close(involution(q, axis), want)
 
     def test_example(self):
         assert_close(involution(Quaternion(1, 2, 3, 4), J), Quaternion(1, -2, 3, -4))
@@ -194,31 +157,31 @@ class TestInvolution:
     def test_self_inverse(self, rng):
         for _ in range(50):
             q = random_quaternion(rng)
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            axis = Quaternion(0.0, *v)
-            assert_close(involution(involution(q, axis), axis), q, tol=1e-12)
-
-    def test_axis_validation(self):
-        with pytest.raises(DomainError):
-            involution(ONE, Quaternion(0.5, 1, 0, 0))
-        with pytest.raises(DomainError):
-            involution(ONE, Quaternion(0, 2, 0, 0))
+            axis = unit(Quaternion(0.0, *rng.standard_normal(3)))
+            assert_close(involution(involution(q, axis), axis), q)
 
 
 class TestPureProduct:
-    def test_i_squared(self):
-        assert pure_product(I, I) == Quaternion(-1, 0, 0, 0)
+    """For pure quaternions the product is (-a.b, a x b)."""
 
-    def test_orthogonal_units(self):
-        assert pure_product(I, J) == K
+    def test_i_squared(self):
+        # a pure unit squares to -1, whatever its direction
+        for v in (I, J, K, unit(Quaternion(0.0, 1.0, -2.0, 2.0))):
+            assert_close(hamilton_product(v, v), Quaternion(-1, 0, 0, 0))
+
+    def test_orthogonal_units(self, rng):
+        # two orthogonal pure units multiply to their cross product, a pure unit
+        for _ in range(50):
+            a = rng.standard_normal(3)
+            a /= np.linalg.norm(a)
+            b = rng.standard_normal(3)
+            b -= (a @ b) * a
+            b /= np.linalg.norm(b)
+            got = hamilton_product(Quaternion(0.0, *a), Quaternion(0.0, *b))
+            assert_close(got, Quaternion(0.0, *np.cross(a, b)))
 
     def test_matches_general_product(self, rng):
         for _ in range(1000):
-            a = Quaternion(0.0, *rng.standard_normal(3))
-            b = Quaternion(0.0, *rng.standard_normal(3))
-            assert_close(pure_product(a, b), hamilton_product(a, b), tol=1e-12)
-
-    def test_rejects_non_pure(self):
-        with pytest.raises(DomainError):
-            pure_product(ONE, I)
+            a, b = rng.standard_normal(3), rng.standard_normal(3)
+            got = hamilton_product(Quaternion(0.0, *a), Quaternion(0.0, *b))
+            assert_close(got, Quaternion(-(a @ b), *np.cross(a, b)))

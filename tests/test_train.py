@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,30 @@ class TestConfig:
             toy_config(tmp_path, synth=None)  # neither dataset nor synth
         with pytest.raises(ConfigError):
             T.TrainConfig.from_json('{"model": "qsngan_toy8", "bogus": 1}')
+
+    def test_sample_count_below_one_refused(self, tmp_path):
+        with pytest.raises(ConfigError):
+            toy_config(tmp_path, sample_count=0)
+
+    def test_emit_samples_refuses_count_below_one(self, tmp_path):
+        spec = MD.preset_spec("qsngan_toy8")
+        g, _ = MD.build_gan(spec, dtype=np.float32)
+        with pytest.raises(ConfigError):
+            T.emit_samples(g, spec, 0, str(tmp_path / "s"), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("case", ["malformed_json", "string_batch_size", "non_integer_seed"])
+    def test_cli_config_error_exits_1(self, tmp_path, capsys, monkeypatch, case):
+        text = toy_config(tmp_path).to_json()
+        if case == "malformed_json":
+            text = text[:-2]
+        elif case == "string_batch_size":
+            text = text.replace('"batch_size": 4', '"batch_size": "4"')
+        else:
+            monkeypatch.setenv("QGAN_SEED", "abc")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_dataset_size_mismatch(self, tmp_path):
         cfg = toy_config(tmp_path, synth={"n": 8, "size": 16, "seed": 0})
@@ -381,6 +406,13 @@ class TestCheckpointLoader:
 
         with pytest.raises(CheckpointError):
             _load_edited(tmp_path, toy_checkpoint, edit)
+
+    @pytest.mark.parametrize("prefix", ["adam.d.step", "adam.g.m.", "state.d.d.b0.conv1.sn_u",
+                                        "state.g.g.b1.bn1.running_"])
+    def test_incomplete_checkpoint_names_missing_tensor(self, tmp_path, toy_checkpoint, prefix):
+        name = sorted(k for k in C.load_tensors(toy_checkpoint) if k.startswith(prefix))[0]
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            _load_edited(tmp_path, toy_checkpoint, lambda t: t.pop(name))
 
     def test_unedited_checkpoint_still_loads(self, tmp_path, toy_checkpoint):
         config, g, d, g_adam, d_adam, rngs, it = _load_edited(tmp_path, toy_checkpoint,
