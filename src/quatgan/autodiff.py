@@ -33,16 +33,15 @@ class Node:
     the cyclic garbage collector.
     """
 
-    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "param_name")
+    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd")
 
-    def __init__(self, tape, nid, op, inputs, value, bwd=None, param_name=None):
+    def __init__(self, tape, nid, op, inputs, value, bwd=None):
         self._tape = weakref.ref(tape)
         self.nid = nid
         self.op = op
         self.inputs = inputs
         self.value = value
         self.bwd = bwd
-        self.param_name = param_name
 
     @property
     def tape(self) -> "Tape":
@@ -93,7 +92,6 @@ class Tape:
         if name in self.params:
             raise DomainError(f"parameter {name!r} already registered on this tape")
         node = self.record("param", (), lambda: value)
-        node.param_name = name
         self.params[name] = node.nid
         return node
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as L
 from . import qnorm
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError
 from .qtensor import QTensor
 
 __all__ = [
@@ -58,15 +58,14 @@ class Module:
         return []
 
     def states(self):
-        """(name, array) pairs of non-trainable state for checkpointing."""
+        """(name, array) pairs of the module's non-trainable state.
+
+        The arrays are the module's own, not copies, and exist from
+        construction on: a checkpoint save reads them and a checkpoint load
+        writes into them in place. A module updates them in place and never
+        rebinds them.
+        """
         return []
-
-    def state_names(self):
-        """Names of every state a checkpoint must hold, including states not set yet."""
-        return [name for name, _ in self.states()]
-
-    def load_state(self, name: str, arr: np.ndarray):
-        raise KeyError(name)
 
     def init_params(self, rng: np.random.Generator, criterion: str):
         pass
@@ -75,18 +74,13 @@ class Module:
         raise NotImplementedError
 
 
-def _state_array(name, arr, shape, dtype=None):
-    """``arr`` as loaded state for ``name``; a shape other than ``shape`` is refused."""
-    if arr.shape != shape:
-        raise ShapeMismatchError(f"state {name!r} has shape {arr.shape}, expected {shape}")
-    return arr if dtype is None else arr.astype(dtype)
-
-
 class _WeightedModule(Module):
     """Base for modules with a quaternion kernel that may be spectrally normalized.
 
     ``kernel_shape`` is the quaternion kernel shape; it holds ``in_q * out_q``
-    quaternions per tap, and the bias holds ``out_q``.
+    quaternions per tap, and the bias holds ``out_q``. Under spectral norm,
+    ``sn_u`` holds one power-iteration vector per matrix of
+    :meth:`sn_matrices`.
     """
 
     def __init__(self, name, kernel_shape, in_q, out_q, bias, dtype):
@@ -95,8 +89,7 @@ class _WeightedModule(Module):
         self.kernel = Param(QTensor.zeros(kernel_shape, dtype=dtype))
         self.bias = Param(QTensor.zeros((out_q,), dtype=dtype)) if bias else None
         self.sn_mode = None
-        self.sn_full_state = None
-        self.sn_split_state = None
+        self.sn_u: list[np.ndarray] = []
         self.sn_scale = None  # per-component 1/sigma factors for the current step
 
     def params(self):
@@ -115,31 +108,29 @@ class _WeightedModule(Module):
         return leaves.get(f"{self.name}.bias") if self.bias is not None else None
 
     def enable_sn(self, mode: str):
-        self.sn_mode = mode
-        if mode == "full":
-            self.sn_full_state = qnorm.SNState()
-        elif mode == "split":
-            self.sn_split_state = qnorm.SplitSNState()
-        else:
+        if mode not in ("full", "split"):
             raise ConfigError(f"unknown spectral norm mode {mode!r}")
+        self.sn_mode = mode
+        kernel = self.kernel.value
+        self.sn_u = [np.full(len(m), 1.0 / np.sqrt(len(m)), dtype=kernel.dtype)
+                     for m in self.sn_matrices(kernel)]
+
+    def sn_matrices(self, kernel: QTensor) -> list[np.ndarray]:
+        """The matrices whose norm the SN mode controls: the four component
+        submatrices in split mode, else the Hamilton block of ``kernel``."""
+        if self.sn_mode == "split":
+            return list(kernel.data.reshape(4, kernel.shape[0], -1))
+        return [L.hamilton_block(kernel.data)]
 
     def update_sn_scale(self):
+        """One power-iteration round per matrix; a sigma of 0 leaves its scale at 1."""
         if self.sn_mode is None:
             return
         kernel = self.kernel.value
-        if self.sn_mode == "full":
-            sigma, _ = qnorm.power_iteration_sigma(
-                L.hamilton_block(kernel.data), self.sn_full_state
-            )
-            self.sn_scale = np.full(4, 1.0 / sigma if sigma > 0 else 1.0, dtype=kernel.dtype)
-        else:
-            flat = kernel.data.reshape(4, kernel.shape[0], -1)
-            scale = np.ones(4, dtype=kernel.dtype)
-            for c in range(4):
-                sigma, _ = qnorm.power_iteration_sigma(flat[c], self.sn_split_state.states[c])
-                if sigma > 0:
-                    scale[c] = 1.0 / sigma
-            self.sn_scale = scale
+        sigmas = [qnorm.power_iteration_sigma(m, u)
+                  for m, u in zip(self.sn_matrices(kernel), self.sn_u)]
+        self.sn_scale = np.full(4, [1.0 / s if s > 0 else 1.0 for s in sigmas],
+                                dtype=kernel.dtype)
 
     def effective_kernel(self) -> QTensor:
         if self.sn_scale is None:
@@ -153,28 +144,10 @@ class _WeightedModule(Module):
             node = ad.scale_components(node, self.sn_scale)
         return node
 
-    def _sn_states(self):
-        """(name, SNState) per power-iteration vector of this weight."""
-        if self.sn_mode == "full":
-            return [(f"{self.name}.sn_u", self.sn_full_state)]
-        if self.sn_mode == "split":
-            return [(f"{self.name}.sn_u{c}", st)
-                    for c, st in enumerate(self.sn_split_state.states)]
-        return []
-
     def states(self):
-        return [(name, st.u) for name, st in self._sn_states() if st.u is not None]
-
-    def state_names(self):
-        return [name for name, _ in self._sn_states()]
-
-    def load_state(self, name, arr):
-        size = self.kernel.value.shape[0] * (4 if self.sn_mode == "full" else 1)
-        for sname, st in self._sn_states():
-            if name == sname:
-                st.u = _state_array(name, arr, (size,), self.kernel.value.dtype)
-                return
-        raise KeyError(name)
+        if len(self.sn_u) == 1:
+            return [(f"{self.name}.sn_u", self.sn_u[0])]
+        return [(f"{self.name}.sn_u{c}", u) for c, u in enumerate(self.sn_u)]
 
 
 class QDense(_WeightedModule):
@@ -240,19 +213,8 @@ class QBN(Module):
         return [
             (f"{self.name}.running_mean", self.state.running_mean.data),
             (f"{self.name}.running_var", self.state.running_var),
-            (f"{self.name}.bn_init", np.array([1.0 if self.state.initialized else 0.0])),
+            (f"{self.name}.bn_init", self.state.bn_init),
         ]
-
-    def load_state(self, name, arr):
-        st = self.state
-        if name == f"{self.name}.running_mean":
-            st.running_mean.data[...] = _state_array(name, arr, st.running_mean.data.shape)
-        elif name == f"{self.name}.running_var":
-            st.running_var[...] = _state_array(name, arr, st.running_var.shape)
-        elif name == f"{self.name}.bn_init":
-            st.initialized = bool(_state_array(name, arr, (1,))[0])
-        else:
-            raise KeyError(name)
 
     def forward(self, leaves, x, mode):
         return qnorm.qbn(
@@ -325,15 +287,6 @@ class Composite(Module):
         for child in self.children.values():
             out.extend(child.states())
         return out
-
-    def load_state(self, name, arr):
-        for child in self.children.values():
-            try:
-                child.load_state(name, arr)
-                return
-            except KeyError:
-                continue
-        raise KeyError(name)
 
     def init_params(self, rng, criterion):
         for child in self.children.values():
@@ -469,23 +422,8 @@ class Model:
         return {k: p.value for k, p in self.parameters().items()}
 
     def states(self) -> dict[str, np.ndarray]:
-        out = {}
-        for m in self.modules:
-            for sname, arr in m.states():
-                out[sname] = arr
-        return out
-
-    def state_names(self) -> list[str]:
-        return [name for m in self.leaf_modules() for name in m.state_names()]
-
-    def load_state(self, name, arr):
-        for m in self.modules:
-            try:
-                m.load_state(name, arr)
-                return
-            except KeyError:
-                continue
-        raise KeyError(name)
+        """Every module's live state arrays by name (see :meth:`Module.states`)."""
+        return {name: arr for m in self.modules for name, arr in m.states()}
 
     def init_params(self, rng: np.random.Generator, criterion: str = "glorot"):
         for m in self.modules:
@@ -549,16 +487,9 @@ def measure_sigmas(model: Model) -> dict[str, float]:
     normalization measures the worst per-submatrix norm, matching what that
     mode claims to control.
     """
-    out = {}
-    for m in model.weighted_modules():
-        k = m.effective_kernel()
-        if m.sn_mode == "split":
-            flat = k.data.reshape(4, k.shape[0], -1)
-            out[m.name] = max(float(np.linalg.svd(flat[c], compute_uv=False)[0])
-                              for c in range(4))
-        else:
-            out[m.name] = float(np.linalg.svd(L.hamilton_block(k.data), compute_uv=False)[0])
-    return out
+    return {m.name: max(float(np.linalg.svd(a, compute_uv=False)[0])
+                        for a in m.sn_matrices(m.effective_kernel()))
+            for m in model.weighted_modules()}
 
 
 # -- specs & builders ----------------------------------------------------------------

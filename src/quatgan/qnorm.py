@@ -8,14 +8,17 @@ real gain per channel plus a quaternion shift. Full whitening by the inverse
 square root of the augmented covariance is deliberately not implemented.
 
 Spectral normalization itself lives on the weighted modules
-(:meth:`quatgan.models._WeightedModule.update_sn_scale`): full mode runs
-:func:`power_iteration_sigma` on :func:`quatgan.layers.hamilton_block` of the
-kernel, split mode on each submatrix with a :class:`SplitSNState`.
+(:meth:`quatgan.models._WeightedModule.update_sn_scale`). Each normalized
+weight owns its power-iteration vectors in one list, ``sn_u``: one vector for
+:func:`quatgan.layers.hamilton_block` of the kernel in full mode, four (one
+per component submatrix) in split mode. :func:`power_iteration_sigma` runs
+one round per call and updates its vector in place, so the arrays a module
+lists in ``states()`` stay the ones a checkpoint load writes into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +28,7 @@ from .qtensor import QTensor
 __all__ = [
     "QBNState",
     "qbn",
-    "SNState",
     "power_iteration_sigma",
-    "SplitSNState",
 ]
 
 
@@ -47,7 +48,8 @@ class QBNState:
 
     ``gamma`` is a real scalar per quaternion channel (carried in q0),
     ``beta`` a quaternion per channel. ``running_var`` stores the 4-sigma^2
-    aggregate. Running stats are unset until the first train-mode batch.
+    aggregate. Running stats are unset until the first train-mode batch sets
+    ``bn_init`` to 1; it is a (1,) array so that it is state like the others.
     """
 
     channels: int
@@ -58,7 +60,7 @@ class QBNState:
     beta: QTensor = None
     running_mean: QTensor = None
     running_var: np.ndarray = None
-    initialized: bool = False
+    bn_init: np.ndarray = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -71,6 +73,8 @@ class QBNState:
             self.running_mean = QTensor.zeros((self.channels,), dtype=self.dtype)
         if self.running_var is None:
             self.running_var = np.ones(self.channels, dtype=self.dtype)
+        if self.bn_init is None:
+            self.bn_init = np.zeros(1, dtype=self.dtype)
 
 
 def _chan(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -98,10 +102,10 @@ def _batch_stats(data: np.ndarray, eps: float):
 def _update_running(state: QBNState, mu, v):
     mu_c = mu.reshape(4, -1)
     v_c = v.reshape(-1)
-    if not state.initialized:
+    if not state.bn_init[0]:
         state.running_mean.data[...] = mu_c
         state.running_var[...] = v_c
-        state.initialized = True
+        state.bn_init[0] = 1
     else:
         m = state.momentum
         state.running_mean.data[...] = m * state.running_mean.data + (1.0 - m) * mu_c
@@ -123,7 +127,7 @@ def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = 
             xhat = xc / s
             saved.update(xc=xc, s=s, n=n, train=True)
         else:
-            if not state.initialized:
+            if not state.bn_init[0]:
                 raise DomainError("QBN eval requested before any train-mode batch")
             mu = _chan(state.running_mean.data, data.ndim)
             s = np.sqrt(_chan(state.running_var, data.ndim) + state.epsilon)
@@ -154,62 +158,28 @@ def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = 
 # -- spectral normalization ------------------------------------------------------
 
 
-@dataclass
-class SNState:
-    """Persisted left singular-vector estimate for one normalized matrix."""
+def power_iteration_sigma(m: np.ndarray, u: np.ndarray) -> float:
+    """One round of persisted power iteration for the largest singular value.
 
-    u: np.ndarray | None = None
-    power_iters: int = 1
-    zero_warning: bool = False
-
-    def __post_init__(self):
-        if self.power_iters < 1:
-            raise DomainError("power_iters must be >= 1")
-
-
-def power_iteration_sigma(m: np.ndarray, state: SNState) -> tuple[float, SNState]:
-    """Estimate the largest singular value with persisted power iteration.
-
-    Runs ``state.power_iters`` rounds of v <- M^T u / |.|, u <- M v / |.| and
-    returns u^T M v. A zero matrix yields sigma 0 with ``zero_warning`` set.
+    Runs v <- M^T u / |.|, u <- M v / |.| with ``u`` updated in place, and
+    returns u^T M v. A matrix it finds no direction in (a zero matrix) yields
+    sigma 0 and leaves ``u`` as it is.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeMismatchError(f"power iteration expects a matrix, got shape {m.shape}")
     if not m.any():
-        state.zero_warning = True
-        return 0.0, state
-    rows = m.shape[0]
-    u = state.u
-    if u is None or u.shape != (rows,):
-        u = np.full(rows, 1.0 / np.sqrt(rows), dtype=m.dtype)
-    v = None
-    for _ in range(state.power_iters):
-        v = m.T @ u
+        return 0.0
+    v = m.T @ u
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        # u landed orthogonal to the range; restart from a ramp
+        ramp = np.arange(1, u.size + 1, dtype=u.dtype)
+        v = m.T @ (ramp / np.linalg.norm(ramp))
         nv = np.linalg.norm(v)
         if nv == 0.0:
-            # u landed orthogonal to the range; restart from a ramp
-            u = np.arange(1, rows + 1, dtype=m.dtype)
-            u /= np.linalg.norm(u)
-            v = m.T @ u
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                state.zero_warning = True
-                return 0.0, state
-        v /= nv
-        u = m @ v
-        u /= np.linalg.norm(u)
-    state.u = u
-    return float(u @ m @ v), state
-
-
-@dataclass
-class SplitSNState:
-    """Four independent power-iteration states, one per submatrix."""
-
-    states: list[SNState] = field(default_factory=lambda: [SNState() for _ in range(4)])
-    power_iters: int = 1
-
-    def __post_init__(self):
-        for s in self.states:
-            s.power_iters = self.power_iters
+            return 0.0
+    v /= nv
+    u[...] = m @ v
+    u /= np.linalg.norm(u)
+    return float(u @ m @ v)

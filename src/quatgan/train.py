@@ -35,6 +35,13 @@ LOSS_FAMILIES = {"qce": "qdcgan", "hinge": "qsngan", "wgan_gp": "qsngan"}
 # checkpoint holds before it is written. Every other field must match.
 RESUME_FREE_FIELDS = frozenset({"iterations", "out_dir", "checkpoint_every", "sample_count"})
 
+INT_FIELDS = ("batch_size", "iterations", "critic_iters", "seed", "checkpoint_every",
+              "eval_every", "eval_samples", "sample_count")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class TrainConfig:
@@ -59,6 +66,9 @@ class TrainConfig:
     init_criterion: str = "glorot"
 
     def __post_init__(self):
+        for name in INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.critic_iters < 1:
             raise ConfigError(f"critic_iters must be >= 1, got {self.critic_iters}")
         if self.batch_size < 2:
@@ -67,12 +77,18 @@ class TrainConfig:
             raise ConfigError("iterations must be nonnegative")
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.eval_samples < 2:
+            raise ConfigError(f"eval_samples must be >= 2, got {self.eval_samples}")
+        if self.checkpoint_every < 0 or self.eval_every < 0:
+            raise ConfigError("checkpoint_every and eval_every must be nonnegative")
         if self.loss not in LOSS_FAMILIES:
             raise ConfigError(f"unknown loss {self.loss!r}; choose from {sorted(LOSS_FAMILIES)}")
         if self.sn_mode not in ("none", "split", "full"):
             raise ConfigError(f"unknown sn_mode {self.sn_mode!r}")
         if (self.dataset is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset path or synth spec is required")
+        if self.synth is not None:
+            _check_synth(self.synth)
         spec = MD.preset_spec(self.model)
         if LOSS_FAMILIES[self.loss] != spec.family:
             raise ConfigError(
@@ -100,6 +116,18 @@ class TrainConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
+def _check_synth(synth):
+    """A synth spec is an object of integer ``n`` and ``size`` and an optional
+    integer ``seed``; ``data.synth_dataset`` checks their ranges."""
+    if not isinstance(synth, dict):
+        raise ConfigError(f"synth must be an object, got {type(synth).__name__}")
+    if not {"n", "size"} <= synth.keys() <= {"n", "size", "seed"}:
+        raise ConfigError(f"synth needs keys n and size and allows seed, got {sorted(synth)}")
+    for key, value in synth.items():
+        if not _is_int(value):
+            raise ConfigError(f"synth {key} must be an integer, got {value!r}")
+
+
 def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator, dtype=np.float32) -> QTensor:
     """Standard normal noise: real-valued for qsngan (q0-carried), a full
     quaternion tensor for qdcgan."""
@@ -111,9 +139,7 @@ def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator, dtype=np.fl
 def _load_images(config: TrainConfig) -> np.ndarray:
     if config.synth is not None:
         images = D.synth_dataset(
-            n=int(config.synth["n"]),
-            size=int(config.synth["size"]),
-            seed=int(config.synth.get("seed", 0)),
+            n=config.synth["n"], size=config.synth["size"], seed=config.synth.get("seed", 0)
         )
     else:
         images = D.load_dataset(config.dataset)
@@ -141,6 +167,8 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
                     batch: int = 64, dtype=np.float32) -> np.ndarray:
     """Sample n images as (n, 3, H, W) floats; uses batch statistics without
     touching the running averages, so sampling never mutates the model."""
+    if n < 1:
+        raise ConfigError(f"sample count must be >= 1, got {n}")
     out = []
     remaining = n
     while remaining > 0:
@@ -155,10 +183,8 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
 def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
                  rng: np.random.Generator, dtype=np.float32) -> list[str]:
     """Write n PPM samples plus an n-up grid image; returns the paths."""
-    if n < 1:
-        raise ConfigError(f"sample count must be >= 1, got {n}")
-    os.makedirs(out_dir, exist_ok=True)
     images = generate_images(g, spec, n, rng, dtype=dtype)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, img in enumerate(images):
         p = os.path.join(out_dir, f"sample_{i:03d}.ppm")
@@ -180,29 +206,40 @@ def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
 # -- checkpointing -------------------------------------------------------------------
 
 
+RNG_STREAMS = ("noise", "data", "aux")
+
+
+def _run_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState,
+                d_adam: AdamState) -> dict[str, np.ndarray]:
+    """Every array of a run's state under its checkpoint name.
+
+    These are the live arrays: parameters, module states (``Model.states``)
+    and, for a net whose Adam step is above 0, both moments of each of its
+    parameters. ``save_checkpoint`` writes them and ``load_checkpoint``
+    copies the file's tensors into them.
+    """
+    out = {}
+    for net, model, adam in (("g", g, g_adam), ("d", d, d_adam)):
+        params = model.parameters()
+        out.update((f"param.{net}.{k}", p.value.data) for k, p in params.items())
+        out.update((f"state.{net}.{k}", arr) for k, arr in model.states().items())
+        if adam.step > 0:
+            out.update((f"adam.{net}.m.{k}", adam.m[k]) for k in params)
+            out.update((f"adam.{net}.v.{k}", adam.v[k]) for k in params)
+    return out
+
+
 def save_checkpoint(path, config: TrainConfig, g: MD.Model, d: MD.Model,
                     g_adam: AdamState, d_adam: AdamState,
                     rngs: dict[str, np.random.Generator], iteration: int):
-    tensors: dict[str, np.ndarray] = {}
-    for net_name, net in (("g", g), ("d", d)):
-        for pname, p in net.parameters().items():
-            tensors[f"param.{net_name}.{pname}"] = p.value.data
-        for sname, arr in net.states().items():
-            tensors[f"state.{net_name}.{sname}"] = arr
-    for opt_name, opt in (("g", g_adam), ("d", d_adam)):
-        tensors[f"adam.{opt_name}.step"] = np.array([float(opt.step)], dtype=np.float32)
-        for pname, arr in opt.m.items():
-            tensors[f"adam.{opt_name}.m.{pname}"] = arr
-        for pname, arr in opt.v.items():
-            tensors[f"adam.{opt_name}.v.{pname}"] = arr
+    tensors = _run_arrays(g, d, g_adam, d_adam)
+    for net, adam in (("g", g_adam), ("d", d_adam)):
+        tensors[f"adam.{net}.step"] = np.array([float(adam.step)], dtype=np.float32)
     for stream, gen in rngs.items():
         tensors[f"rng.{stream}"] = ckpt.pack_rng_state(gen)
     tensors["meta.iteration"] = np.array([float(iteration)], dtype=np.float32)
     tensors["meta.config"] = ckpt.pack_text(config.to_json())
     ckpt.save_tensors(path, tensors)
-
-
-RNG_STREAMS = ("noise", "data", "aux")
 
 
 def _count(tensors, name) -> int:
@@ -216,20 +253,16 @@ def _count(tensors, name) -> int:
     return int(value)
 
 
-def _require_shape(name, arr, shape):
-    if arr.shape != shape:
-        raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-
-
 def load_checkpoint(path):
     """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file.
 
-    A malformed file raises :class:`CheckpointError`: an undecodable config,
-    a tensor whose name is unknown or whose shape does not match the model,
-    or a missing tensor. A checkpoint must hold every ``meta.*``, parameter,
-    RNG stream, QBN statistic and spectral-norm vector, both Adam steps, and
-    an Adam ``m`` and ``v`` for every parameter of a net whose step is above
-    0.
+    Builds a fresh run from the saved config and copies each tensor into the
+    array :func:`_run_arrays` names for it. A malformed file raises
+    :class:`CheckpointError`: an undecodable config or counter, a missing or
+    unknown tensor, or a tensor whose shape does not match its array. The
+    file must hold exactly the arrays of ``_run_arrays`` (so Adam moments
+    only for a net whose step is above 0), both Adam steps, every RNG stream
+    and ``meta.config``/``meta.iteration``.
     """
     tensors = ckpt.load_tensors(path)
     if "meta.config" not in tensors:
@@ -242,49 +275,33 @@ def load_checkpoint(path):
     iteration = _count(tensors, "meta.iteration")
     spec.sn = config.sn_mode
     g, d = MD.build_gan(spec, dtype=np.float32)
-    adams = {"g": AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2),
-             "d": AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)}
-    nets = {"g": g, "d": d}
-    params = {net: model.parameters() for net, model in nets.items()}
-    rngs: dict[str, np.random.Generator] = {}
-    for name, arr in tensors.items():
-        kind, net, key = (name.split(".", 2) + ["", ""])[:3]
-        if kind == "meta" and name in ("meta.config", "meta.iteration"):
-            continue
-        if kind == "rng" and net in RNG_STREAMS and not key:
-            rngs[net] = ckpt.unpack_rng_state(arr)
-        elif net not in nets:
-            raise CheckpointError(f"unknown tensor {name!r}")
-        elif kind == "param" and key in params[net]:
-            value = params[net][key].value.data
-            _require_shape(name, arr, value.shape)
-            value[...] = arr
-        elif kind == "state":
-            try:
-                nets[net].load_state(key, np.asarray(arr))
-            except KeyError:
-                raise CheckpointError(f"unknown tensor {name!r}") from None
-            except ValueError as exc:
-                raise CheckpointError(f"tensor {name!r}: {exc}") from exc
-        elif kind == "adam" and key == "step":
-            adams[net].step = _count(tensors, name)
-        elif kind == "adam" and key[:2] in ("m.", "v.") and key[2:] in params[net]:
-            _require_shape(name, arr, params[net][key[2:]].value.data.shape)
-            moments = adams[net].m if key[0] == "m" else adams[net].v
-            moments[key[2:]] = np.array(arr)
-        else:
-            raise CheckpointError(f"unknown tensor {name!r}")
-    required = [f"rng.{s}" for s in RNG_STREAMS]
-    for net, model in nets.items():
-        required.append(f"adam.{net}.step")
-        required += [f"param.{net}.{k}" for k in params[net]]
-        required += [f"state.{net}.{k}" for k in model.state_names()]
-        if adams[net].step > 0:
-            required += [f"adam.{net}.{slot}.{k}" for slot in "mv" for k in params[net]]
-    missing = [name for name in required if name not in tensors]
+    adams = []
+    for net, model in (("g", g), ("d", d)):
+        adam = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                         step=_count(tensors, f"adam.{net}.step"))
+        if adam.step > 0:
+            for k, p in model.parameters().items():
+                adam.m[k] = np.empty_like(p.value.data)
+                adam.v[k] = np.empty_like(p.value.data)
+        adams.append(adam)
+    arrays = _run_arrays(g, d, *adams)
+    expected = arrays.keys() | {"meta.config", "meta.iteration", "adam.g.step", "adam.d.step"}
+    expected |= {f"rng.{s}" for s in RNG_STREAMS}
+    problems = []
+    missing, unknown = sorted(expected - tensors.keys()), sorted(tensors.keys() - expected)
     if missing:
-        raise CheckpointError(f"checkpoint lacks tensors: {', '.join(missing)}")
-    return config, g, d, adams["g"], adams["d"], rngs, iteration
+        problems.append(f"checkpoint lacks tensors: {', '.join(missing)}")
+    if unknown:
+        problems.append(f"unknown tensors: {', '.join(unknown)}")
+    if problems:
+        raise CheckpointError("; ".join(problems))
+    for name, arr in arrays.items():
+        if tensors[name].shape != arr.shape:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {tensors[name].shape}, expected {arr.shape}")
+        arr[...] = tensors[name]
+    rngs = {s: ckpt.unpack_rng_state(tensors[f"rng.{s}"]) for s in RNG_STREAMS}
+    return config, g, d, adams[0], adams[1], rngs, iteration
 
 
 # -- the loop ------------------------------------------------------------------------
@@ -421,7 +438,7 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
             MD.sn_warmup(d, iters=20)
 
     extractor = M.PixelFeatures()
-    real_feats = extractor(images[: max(config.eval_samples, 2)])
+    real_feats = extractor(images[: config.eval_samples])
     mu_r, cov_r = M.fit_gaussian(real_feats)
 
     report = {

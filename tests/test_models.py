@@ -266,3 +266,32 @@ class TestSpectralNormIntegration:
         MD.sn_warmup(d, iters=30)
         after = d.forward_array(x, training=True).data
         assert not np.allclose(before, after)
+
+
+class TestLiveStates:
+    @pytest.mark.parametrize("preset,sn", [("qsngan_toy8", "full"), ("qsngan_toy8", "split"),
+                                           ("qdcgan_toy16", "none")])
+    def test_states_exist_from_construction_and_update_in_place(self, rng, preset, sn):
+        """``states()`` lists the same arrays before and after training-mode
+        work changes them, so a checkpoint load can write into them."""
+        spec = MD.preset_spec(preset)
+        spec.sn = sn
+        g, d = MD.build_gan(spec, dtype=np.float32)
+        g.init_params(rng)
+        d.init_params(rng)
+        before = {**g.states(), **d.states()}
+        assert before
+        if sn == "split":
+            assert "d.fc.sn_u3" in before and "d.fc.sn_u" not in before
+        elif sn == "full":
+            assert "d.fc.sn_u" in before
+        snapshot = {k: v.copy() for k, v in before.items()}
+        MD.apply_spectral_norm(d)
+        fake = g.forward_array(make_noise(spec, 4, rng), training=True, update_stats=True)
+        d.forward_array(fake, training=True, update_stats=True)
+        after = {**g.states(), **d.states()}
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
+        changed = {k for k in before if not np.array_equal(after[k], snapshot[k])}
+        assert {k for k in before if k.endswith(("bn_init", "running_var"))} <= changed
+        assert any(".sn_u" in k for k in changed) == (sn != "none")

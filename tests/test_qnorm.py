@@ -8,7 +8,6 @@ from quatgan.errors import DomainError
 from quatgan.layers import ConvConfig, hamilton_block
 from quatgan.qnorm import (
     QBNState,
-    SNState,
     power_iteration_sigma,
     qbn,
 )
@@ -146,37 +145,44 @@ class TestQBNForward:
         assert np.all(np.abs(means) < 1e-6)
 
 
+def _start(rows):
+    """The starting vector ``enable_sn`` gives a matrix of ``rows`` rows."""
+    return np.full(rows, 1.0 / np.sqrt(rows))
+
+
 class TestPowerIteration:
     def test_identity(self):
-        sigma, _ = power_iteration_sigma(np.eye(5), SNState())
+        sigma = power_iteration_sigma(np.eye(5), _start(5))
         assert abs(sigma - 1.0) < 1e-12
 
     def test_diagonal_converges(self):
-        state = SNState(power_iters=50)
-        sigma, _ = power_iteration_sigma(np.diag([3.0, 1.0, 0.5]), state)
+        u = _start(3)
+        for _ in range(50):
+            sigma = power_iteration_sigma(np.diag([3.0, 1.0, 0.5]), u)
         assert abs(sigma - 3.0) < 1e-6
 
     def test_persisted_iterations_match_svd(self, rng):
         m = rng.standard_normal((32, 32))
-        state = SNState(power_iters=1)
+        u = _start(32)
         for _ in range(100):
-            sigma, state = power_iteration_sigma(m, state)
+            sigma = power_iteration_sigma(m, u)
         want = np.linalg.svd(m, compute_uv=False)[0]
         assert abs(sigma - want) / want < 1e-3
 
     def test_zero_matrix_warns(self):
-        state = SNState()
-        sigma, state = power_iteration_sigma(np.zeros((3, 3)), state)
-        assert sigma == 0.0 and state.zero_warning
+        """A zero matrix gives sigma 0, which callers read as "keep scale 1",
+        and leaves the vector as it was."""
+        u = _start(3)
+        sigma = power_iteration_sigma(np.zeros((3, 3)), u)
+        assert sigma == 0.0 and np.array_equal(u, _start(3))
 
     def test_monotone_on_spd(self, rng):
         a = rng.standard_normal((16, 16))
         m = a @ a.T + 0.1 * np.eye(16)  # SPD: power iteration estimates rise to sigma
-        state = SNState(power_iters=1)
+        u = _start(16)
         estimates = []
         for _ in range(30):
-            sigma, state = power_iteration_sigma(m, state)
-            estimates.append(sigma)
+            estimates.append(power_iteration_sigma(m, u))
         assert all(b >= a - 1e-10 for a, b in zip(estimates, estimates[1:]))
         want = np.linalg.eigvalsh(m).max()
         assert abs(estimates[-1] - want) / want < 1e-6
@@ -211,9 +217,9 @@ class TestRealBlockMatrix:
         assert np.allclose(y.data[:, 0, :].reshape(-1), want, atol=1e-12)
 
 
-def _normalized(kernel: QTensor, mode: str, power_iters: int) -> QTensor:
+def _normalized(kernel: QTensor, mode: str, rounds: int) -> QTensor:
     """Effective kernel of a dense or conv module with spectral norm enabled,
-    after one SN refresh running ``power_iters`` power-iteration rounds."""
+    after ``rounds`` SN refreshes of one power-iteration round each."""
     if len(kernel.shape) == 2:
         layer = MD.QDense("w", kernel.shape[1], kernel.shape[0], bias=False)
     else:
@@ -221,10 +227,8 @@ def _normalized(kernel: QTensor, mode: str, power_iters: int) -> QTensor:
         layer = MD.QConv("w", ConvConfig(k, 1, k // 2, i, o), bias=False)
     layer.kernel.value = kernel
     layer.enable_sn(mode)
-    states = layer.sn_split_state.states if mode == "split" else [layer.sn_full_state]
-    for state in states:
-        state.power_iters = power_iters
-    layer.update_sn_scale()
+    for _ in range(rounds):
+        layer.update_sn_scale()
     return layer.effective_kernel()
 
 

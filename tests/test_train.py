@@ -7,6 +7,7 @@ import pytest
 
 from quatgan import checkpoint as C
 from quatgan import cli
+from quatgan import data as D
 from quatgan import models as MD
 from quatgan import train as T
 from quatgan.errors import CheckpointError, ConfigError, NumericError
@@ -30,6 +31,25 @@ def toy_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return T.TrainConfig(**base)
+
+
+# Config values that TrainConfig refuses before a run starts.
+CONFIG_FAULTS = {
+    "string_batch_size": {"batch_size": "4"},
+    **{f"float_{name}": {name: 4.5} for name in (
+        "batch_size", "iterations", "critic_iters", "seed", "checkpoint_every",
+        "eval_every", "eval_samples", "sample_count")},
+    "bool_iterations": {"iterations": True},
+    "eval_samples_zero": {"eval_samples": 0},
+    "eval_samples_one": {"eval_samples": 1},
+    "negative_checkpoint_every": {"checkpoint_every": -1},
+    "negative_eval_every": {"eval_every": -2},
+    "synth_lacks_n": {"synth": {"size": 8}},
+    "synth_string_n": {"synth": {"n": "8", "size": 8}},
+    "synth_float_seed": {"synth": {"n": 8, "size": 8, "seed": 0.5}},
+    "synth_unknown_key": {"synth": {"n": 8, "size": 8, "depth": 3}},
+    "synth_not_object": {"synth": [8, 8]},
+}
 
 
 class TestConfig:
@@ -62,19 +82,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             T.emit_samples(g, spec, 0, str(tmp_path / "s"), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("case", ["malformed_json", "string_batch_size", "non_integer_seed"])
+    @pytest.mark.parametrize("case", ["malformed_json", "non_integer_seed", *CONFIG_FAULTS])
     def test_cli_config_error_exits_1(self, tmp_path, capsys, monkeypatch, case):
-        text = toy_config(tmp_path).to_json()
+        raw = json.loads(toy_config(tmp_path).to_json())
+        raw.update(CONFIG_FAULTS.get(case, {}))
+        text = json.dumps(raw)
         if case == "malformed_json":
             text = text[:-2]
-        elif case == "string_batch_size":
-            text = text.replace('"batch_size": 4', '"batch_size": "4"')
-        else:
+        elif case == "non_integer_seed":
             monkeypatch.setenv("QGAN_SEED", "abc")
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(text)
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_cli_count_below_one_exits_1(self, tmp_path, capsys, toy_checkpoint, command):
+        data = tmp_path / "images.qimg"
+        D.save_packed(data, D.synth_dataset(4, 8))
+        out = tmp_path / "s"
+        argv = ([command, "--checkpoint", toy_checkpoint, "--n", "-3"]
+                + (["--data", str(data)] if command == "eval" else ["--out", str(out)]))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_dataset_size_mismatch(self, tmp_path):
         cfg = toy_config(tmp_path, synth={"n": 8, "size": 16, "seed": 0})
@@ -414,6 +445,19 @@ class TestCheckpointLoader:
         with pytest.raises(CheckpointError, match=re.escape(name)):
             _load_edited(tmp_path, toy_checkpoint, lambda t: t.pop(name))
 
+    def test_moment_in_step_zero_checkpoint_refused(self, tmp_path):
+        """At Adam step 0 a checkpoint holds no moments, so one is unknown."""
+        cfg = toy_config(tmp_path, iterations=0, eval_every=0)
+        T.train(cfg)
+        source = os.path.join(cfg.out_dir, "checkpoint_final.qgn")
+        name = "adam.g.m.g.fc.kernel"
+
+        def edit(t):
+            t[name] = np.zeros_like(t["param.g.g.fc.kernel"])
+
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            _load_edited(tmp_path, source, edit)
+
     def test_unedited_checkpoint_still_loads(self, tmp_path, toy_checkpoint):
         config, g, d, g_adam, d_adam, rngs, it = _load_edited(tmp_path, toy_checkpoint,
                                                                lambda t: None)
@@ -429,3 +473,18 @@ class TestCheckpointLoader:
         for path in (bad, short):
             argv = ["sample", "--checkpoint", str(path), "--out", str(tmp_path / "s"), "--n", "1"]
             assert cli.main(argv) == 3
+
+
+@pytest.mark.parametrize("model,sn", [("qsngan_toy8", "none"), ("qsngan_toy8", "split"),
+                                      ("qsngan_toy8", "full"), ("qdcgan_toy8", "none")])
+def test_save_load_save_is_byte_identical(tmp_path, model, sn):
+    loss = "hinge" if model.startswith("qsngan") else "qce"
+    cfg = toy_config(tmp_path, model=model, loss=loss, sn_mode=sn, iterations=2,
+                     checkpoint_every=0, eval_every=0)
+    path = T.train(cfg)["checkpoints"][-1]
+    sn_names = {k.rsplit(".", 1)[-1] for k in C.load_tensors(path) if ".sn_u" in k}
+    assert sn_names == {"none": set(), "full": {"sn_u"},
+                        "split": {"sn_u0", "sn_u1", "sn_u2", "sn_u3"}}[sn]
+    resaved = str(tmp_path / "resaved.qgn")
+    T.save_checkpoint(resaved, *T.load_checkpoint(path))
+    assert open(path, "rb").read() == open(resaved, "rb").read()
