@@ -16,8 +16,7 @@ from .autodiff import Tape, grad_check
 from .optim import AdamState, adam_step
 from .models import (
     ModelSpec,
-    build_qdcgan,
-    build_qsngan,
+    build_gan,
     count_parameters,
     count_twin_parameters,
 )
@@ -35,8 +34,7 @@ __all__ = [
     "AdamState",
     "adam_step",
     "ModelSpec",
-    "build_qdcgan",
-    "build_qsngan",
+    "build_gan",
     "count_parameters",
     "count_twin_parameters",
     "TrainConfig",

@@ -7,6 +7,10 @@ parameter: component c of a parameter gradient is the derivative of the loss
 with respect to submatrix c, i.e. plain real-valued reverse mode applied to
 the four component arrays.
 
+Each differentiable operation is one function here that holds both its
+forward and its backward; there is no separate pure forward. A gradient-free
+tape (``Tape(needs_grad=False)``) runs the same ops for inference.
+
 Losses are real scalars carried in the q0 slot of a scalar-shaped QTensor;
 q1..q3 of a loss must be zero.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .errors import DomainError, ShapeMismatchError
+from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = ["Tape", "Node", "grad_check", "GradCheckReport"]
@@ -62,7 +66,6 @@ class Tape:
         self.nodes: list[Node] = []
         self.params: dict[str, int] = {}
         self.needs_grad = needs_grad
-        self.last_visit_order: list[int] = []
 
     # -- recording ---------------------------------------------------------
 
@@ -115,13 +118,11 @@ class Tape:
         seed.reshape(4, -1)[0] = 1.0
         grads[loss.nid] = seed
 
-        self.last_visit_order = []
         for nid in range(loss.nid, -1, -1):
             g = grads[nid]
             if g is None:
                 continue
             node = self.nodes[nid]
-            self.last_visit_order.append(nid)
             if node.bwd is None or not node.inputs:
                 continue
             contribs = node.bwd(g)
@@ -174,15 +175,10 @@ def scale_components(a: Node, factors) -> Node:
 
 
 def reshape(a: Node, shape) -> Node:
-    shape = tuple(shape)
-    saved = {}
-
-    def fwd(av):
-        saved["shape"] = av.shape
-        return av.reshape(shape)
-
-    return a.tape.record("reshape", (a,), fwd,
-                         lambda g: (g.reshape((4, *saved["shape"])),))
+    """Reshape keeping the quaternion components; one entry of ``shape`` may be -1."""
+    shape, in_shape = tuple(shape), a.value.data.shape
+    return a.tape.record("reshape", (a,), lambda av: av.reshape(shape),
+                         lambda g: (g.reshape(in_shape),))
 
 
 def inner_const(a: Node, k: QTensor) -> Node:
@@ -366,54 +362,81 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
     return x.tape.record("qtconv2d", inputs, fwd, bwd)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+# kind -> (f, input gradient g * f'(x) given the upstream g, input x and output y)
+_ACTIVATIONS = {
+    "relu": (lambda v: np.maximum(v, 0.0), lambda g, x, y: g * (x > 0.0)),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+}
+
+
 def split_act(x: Node, kind: str) -> Node:
+    """Apply a real scalar nonlinearity independently to each component."""
+    if kind not in _ACTIVATIONS:
+        raise ConfigError(f"unknown activation {kind!r}, expected one of {tuple(_ACTIVATIONS)}")
+    f, df = _ACTIVATIONS[kind]
     saved = {}
 
     def fwd(xv):
-        y = L.split_activation(xv, kind)
-        saved["x"], saved["y"] = xv.data, y.data
-        return y
+        saved["x"], saved["y"] = xv.data, f(xv.data)
+        return QTensor(saved["y"])
 
-    def bwd(g):
-        xd, yd = saved["x"], saved["y"]
-        if kind == "relu":
-            return (g * (xd > 0.0),)
-        if kind == "tanh":
-            return (g * (1.0 - yd * yd),)
-        if kind == "sigmoid":
-            return (g * yd * (1.0 - yd),)
-        raise DomainError(f"no gradient for activation {kind!r}")
-
-    return x.tape.record(f"split_{kind}", (x,), fwd, bwd)
+    return x.tape.record(f"split_{kind}", (x,), fwd,
+                         lambda g: (df(g, saved["x"], saved["y"]),))
 
 
 def avg_pool(x: Node, window: int) -> Node:
+    """Average pooling over non-overlapping window x window blocks, per component."""
+    if window <= 0:
+        raise ConfigError(f"pooling window must be positive, got {window}")
+    h, w = x.value.shape[-2:]
+    if h % window or w % window:
+        raise ShapeMismatchError(f"pooling window {window} must divide spatial dims {(h, w)}")
+
+    def fwd(xv):
+        out = L.window_sum(xv.data.reshape(*xv.data.shape[:-2], h // window, window,
+                                           w // window, window))
+        out /= window * window
+        return QTensor(out)
+
     def bwd(g):
         g4 = np.repeat(np.repeat(g, window, axis=-2), window, axis=-1)
         return (g4 / (window * window),)
 
-    return x.tape.record("avg_pool", (x,), lambda xv: L.split_pool(xv, window), bwd)
+    return x.tape.record("avg_pool", (x,), fwd, bwd)
 
 
 def global_sum_pool(x: Node) -> Node:
-    saved = {}
-
-    def fwd(xv):
-        saved["shape"] = xv.data.shape
-        return L.global_sum_pool(xv)
+    """Sum over all spatial positions; spatial dims collapse to 1x1."""
+    shape = x.value.data.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, saved["shape"]).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return x.tape.record("global_sum_pool", (x,), fwd, bwd)
+    return x.tape.record("global_sum_pool", (x,),
+                         lambda xv: QTensor(xv.data.sum(axis=(-2, -1), keepdims=True)), bwd)
 
 
 def upsample2x(x: Node) -> Node:
+    """Nearest-neighbour upsampling by 2 along both spatial axes."""
+
+    def fwd(xv):
+        return QTensor(np.repeat(np.repeat(xv.data, 2, axis=-2), 2, axis=-1))
+
     def bwd(g):
         s = g.shape
         return (L.window_sum(g.reshape(*s[:-2], s[-2] // 2, 2, s[-1] // 2, 2)),)
 
-    return x.tape.record("upsample2x", (x,), lambda xv: L.upsample_nearest2x(xv), bwd)
+    return x.tape.record("upsample2x", (x,), fwd, bwd)
 
 
 # -- real-valued bridges (values carried in q0) ---------------------------------
@@ -452,16 +475,13 @@ def real_to_quat(x: Node, channels: int, h: int, w: int) -> Node:
     """Reinterpret a q0-carried real vector (B, 4*channels*h*w) as a quaternion
     map (B, channels, h, w): real channel 4c+r becomes component r of
     quaternion channel c."""
-    saved = {}
+    b = x.value.shape[0]
 
     def fwd(xv):
-        b = xv.shape[0]
-        saved["b"] = b
         v = xv.q0.reshape(b, channels, 4, h, w)
         return QTensor(np.ascontiguousarray(v.transpose(2, 0, 1, 3, 4)))
 
     def bwd(g):
-        b = saved["b"]
         g0 = g.transpose(1, 2, 0, 3, 4).reshape(b, 4 * channels * h * w)
         dx = np.zeros((4, b, 4 * channels * h * w), dtype=g.dtype)
         dx[0] = g0
@@ -470,33 +490,19 @@ def real_to_quat(x: Node, channels: int, h: int, w: int) -> Node:
     return x.tape.record("real_to_quat", (x,), fwd, bwd)
 
 
-def flatten_spatial(x: Node) -> Node:
-    """(B, C, H, W) -> (B, C*H*W), keeping quaternion components."""
-    saved = {}
-
-    def fwd(xv):
-        saved["shape"] = xv.data.shape
-        s = xv.shape
-        return xv.reshape((s[0], s[1] * s[2] * s[3]))
-
-    return x.tape.record("flatten_spatial", (x,), fwd,
-                         lambda g: (g.reshape(saved["shape"]),))
-
-
 def component_sum(x: Node) -> Node:
     """(B, 1) quaternion decisions -> (B,) real scalars q0+q1+q2+q3."""
-    saved = {}
+    if len(x.value.shape) != 2 or x.value.shape[1] != 1:
+        raise ShapeMismatchError(f"component_sum expects (batch, 1), got {x.value.shape}")
+    b = x.value.shape[0]
 
     def fwd(xv):
-        if len(xv.shape) != 2 or xv.shape[1] != 1:
-            raise ShapeMismatchError(f"component_sum expects (batch, 1), got {xv.shape}")
-        saved["b"] = xv.shape[0]
-        out = np.zeros((4, xv.shape[0]), dtype=xv.dtype)
+        out = np.zeros((4, b), dtype=xv.dtype)
         out[0] = xv.data.sum(axis=0)[:, 0]
         return QTensor(out)
 
     def bwd(g):
-        return (np.broadcast_to(g[0][None, :, None], (4, saved["b"], 1)).copy(),)
+        return (np.broadcast_to(g[0][None, :, None], (4, b, 1)).copy(),)
 
     return x.tape.record("component_sum", (x,), fwd, bwd)
 

@@ -293,7 +293,7 @@ def check_first_disc_block(rng):
 
 def check_qdcgan_g(rng):
     spec = MD.preset_spec("qdcgan_toy8")
-    g, _ = MD.build_qdcgan(spec)
+    g, _ = MD.build_gan(spec)
     g.init_params(rng, "glorot")
     z = QTensor(0.5 * rng.standard_normal((4, 2, spec.noise_dim // 4)))
     params = g.param_tensors()
@@ -308,7 +308,7 @@ def check_qdcgan_g(rng):
 
 def check_qdcgan_d(rng):
     spec = MD.preset_spec("qdcgan_toy8")
-    _, d = MD.build_qdcgan(spec)
+    _, d = MD.build_gan(spec)
     d.init_params(rng, "glorot")
     x = _qt(rng, (2, 1, 8, 8), scale=0.5)
     params = d.param_tensors()
@@ -323,7 +323,7 @@ def check_qdcgan_d(rng):
 
 def check_qsngan_d_sn(rng):
     spec = MD.preset_spec("qsngan_toy8")
-    _, d = MD.build_qsngan(spec)
+    _, d = MD.build_gan(spec)
     d.init_params(rng, "glorot")
     MD.sn_warmup(d, iters=10)  # sigma scales then stay frozen across FD evals
     x = _qt(rng, (2, 1, 8, 8), scale=0.5)
@@ -340,7 +340,7 @@ def check_qsngan_d_sn(rng):
 
 def check_qsngan_g(rng):
     spec = MD.preset_spec("qsngan_toy8")
-    g, _ = MD.build_qsngan(spec)
+    g, _ = MD.build_gan(spec)
     g.init_params(rng, "glorot")
     z = QTensor.from_real(0.5 * rng.standard_normal((2, spec.noise_dim)))
     params = g.param_tensors()

@@ -52,7 +52,6 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     config, g, d, *_ , rngs, iteration = T.load_checkpoint(args.checkpoint)
     spec = MD.preset_spec(config.model)
-    spec.sn = config.sn_mode
     rng = np.random.default_rng(args.seed)
     paths = T.emit_samples(g, spec, args.n, args.out, rng)
     print(f"wrote {len(paths) - 1} samples + grid under {args.out} "
@@ -65,7 +64,6 @@ def cmd_eval(args) -> int:
 
     config, g, d, *_rest = T.load_checkpoint(args.checkpoint)
     spec = MD.preset_spec(config.model)
-    spec.sn = config.sn_mode
     images = D.load_dataset(args.data)
     extractor = M.make_extractor(args.extractor)
     rng = np.random.default_rng(args.seed)

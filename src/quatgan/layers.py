@@ -1,6 +1,8 @@
-"""Quaternion neural layers: the Hamilton block form of a quaternion weight,
-spatial primitives for convolutions, split activations, pooling, and the
-polar-form weight initializer.
+"""Primitives behind the quaternion layers: the Hamilton block form of a
+quaternion weight, the conv geometry and channels-last spatial primitives
+(:func:`im2col`, :func:`col2im`, :func:`window_sum`), and the polar-form
+weight initializer. The differentiable layer operations themselves, forward
+and backward, are the tape ops of :mod:`quatgan.autodiff`.
 
 Weight sharing follows the four-submatrix structure of the quaternion
 product: output component c is a signed sum of the four real submatrices
@@ -35,11 +37,7 @@ __all__ = [
     "ConvConfig",
     "hamilton_block",
     "fold_block",
-    "split_activation",
-    "split_pool",
     "window_sum",
-    "global_sum_pool",
-    "upsample_nearest2x",
     "quaternion_init",
     "conv_out_size",
     "tconv_out_size",
@@ -166,50 +164,6 @@ def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) ->
     return xp
 
 
-# -- activations and pooling --------------------------------------------------
-
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
-
-
-def split_activation(x: QTensor, kind: str) -> QTensor:
-    """Apply a real scalar nonlinearity independently to each component."""
-    if kind == "relu":
-        return QTensor(np.maximum(x.data, 0.0))
-    if kind == "tanh":
-        return QTensor(np.tanh(x.data))
-    if kind == "sigmoid":
-        return QTensor(_sigmoid(x.data))
-    raise ConfigError(f"unknown activation {kind!r}, expected one of {ACTIVATIONS}")
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def _pool_view(x: QTensor, window: int) -> np.ndarray:
-    if window <= 0:
-        raise ConfigError(f"pooling window must be positive, got {window}")
-    h, w = x.shape[-2:]
-    if h % window or w % window:
-        raise ShapeMismatchError(
-            f"pooling window {window} must divide spatial dims {(h, w)}"
-        )
-    b4 = x.data.shape[:-2]
-    return x.data.reshape(*b4, h // window, window, w // window, window)
-
-
-def split_pool(x: QTensor, window: int) -> QTensor:
-    """Average pooling applied per component (non-overlapping windows)."""
-    out = window_sum(_pool_view(x, window))
-    out /= window * window
-    return QTensor(out)
-
-
 def window_sum(v: np.ndarray) -> np.ndarray:
     """Sum of a (..., h, window, w, window) view over its two window axes.
 
@@ -223,15 +177,6 @@ def window_sum(v: np.ndarray) -> np.ndarray:
             if i or j:
                 out += v[..., i, :, j]
     return out
-
-
-def global_sum_pool(x: QTensor) -> QTensor:
-    """Sum over all spatial positions; spatial dims collapse to 1x1."""
-    return QTensor(x.data.sum(axis=(-2, -1), keepdims=True))
-
-
-def upsample_nearest2x(x: QTensor) -> QTensor:
-    return QTensor(np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1))
 
 
 # -- initialization ------------------------------------------------------------

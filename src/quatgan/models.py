@@ -26,8 +26,6 @@ from .qtensor import QTensor
 __all__ = [
     "ModelSpec",
     "Model",
-    "build_qdcgan",
-    "build_qsngan",
     "build_gan",
     "count_parameters",
     "count_twin_parameters",
@@ -199,9 +197,9 @@ class RealDense(Module):
 
 
 class QBN(Module):
-    def __init__(self, name, channels, momentum=0.9, epsilon=1e-5, dtype=np.float64):
+    def __init__(self, name, channels, dtype=np.float64):
         super().__init__(name)
-        self.state = qnorm.QBNState(channels, momentum=momentum, epsilon=epsilon, dtype=dtype)
+        self.state = qnorm.QBNState(channels, dtype)
 
     def params(self):
         return [
@@ -227,46 +225,17 @@ class QBN(Module):
         )
 
 
-class SplitAct(Module):
-    def __init__(self, name, kind):
+class Op(Module):
+    """A stateless step between layers: its forward is ``fn(x, *args)`` for a
+    tape op ``fn`` of :mod:`quatgan.autodiff`. It has no parameters and no
+    state, so a real twin counts it as no parameters."""
+
+    def __init__(self, name, fn, *args):
         super().__init__(name)
-        self.kind = kind
+        self.fn, self.args = fn, args
 
     def forward(self, leaves, x, mode):
-        return ad.split_act(x, self.kind)
-
-
-class GlobalSumPool(Module):
-    def forward(self, leaves, x, mode):
-        return ad.global_sum_pool(x)
-
-
-class FlattenSpatial(Module):
-    def forward(self, leaves, x, mode):
-        return ad.flatten_spatial(x)
-
-
-class ReshapeToMap(Module):
-    def __init__(self, name, channels, h, w):
-        super().__init__(name)
-        self.channels, self.h, self.w = channels, h, w
-
-    def forward(self, leaves, x, mode):
-        return ad.reshape(x, (x.value.shape[0], self.channels, self.h, self.w))
-
-
-class RealToQuat(Module):
-    def __init__(self, name, channels, h, w):
-        super().__init__(name)
-        self.channels, self.h, self.w = channels, h, w
-
-    def forward(self, leaves, x, mode):
-        return ad.real_to_quat(x, self.channels, self.h, self.w)
-
-
-class ComponentSum(Module):
-    def forward(self, leaves, x, mode):
-        return ad.component_sum(x)
+        return self.fn(x, *self.args)
 
 
 class Composite(Module):
@@ -513,14 +482,11 @@ class ModelSpec:
     noise_dim: int = 128
     base_spatial: int = 4
     d_downsample: list[bool] | None = None
-    norm: str = "qbn"
     sn: str = "full"
 
     def __post_init__(self):
         if self.family not in ("qsngan", "qdcgan"):
             raise ConfigError(f"unknown model family {self.family!r}")
-        if self.norm not in ("qbn", "none"):
-            raise ConfigError(f"unknown norm {self.norm!r}")
         if self.sn not in ("none", "split", "full"):
             raise ConfigError(f"unknown sn mode {self.sn!r}")
         for w in self.g_widths + self.d_widths:
@@ -543,16 +509,27 @@ class ModelSpec:
             )
 
 
-def build_qsngan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
-    if spec.family != "qsngan":
-        raise ConfigError(f"build_qsngan got family {spec.family!r}")
-    if spec.norm != "qbn":
-        raise ConfigError("qsngan generator blocks are built around qbn; set norm='qbn'")
+def build_gan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
+    """Generator and discriminator of ``spec``'s family.
+
+    This is the one builder: it enables spectral norm of mode ``spec.sn`` on
+    every weighted module of the discriminator. Parameters keep their
+    construction values until :meth:`Model.init_params` draws them.
+    """
+    build = _build_sngan if spec.family == "qsngan" else _build_dcgan
+    g, d = build(spec, dtype)
+    if spec.sn != "none":
+        for m in d.weighted_modules():
+            m.enable_sn(spec.sn)
+    return g, d
+
+
+def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     s = spec.base_spatial
     base = spec.g_widths[0]
     g_modules: list[Module] = [
         RealDense("g.fc", spec.noise_dim, s * s * base, dtype=dtype),
-        RealToQuat("g.enc", base // 4, s, s),
+        Op("g.enc", ad.real_to_quat, base // 4, s, s),
     ]
     prev = base
     for i, w in enumerate(spec.g_widths[1:], start=1):
@@ -560,11 +537,10 @@ def build_qsngan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
         prev = w
     g_modules += [
         QBN("g.out_bn", prev // 4, dtype=dtype),
-        SplitAct("g.out_act", "relu"),
+        Op("g.out_act", ad.split_act, "relu"),
         QConv("g.out_conv", L.ConvConfig(3, 1, 1, prev // 4, 1), dtype=dtype),
-        SplitAct("g.out_tanh", "tanh"),
+        Op("g.out_tanh", ad.split_act, "tanh"),
     ]
-    g = Model("g", g_modules)
 
     d_modules: list[Module] = [FirstDiscBlock("d.b0", spec.d_widths[0], dtype=dtype)]
     prev = spec.d_widths[0]
@@ -572,39 +548,31 @@ def build_qsngan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
         d_modules.append(DiscResBlock(f"d.b{i}", prev, w, downsample=down, dtype=dtype))
         prev = w
     d_modules += [
-        SplitAct("d.out_act", "relu"),
-        GlobalSumPool("d.pool"),
-        FlattenSpatial("d.flat"),
+        Op("d.out_act", ad.split_act, "relu"),
+        Op("d.pool", ad.global_sum_pool),
+        Op("d.flat", ad.reshape, (-1, prev // 4)),
         QDense("d.fc", prev // 4, 1, dtype=dtype),
-        ComponentSum("d.proj"),
+        Op("d.proj", ad.component_sum),
     ]
-    d = Model("d", d_modules)
-    if spec.sn != "none":
-        for m in d.weighted_modules():
-            m.enable_sn(spec.sn)
-    return g, d
+    return Model("g", g_modules), Model("d", d_modules)
 
 
-def build_qdcgan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
-    if spec.family != "qdcgan":
-        raise ConfigError(f"build_qdcgan got family {spec.family!r}")
+def _build_dcgan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     s = spec.base_spatial
     widths = spec.g_widths
     g_modules: list[Module] = [
         QDense("g.fc", spec.noise_dim // 4, widths[0] // 4 * s * s, dtype=dtype),
-        ReshapeToMap("g.reshape", widths[0] // 4, s, s),
+        Op("g.reshape", ad.reshape, (-1, widths[0] // 4, s, s)),
     ]
     chain = widths + [4]
     for i in range(len(chain) - 1):
         cfg = L.ConvConfig(4, 2, 1, chain[i] // 4, chain[i + 1] // 4)
         g_modules.append(QTConv(f"g.t{i}", cfg, dtype=dtype))
         if i < len(chain) - 2:
-            if spec.norm == "qbn":
-                g_modules.append(QBN(f"g.bn{i}", chain[i + 1] // 4, dtype=dtype))
-            g_modules.append(SplitAct(f"g.act{i}", "relu"))
+            g_modules.append(QBN(f"g.bn{i}", chain[i + 1] // 4, dtype=dtype))
+            g_modules.append(Op(f"g.act{i}", ad.split_act, "relu"))
         else:
-            g_modules.append(SplitAct("g.tanh", "tanh"))
-    g = Model("g", g_modules)
+            g_modules.append(Op("g.tanh", ad.split_act, "tanh"))
 
     d_chain = [4] + widths[::-1]
     d_modules: list[Module] = []
@@ -612,26 +580,17 @@ def build_qdcgan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
     for i in range(len(d_chain) - 1):
         cfg = L.ConvConfig(4, 2, 1, d_chain[i] // 4, d_chain[i + 1] // 4)
         d_modules.append(QConv(f"d.c{i}", cfg, dtype=dtype))
-        if i > 0 and spec.norm == "qbn":
+        if i > 0:
             d_modules.append(QBN(f"d.bn{i}", d_chain[i + 1] // 4, dtype=dtype))
-        d_modules.append(SplitAct(f"d.act{i}", "relu"))
+        d_modules.append(Op(f"d.act{i}", ad.split_act, "relu"))
         size //= 2
+    flat = d_chain[-1] // 4 * size * size
     d_modules += [
-        FlattenSpatial("d.flat"),
-        QDense("d.fc", d_chain[-1] // 4 * size * size, 1, dtype=dtype),
-        SplitAct("d.sigmoid", "sigmoid"),
+        Op("d.flat", ad.reshape, (-1, flat)),
+        QDense("d.fc", flat, 1, dtype=dtype),
+        Op("d.sigmoid", ad.split_act, "sigmoid"),
     ]
-    d = Model("d", d_modules)
-    if spec.sn != "none":
-        for m in d.weighted_modules():
-            m.enable_sn(spec.sn)
-    return g, d
-
-
-def build_gan(spec: ModelSpec, dtype=np.float64) -> tuple[Model, Model]:
-    if spec.family == "qsngan":
-        return build_qsngan(spec, dtype=dtype)
-    return build_qdcgan(spec, dtype=dtype)
+    return Model("g", g_modules), Model("d", d_modules)
 
 
 # -- real twins -----------------------------------------------------------------------

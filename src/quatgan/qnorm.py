@@ -18,14 +18,14 @@ lists in ``states()`` stay the ones a checkpoint load writes into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
+    "MOMENTUM",
+    "EPSILON",
     "QBNState",
     "qbn",
     "power_iteration_sigma",
@@ -33,6 +33,9 @@ __all__ = [
 
 
 # -- batch normalization --------------------------------------------------------
+
+MOMENTUM = 0.9  # weight of the old value in each running-statistics update
+EPSILON = 1e-5  # added to the pooled variance before its square root
 
 
 def _reduce_axes(data: np.ndarray):
@@ -42,7 +45,6 @@ def _reduce_axes(data: np.ndarray):
     return (1,) + tuple(range(3, data.ndim))
 
 
-@dataclass
 class QBNState:
     """Per-channel QBN parameters and running statistics.
 
@@ -52,29 +54,13 @@ class QBNState:
     ``bn_init`` to 1; it is a (1,) array so that it is state like the others.
     """
 
-    channels: int
-    momentum: float = 0.9
-    epsilon: float = 1e-5
-    dtype: np.dtype = np.float64
-    gamma: QTensor = None
-    beta: QTensor = None
-    running_mean: QTensor = None
-    running_var: np.ndarray = None
-    bn_init: np.ndarray = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
-        if self.gamma is None:
-            self.gamma = QTensor.from_real(np.ones(self.channels, dtype=self.dtype))
-        if self.beta is None:
-            self.beta = QTensor.zeros((self.channels,), dtype=self.dtype)
-        if self.running_mean is None:
-            self.running_mean = QTensor.zeros((self.channels,), dtype=self.dtype)
-        if self.running_var is None:
-            self.running_var = np.ones(self.channels, dtype=self.dtype)
-        if self.bn_init is None:
-            self.bn_init = np.zeros(1, dtype=self.dtype)
+    def __init__(self, channels: int, dtype=np.float64):
+        self.channels = channels
+        self.gamma = QTensor.from_real(np.ones(channels, dtype=dtype))
+        self.beta = QTensor.zeros((channels,), dtype=dtype)
+        self.running_mean = QTensor.zeros((channels,), dtype=dtype)
+        self.running_var = np.ones(channels, dtype=dtype)
+        self.bn_init = np.zeros(1, dtype=dtype)
 
 
 def _chan(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -107,7 +93,7 @@ def _update_running(state: QBNState, mu, v):
         state.running_var[...] = v_c
         state.bn_init[0] = 1
     else:
-        m = state.momentum
+        m = MOMENTUM
         state.running_mean.data[...] = m * state.running_mean.data + (1.0 - m) * mu_c
         state.running_var[...] = m * state.running_var + (1.0 - m) * v_c
 
@@ -121,7 +107,7 @@ def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = 
     def fwd(xv: QTensor, gv: QTensor, bv: QTensor) -> QTensor:
         data = xv.data
         if training:
-            mu, xc, v, s, n = _batch_stats(data, state.epsilon)
+            mu, xc, v, s, n = _batch_stats(data, EPSILON)
             if update_running:
                 _update_running(state, mu, v)
             xhat = xc / s
@@ -130,7 +116,7 @@ def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = 
             if not state.bn_init[0]:
                 raise DomainError("QBN eval requested before any train-mode batch")
             mu = _chan(state.running_mean.data, data.ndim)
-            s = np.sqrt(_chan(state.running_var, data.ndim) + state.epsilon)
+            s = np.sqrt(_chan(state.running_var, data.ndim) + EPSILON)
             xhat = (data - mu) / s
             saved.update(s=s, train=False)
         g0 = _chan(gv.q0, data.ndim)

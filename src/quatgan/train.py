@@ -37,10 +37,15 @@ RESUME_FREE_FIELDS = frozenset({"iterations", "out_dir", "checkpoint_every", "sa
 
 INT_FIELDS = ("batch_size", "iterations", "critic_iters", "seed", "checkpoint_every",
               "eval_every", "eval_samples", "sample_count")
+FLOAT_FIELDS = ("lr", "beta1", "beta2", "lambda_gp")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -69,6 +74,20 @@ class TrainConfig:
         for name in INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in FLOAT_FIELDS:
+            if not _is_finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.lambda_gp < 0:
+            raise ConfigError(f"lambda_gp must be nonnegative, got {self.lambda_gp}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            raise ConfigError(f"dataset must be a path string, got {self.dataset!r}")
         if self.critic_iters < 1:
             raise ConfigError(f"critic_iters must be >= 1, got {self.critic_iters}")
         if self.batch_size < 2:

@@ -11,17 +11,13 @@ from quatgan.errors import ConfigError, DomainError, ShapeMismatchError
 from quatgan.layers import (
     ConvConfig,
     conv_out_size,
-    global_sum_pool,
     im2col,
     col2im,
     fold_block,
     hamilton_block,
     init_sigma,
     quaternion_init,
-    split_activation,
-    split_pool,
     tconv_out_size,
-    upsample_nearest2x,
 )
 from quatgan.qtensor import QTensor
 
@@ -306,29 +302,32 @@ class TestHamiltonBlock:
 class TestSplitOps:
     def test_relu_example(self):
         x = QTensor(np.array([-1.0, 2.0, -3.0, 4.0]).reshape(4, 1))
-        y = split_activation(x, "relu")
+        y = run_op(ad.split_act, x, "relu")
         assert np.allclose(y.data.reshape(4), [0.0, 2.0, 0.0, 4.0])
 
     def test_tanh_zero(self):
         z = QTensor.zeros((3, 3))
-        assert_qclose(split_activation(z, "tanh"), z)
+        assert_qclose(run_op(ad.split_act, z, "tanh"), z)
 
     def test_sigmoid_range(self, rng):
-        y = split_activation(_qt(rng, (10,)), "sigmoid")
+        y = run_op(ad.split_act, _qt(rng, (10,)), "sigmoid")
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
 
     def test_unknown_kind(self, rng):
+        tape = ad.Tape()
+        x = tape.constant(_qt(rng, (2,)))
         with pytest.raises(ConfigError):
-            split_activation(_qt(rng, (2,)), "swish")
+            ad.split_act(x, "swish")
+        assert len(tape.nodes) == 1
 
     def test_avg_pool_constant(self):
         x = QTensor(np.full((4, 1, 1, 4, 4), 2.5))
-        y = split_pool(x, 2)
+        y = run_op(ad.avg_pool, x, 2)
         assert np.allclose(y.data, 2.5)
 
     def test_global_sum_pool_matches_loop(self, rng):
         x = _qt(rng, (2, 3, 4, 4))
-        y = global_sum_pool(x)
+        y = run_op(ad.global_sum_pool, x)
         assert y.shape == (2, 3, 1, 1)
         for c in range(4):
             for b in range(2):
@@ -337,11 +336,11 @@ class TestSplitOps:
 
     def test_pool_divisibility(self, rng):
         with pytest.raises(ShapeMismatchError):
-            split_pool(_qt(rng, (1, 1, 5, 5)), 2)
+            run_op(ad.avg_pool, _qt(rng, (1, 1, 5, 5)), 2)
 
     def test_upsample(self, rng):
         x = _qt(rng, (1, 1, 2, 2))
-        y = upsample_nearest2x(x)
+        y = run_op(ad.upsample2x, x)
         assert y.shape == (1, 1, 4, 4)
         assert np.all(y.data[:, :, :, 0:2, 0:2] == x.data[:, :, :, 0:1, 0:1])
 

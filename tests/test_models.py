@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import run_op
@@ -64,7 +66,7 @@ class TestParameterAccounting:
 
     def test_table_counts_celeba(self):
         spec = MD.preset_spec("qsngan_celeba128")
-        g, d = MD.build_qsngan(spec)
+        g, d = MD.build_gan(spec)
         gq, dq = MD.count_parameters(g), MD.count_parameters(d)
         gr, dr = MD.count_twin_parameters(spec)
         assert gq == 9_631_204          # exact reproduction of the reported G
@@ -75,10 +77,10 @@ class TestParameterAccounting:
 
     def test_small_model_counts(self):
         cifar = MD.preset_spec("qsngan_cifar32")
-        g, d = MD.build_qsngan(cifar)
+        g, d = MD.build_gan(cifar)
         assert MD.count_parameters(g) + MD.count_parameters(d) < 2_000_000
         stl = MD.preset_spec("qsngan_stl48")
-        g, d = MD.build_qsngan(stl)
+        g, d = MD.build_gan(stl)
         total = MD.count_parameters(g) + MD.count_parameters(d)
         assert abs(total - 5_545_188) / 5_545_188 <= 0.02
 
@@ -121,10 +123,35 @@ class TestParameterAccounting:
             assert 0.24 < ratio < 0.31, (name, ratio)
 
 
+class TestTapeOps:
+    @pytest.mark.parametrize("name,ops", [
+        ("qsngan_toy16", {"add": 5, "avg_pool": 4, "component_sum": 1, "const": 1,
+                          "global_sum_pool": 1, "param": 44, "qbn": 5, "qconv2d": 15,
+                          "qdense": 1, "real_dense": 1, "real_to_quat": 1, "reshape": 1,
+                          "scale_components": 9, "split_relu": 11, "split_tanh": 1,
+                          "upsample2x": 4}),
+        ("qdcgan_toy16", {"const": 1, "param": 16, "qbn": 2, "qconv2d": 2, "qdense": 2,
+                          "qtconv2d": 2, "reshape": 2, "split_relu": 3, "split_sigmoid": 1,
+                          "split_tanh": 1}),
+    ])
+    def test_preset_tape_ops_pinned(self, rng, name, ops):
+        """The ops one G->D training forward records at batch 4 (full spectral
+        norm for qsngan): the benchmark's per-op spans are keyed by these names."""
+        spec = MD.preset_spec(name)
+        g, d = MD.build_gan(spec, dtype=np.float32)
+        g.init_params(rng)
+        d.init_params(rng)
+        MD.apply_spectral_norm(d)
+        tape = ad.Tape()
+        fake = g.forward(tape, tape.constant(make_noise(spec, 4, rng)), training=True)
+        d.forward(tape, fake, training=True)
+        assert Counter(node.op for node in tape.nodes) == ops  # 105 and 32 nodes
+
+
 class TestShapes:
     def test_qsngan_generator_output(self, rng):
         spec = MD.preset_spec("qsngan_toy16")
-        g, d = MD.build_qsngan(spec)
+        g, d = MD.build_gan(spec)
         g.init_params(rng)
         d.init_params(rng)
         z = make_noise(spec, 3, rng, dtype=np.float64)
@@ -136,7 +163,7 @@ class TestShapes:
 
     def test_qdcgan_shapes_and_decision_range(self, rng):
         spec = MD.preset_spec("qdcgan_toy16")
-        g, d = MD.build_qdcgan(spec)
+        g, d = MD.build_gan(spec)
         g.init_params(rng)
         d.init_params(rng)
         z = make_noise(spec, 2, rng, dtype=np.float64)
@@ -187,10 +214,8 @@ class TestShapes:
         x = QTensor(rng.standard_normal((4, 2, 2, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        from quatgan.layers import split_pool
-
         sc = block.children["sc"]
-        pooled = split_pool(x, 2)
+        pooled = run_op(ad.avg_pool, x, 2)
         want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.cfg)
         assert np.allclose(y.value.data, want.data, atol=1e-12)
 
@@ -203,22 +228,20 @@ class TestShapes:
         x = QTensor(rng.standard_normal((4, 2, 1, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        from quatgan.layers import split_activation, split_pool
-
         c1, c2, sc = (block.children[k] for k in ("conv1", "conv2", "sc"))
         h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
-        h = split_activation(h, "relu")
+        h = run_op(ad.split_act, h, "relu")
         h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.cfg)
-        h = split_pool(h, 2)
+        h = run_op(ad.avg_pool, h, 2)
         s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
-        s = split_pool(s, 2)
+        s = run_op(ad.avg_pool, s, 2)
         assert np.allclose(y.value.data, h.data + s.data, atol=1e-12)
 
 
 class TestSpectralNormIntegration:
     def test_full_mode_normalizes_constructed_matrices(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
-        _, d = MD.build_qsngan(spec)
+        _, d = MD.build_gan(spec)
         d.init_params(rng)
         MD.sn_warmup(d, iters=50)
         for name, sigma in MD.measure_sigmas(d).items():
@@ -227,7 +250,7 @@ class TestSpectralNormIntegration:
     def test_split_mode_normalizes_submatrices(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
         spec.sn = "split"
-        _, d = MD.build_qsngan(spec)
+        _, d = MD.build_gan(spec)
         d.init_params(rng)
         MD.sn_warmup(d, iters=50)
         for name, sigma in MD.measure_sigmas(d).items():
@@ -236,7 +259,7 @@ class TestSpectralNormIntegration:
     def test_none_mode_leaves_weights(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
         spec.sn = "none"
-        _, d = MD.build_qsngan(spec)
+        _, d = MD.build_gan(spec)
         d.init_params(rng)
         MD.apply_spectral_norm(d)  # no-op
         for m in d.weighted_modules():
@@ -246,7 +269,7 @@ class TestSpectralNormIntegration:
     def test_float32_discriminator_records_no_float64(self, rng, sn):
         spec = MD.preset_spec("qsngan_toy16")
         spec.sn = sn
-        _, d = MD.build_qsngan(spec, dtype=np.float32)
+        _, d = MD.build_gan(spec, dtype=np.float32)
         d.init_params(rng)
         MD.sn_warmup(d, iters=2)
         tape = ad.Tape()
@@ -259,7 +282,7 @@ class TestSpectralNormIntegration:
 
     def test_effective_weights_are_scaled_in_forward(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
-        _, d = MD.build_qsngan(spec)
+        _, d = MD.build_gan(spec)
         d.init_params(rng)
         x = QTensor(rng.standard_normal((4, 2, 1, 8, 8)))
         before = d.forward_array(x, training=True).data.copy()

@@ -113,7 +113,7 @@ class TestQBNForward:
             qbn_forward(QTensor(rng.standard_normal((4, 4, 2))), state, mode="eval")
 
     def test_running_stats_ema(self, rng):
-        state = QBNState(channels=1, momentum=0.9)
+        state = QBNState(channels=1)
         x1 = QTensor(rng.standard_normal((4, 64, 1)))
         qbn_forward(x1, state, mode="train")
         mu1 = x1.data.mean(axis=1).copy()

@@ -49,6 +49,18 @@ CONFIG_FAULTS = {
     "synth_float_seed": {"synth": {"n": 8, "size": 8, "seed": 0.5}},
     "synth_unknown_key": {"synth": {"n": 8, "size": 8, "depth": 3}},
     "synth_not_object": {"synth": [8, 8]},
+    "string_lr": {"lr": "0.1"},
+    "nan_lr": {"lr": float("nan")},
+    "zero_lr": {"lr": 0},
+    "beta1_one": {"beta1": 1.0},
+    "bool_beta1": {"beta1": True},
+    "negative_beta2": {"beta2": -0.1},
+    "infinite_beta2": {"beta2": float("inf")},
+    "string_lambda_gp": {"lambda_gp": "x"},
+    "negative_lambda_gp": {"lambda_gp": -1.0},
+    "int_out_dir": {"out_dir": 5},
+    "empty_out_dir": {"out_dir": ""},
+    "list_dataset": {"dataset": ["a"], "synth": None},
 }
 
 
