@@ -60,12 +60,18 @@ class Node:
 
 class Tape:
     """Single-writer operation record; recording and backward must not be
-    interleaved from multiple threads. Distinct tapes are independent."""
+    interleaved from multiple threads. Distinct tapes are independent.
+
+    A tape is backpropagated at most once: backward closures may release
+    what their forward saved (the conv patch matrices), so a second
+    ``backward`` is refused.
+    """
 
     def __init__(self, needs_grad: bool = True):
         self.nodes: list[Node] = []
         self.params: dict[str, int] = {}
         self.needs_grad = needs_grad
+        self._backpropagated = False
 
     # -- recording ---------------------------------------------------------
 
@@ -112,6 +118,9 @@ class Tape:
             raise DomainError(f"loss must be scalar-shaped, got {lv.shape}")
         if np.any(lv.data.reshape(4, -1)[1:] != 0.0):
             raise DomainError("loss must be real: q1..q3 components must be zero")
+        if self._backpropagated:
+            raise DomainError("this tape was already backpropagated; record a new tape")
+        self._backpropagated = True
 
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         seed = np.zeros_like(lv.data)
@@ -270,45 +279,83 @@ def _taps_last(m: np.ndarray, taps: int) -> np.ndarray:
     return m.reshape(taps, 4, -1, cols).transpose(1, 2, 0, 3).reshape(rows, cols)
 
 
+def _row_gemms(patches: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Stride-1 correlation from :func:`layers.row_patches`: the sum over
+    kernel rows ki of ``patches[ki:ki+Ho] @ w_rows[ki]``, as a
+    (Ho*B*Wo, out) matrix in (row, batch, column) order."""
+    k, kc, _ = w_rows.shape
+    ho = patches.shape[0] - k + 1
+    y = patches[:ho].reshape(-1, kc) @ w_rows[0]
+    if k > 1:
+        term = np.empty_like(y)
+        for ki in range(1, k):
+            y += np.matmul(patches[ki : ki + ho].reshape(-1, kc), w_rows[ki], out=term)
+    return y
+
+
 def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
     """Quaternion 2-D convolution (cross-correlation convention).
 
-    The input is moved to a channels-last (B, H, W, 4*in_q) real map, its
-    channels in (component, channel) order, so one :func:`layers.im2col`
-    gives (B*P, k*k*4*in_q) patch rows in (tap, component, channel) order.
-    The layer is one GEMM against the Hamilton block of the kernel whose
-    columns are reordered from (component, channel, tap) to that order; the
-    kernel gradient is reordered back before :func:`layers.fold_block`.
+    The layer is GEMMs against the Hamilton block of the kernel, its columns
+    reordered from (component, channel, tap) to the (tap, component,
+    channel) order of channels-last patches; the kernel gradient is
+    reordered back before :func:`layers.fold_block`.
+
+    A stride-1 conv takes the row lowering described in :mod:`quatgan.layers`:
+    k-wide :func:`layers.row_patches` of the padded input and k row-shifted
+    GEMMs. At stride 1 the adjoint of a correlation is again a correlation,
+    so the input gradient is the same lowering of the output gradient,
+    padded by k-1-p (cropped where p > k-1), against the block reversed on
+    both tap axes with its in/out sides swapped: no scatter-add. Backward
+    drops the saved patches once the kernel gradient is formed. Strided
+    convs use :func:`layers.im2col` and :func:`layers.col2im`.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    k, o = cfg.kernel, cfg.out_q
+    k, o, p = cfg.kernel, cfg.out_q, cfg.padding
     taps = k * k
 
     def fwd(xv, kv, *rest):
         b, i, h, w = _check_conv_input(xv, cfg)
         _check_kernel(kv, (o, i, k, k), "conv")
-        ho = L.conv_out_size(h, k, cfg.stride, cfg.padding)
-        wo = L.conv_out_size(w, k, cfg.stride, cfg.padding)
-        x_cl = np.ascontiguousarray(xv.data.transpose(1, 3, 4, 0, 2).reshape(b, h, w, 4 * i))
-        cols = L.im2col(x_cl, k, cfg.stride, cfg.padding)
+        ho = L.conv_out_size(h, k, cfg.stride, p)
+        wo = L.conv_out_size(w, k, cfg.stride, p)
         block_t = _taps_first(L.hamilton_block(kv.data).T, taps)  # (k*k*4*in_q, 4*out_q)
+        if cfg.stride == 1:
+            cols = L.row_patches(L.pad_rows(xv.data.transpose(3, 1, 4, 0, 2), p), k)
+            y = _row_gemms(cols, block_t.reshape(k, -1, 4 * o))
+            y = y.reshape(ho, b, wo, 4, o).transpose(3, 1, 4, 0, 2)
+        else:
+            x_cl = np.ascontiguousarray(xv.data.transpose(1, 3, 4, 0, 2).reshape(b, h, w, 4 * i))
+            cols = L.im2col(x_cl, k, cfg.stride, p)
+            y = (cols @ block_t).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
         if x.tape.needs_grad:
-            saved.update(cols=cols, block_t=block_t, x_shape=x_cl.shape)
-        y = (cols @ block_t).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
+            saved.update(cols=cols, block_t=block_t, hwi=(h, w, i))
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
         _, b, _, ho, wo = g.shape
-        g2 = g.transpose(1, 3, 4, 0, 2).reshape(b * ho * wo, 4 * o)
-        x_shape = saved["x_shape"]
-        dcols = g2 @ saved["block_t"].T
-        dx = L.col2im(dcols, x_shape, k, cfg.stride, cfg.padding)
-        dx = dx.reshape(*x_shape[:3], 4, cfg.in_q).transpose(3, 0, 4, 1, 2)
-        dblock = _taps_last(saved["cols"].T @ g2, taps).T
-        dk = L.fold_block(dblock).reshape(4, o, cfg.in_q, k, k)
+        h, w, i = saved["hwi"]
+        block_t = saved["block_t"]
+        if cfg.stride == 1:
+            g_rows = np.ascontiguousarray(g.transpose(3, 1, 4, 0, 2)).reshape(ho, b, wo, 4 * o)
+            g2 = g_rows.reshape(-1, 4 * o)
+            cols = saved.pop("cols")  # released below; a tape backpropagates once
+            dblock_t = np.concatenate(
+                [cols[ki : ki + ho].reshape(len(g2), -1).T @ g2 for ki in range(k)])
+            del cols
+            flipped = block_t.reshape(k, k, 4 * i, 4 * o)[::-1, ::-1].transpose(0, 1, 3, 2)
+            g_cols = L.row_patches(L.pad_rows(g_rows, k - 1 - p), k)
+            dx = _row_gemms(g_cols, flipped.reshape(k, -1, 4 * i))
+            dx = dx.reshape(h, b, w, 4, i).transpose(3, 1, 4, 0, 2)
+        else:
+            g2 = g.transpose(1, 3, 4, 0, 2).reshape(b * ho * wo, 4 * o)
+            dx = L.col2im(g2 @ block_t.T, (b, h, w, 4 * i), k, cfg.stride, p)
+            dx = dx.reshape(b, h, w, 4, i).transpose(3, 0, 4, 1, 2)
+            dblock_t = saved["cols"].T @ g2
+        dk = L.fold_block(_taps_last(dblock_t, taps).T).reshape(4, o, i, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))

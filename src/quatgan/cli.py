@@ -8,6 +8,7 @@ The QGAN_SEED environment variable overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,9 +28,10 @@ def _load_config(path) -> T.TrainConfig:
     env_seed = os.environ.get("QGAN_SEED")
     if env_seed is not None:
         try:
-            config.seed = int(env_seed)
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"QGAN_SEED must be an integer, got {env_seed!r}") from None
+        config = dataclasses.replace(config, seed=seed)  # revalidates
     return config
 
 

@@ -1,26 +1,41 @@
 """Primitives behind the quaternion layers: the Hamilton block form of a
 quaternion weight, the conv geometry and channels-last spatial primitives
-(:func:`im2col`, :func:`col2im`, :func:`window_sum`), and the polar-form
-weight initializer. The differentiable layer operations themselves, forward
-and backward, are the tape ops of :mod:`quatgan.autodiff`.
+(:func:`pad_rows`, :func:`row_patches`, :func:`im2col`, :func:`col2im`,
+:func:`window_sum`), and the polar-form weight initializer. The
+differentiable layer operations themselves, forward and backward, are the
+tape ops of :mod:`quatgan.autodiff`.
 
 Weight sharing follows the four-submatrix structure of the quaternion
 product: output component c is a signed sum of the four real submatrices
 applied to the input components. :func:`hamilton_block` lays the submatrices
 out as that signed 4x4 real block matrix, and :func:`fold_block` is its
 adjoint. They are the only code that reads the sign pattern: the dense, conv
-and transposed-conv tape ops in :mod:`quatgan.autodiff` run one real GEMM
+and transposed-conv tape ops in :mod:`quatgan.autodiff` run real GEMMs
 against the block, fold their kernel gradient back through the adjoint, and
 spectral normalization and the sigma diagnostics measure the same block.
 
-The convolution primitives are channels-last. :func:`im2col` maps a real
-(B, H, W, C) map to one (B*Ho*Wo, k*k*C) patch matrix whose columns run in
-(ki, kj, c) order, so every tap copies whole contiguous C-vectors, and
-:func:`col2im` is its adjoint. A quaternion map enters them with its four
-components moved inward, C = 4*channels in (component, channel) order, so
-the conv ops reorder the block's (component, channel, tap) columns to
-(tap, component, channel); the block's singular values, and so spectral
-normalization, do not depend on that order.
+The convolution primitives are channels-last. A quaternion map enters
+them with its four components moved inward, C = 4*channels in (component,
+channel) order, so the conv ops reorder the block's (component, channel,
+tap) columns to (tap, component, channel); the block's singular values, and
+so spectral normalization, do not depend on that order.
+
+A stride-1 conv is lowered by kernel rows. :func:`pad_rows` moves a map
+once into a zero-padded rows-outermost (H+2p, B, W+2p, C) layout, and
+:func:`row_patches` copies each input row k times into k-wide horizontal
+patches (Hp, B*Wo, k*C). The conv is then k GEMMs, one per kernel row ki,
+each over the contiguous row slice ``patches[ki:ki+Ho]``. No stride-1 pass
+scatters: at stride 1 the adjoint of a correlation is a correlation, so the
+input gradient is the same lowering of the output gradient, padded by
+k-1-p, against the tap-reversed block with its in and out sides swapped,
+and every gradient pixel is a sum the GEMMs form rather than an
+accumulation of overlapping patch rows.
+
+:func:`im2col` maps a (B, H, W, C) map to one (B*Ho*Wo, k*k*C) patch
+matrix whose columns run in (ki, kj, c) order, so every tap copies whole
+contiguous C-vectors, and :func:`col2im` is its adjoint, a scatter-add of
+overlapping patches. They serve the strided convs and the transposed conv
+only.
 """
 
 from __future__ import annotations
@@ -43,6 +58,8 @@ __all__ = [
     "tconv_out_size",
     "im2col",
     "col2im",
+    "pad_rows",
+    "row_patches",
 ]
 
 # Output component c of the product W x receives _SIGN[c, d] * W_m x_d with
@@ -162,6 +179,37 @@ def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) ->
     if padding:
         return xp[:, padding : padding + h, padding : padding + w].copy()
     return xp
+
+
+def pad_rows(v: np.ndarray, padding: int) -> np.ndarray:
+    """Rows-outermost map (H, B, W, ...) -> contiguous (H+2p, B, W+2p, C).
+
+    The spatial sides are zero-padded by ``padding``, or cropped by
+    ``-padding`` when it is negative; the trailing axes merge into C. ``v``
+    may be any strided view, so one copy both reorders and pads a map.
+    """
+    h, b, w = v.shape[:3]
+    shape = (h + 2 * padding, b, w + 2 * padding)
+    if padding <= 0:
+        v = v[-padding : h + padding, :, -padding : w + padding]
+        return np.ascontiguousarray(v).reshape(*shape, -1)
+    out = np.zeros((*shape, *v.shape[3:]), dtype=v.dtype)
+    out[padding : padding + h, :, padding : padding + w] = v
+    return out.reshape(*shape, -1)
+
+
+def row_patches(xp: np.ndarray, kernel: int) -> np.ndarray:
+    """Horizontal patches of a padded rows-outermost map: (Hp, B, Wp, C) ->
+    (Hp, B*Wo, k*C) with Wo = Wp - k + 1, columns in (kj, c) order.
+
+    Row (r, b, ow) holds the k pixels of input row r starting at column ow,
+    so a stride-1 conv is the sum over ki of ``patches[ki:ki+Ho]`` times
+    the kernel's row block ki; each such slice is a contiguous matrix. One
+    copy, k times the map; a 1x1 kernel gives a view.
+    """
+    hp, b, wp, c = xp.shape
+    windows = sliding_window_view(xp, kernel, axis=2)  # (Hp, B, Wo, C, k)
+    return windows.transpose(0, 1, 2, 4, 3).reshape(hp, b * (wp - kernel + 1), kernel * c)
 
 
 def window_sum(v: np.ndarray) -> np.ndarray:

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (QBN needs batch variance)")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.eval_samples < 2:
@@ -137,7 +139,8 @@ class TrainConfig:
 
 def _check_synth(synth):
     """A synth spec is an object of integer ``n`` and ``size`` and an optional
-    integer ``seed``; ``data.synth_dataset`` checks their ranges."""
+    nonnegative integer ``seed``; ``data.synth_dataset`` checks the ranges
+    of ``n`` and ``size``."""
     if not isinstance(synth, dict):
         raise ConfigError(f"synth must be an object, got {type(synth).__name__}")
     if not {"n", "size"} <= synth.keys() <= {"n", "size", "seed"}:
@@ -145,6 +148,8 @@ def _check_synth(synth):
     for key, value in synth.items():
         if not _is_int(value):
             raise ConfigError(f"synth {key} must be an integer, got {value!r}")
+    if synth.get("seed", 0) < 0:
+        raise ConfigError(f"synth seed must be nonnegative, got {synth['seed']}")
 
 
 def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator, dtype=np.float32) -> QTensor:

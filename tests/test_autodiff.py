@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quatgan import autodiff as ad
+from quatgan import layers as L
 from quatgan.errors import DomainError, ShapeMismatchError
 from quatgan.optim import AdamState, adam_step
 from quatgan.qtensor import QTensor
@@ -243,3 +244,16 @@ class TestAdam:
             fs.append(float((w.data**2).sum()))
         assert all(b < a for a, b in zip(fs[4:], fs[5:]))
         assert fs[-1] < 0.5 * fs[0]
+
+
+def test_second_backward_refused(rng):
+    """Backward closures release saved state (the conv patches), so a tape
+    is backpropagated once; a second pass is refused, not answered from
+    released state."""
+    tape = ad.Tape()
+    w = tape.param("w", QTensor(rng.standard_normal((4, 2, 2, 3, 3))))
+    x = tape.constant(QTensor(rng.standard_normal((4, 1, 2, 4, 5))))
+    loss = total(ad.qconv2d(x, w, None, L.ConvConfig(3, 1, 1, 2, 2)))
+    tape.backward(loss)
+    with pytest.raises(DomainError):
+        tape.backward(loss)

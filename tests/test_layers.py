@@ -173,7 +173,8 @@ class TestQConv2d:
         y = run_op(ad.qconv2d, x, _qt(rng, (2, 2, 3, 3)), None, ConvConfig(3, 1, 1, 2, 2))
         assert y.shape == (1, 2, 8, 8)
 
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), (2, 2, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), (2, 2, 0), (1, 1, 0),
+                                              (3, 1, 0), (1, 1, 1), (3, 1, 3), (5, 1, 2)])
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
         x = _qt(rng, (2, 2, 6, 8))
         kernel, bias = _qt(rng, (2, 2, k, k)), _qt(rng, (2,))
@@ -191,6 +192,23 @@ class TestQConv2d:
             conv_oracle(x, kernel, None, cfg).data,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 3)])
+    def test_kernel_gradient_matches_finite_differences(self, rng, k, pad):
+        """Stride-1 kernel and bias gradients, summed over the row-shifted
+        patch GEMMs, against central differences (the grad-check suite
+        covers (3, 1))."""
+        x = _qt(rng, (2, 2, 4, 5))
+        cfg = ConvConfig(k, 1, pad, 2, 3)
+        probe = _qt(rng, (2, 3, conv_out_size(4, k, 1, pad), conv_out_size(5, k, 1, pad)))
+
+        def build(tape, leaves):
+            y = ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg)
+            return ad.inner_const(y, probe)
+
+        params = {"k": _qt(rng, (3, 2, k, k)), "b": _qt(rng, (3,))}
+        report = ad.grad_check(build, params, tolerance=1e-4, step=1e-6)
+        assert report.passed, str(report)
 
     def test_kernel_larger_than_padded_input(self, rng):
         x = _qt(rng, (1, 1, 2, 2))
@@ -221,13 +239,17 @@ class TestTransposedConv:
         want = tconv_oracle(x, kernel, bias, cfg)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
-    def test_adjoint_of_conv_with_conjugated_weights(self, rng):
+    @pytest.mark.parametrize("k,pad", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (5, 2)])
+    def test_adjoint_of_conv_with_conjugated_weights(self, rng, k, pad):
         """<conv(x), g> = <x, tconv(g, adapted w)>: the input gradient of the
-        quaternion conv equals the transposed conv with conjugated kernel."""
-        x = _qt(rng, (2, 2, 4, 4))
-        kernel = _qt(rng, (3, 2, 3, 3))
-        cfg = ConvConfig(3, 1, 1, 2, 3)
-        g = _qt(rng, (2, 3, 4, 4))
+        stride-1 quaternion conv (the row lowering of the padded or cropped
+        gradient) equals the transposed conv with conjugated kernel, which
+        scatters through col2im."""
+        x = _qt(rng, (2, 2, 5, 7))
+        kernel = _qt(rng, (3, 2, k, k))
+        cfg = ConvConfig(k, 1, pad, 2, 3)
+        ho, wo = conv_out_size(5, k, 1, pad), conv_out_size(7, k, 1, pad)
+        g = _qt(rng, (2, 3, ho, wo))
 
         tape = ad.Tape()
         xn = tape.param("x", x)
@@ -238,7 +260,8 @@ class TestTransposedConv:
         adapted = kernel.data.copy()
         adapted[1:] = -adapted[1:]
         tw = QTensor(adapted)  # (out,in,k,k) already matches the (in,out) slot
-        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(3, 1, 1, 3, 2))
+        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(k, 1, pad, 3, 2))
+        assert got.shape == x.shape
         assert np.allclose(got.data, dx.data, atol=1e-10)
 
     def test_im2col_col2im_adjoint(self, rng):

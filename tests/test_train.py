@@ -44,6 +44,8 @@ CONFIG_FAULTS = {
     "eval_samples_one": {"eval_samples": 1},
     "negative_checkpoint_every": {"checkpoint_every": -1},
     "negative_eval_every": {"eval_every": -2},
+    "negative_seed": {"seed": -1},
+    "negative_synth_seed": {"synth": {"n": 8, "size": 8, "seed": -1}},
     "synth_lacks_n": {"synth": {"size": 8}},
     "synth_string_n": {"synth": {"n": "8", "size": 8}},
     "synth_float_seed": {"synth": {"n": 8, "size": 8, "seed": 0.5}},
@@ -94,7 +96,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             T.emit_samples(g, spec, 0, str(tmp_path / "s"), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("case", ["malformed_json", "non_integer_seed", *CONFIG_FAULTS])
+    @pytest.mark.parametrize("case", ["malformed_json", "non_integer_seed", "negative_env_seed",
+                                      *CONFIG_FAULTS])
     def test_cli_config_error_exits_1(self, tmp_path, capsys, monkeypatch, case):
         raw = json.loads(toy_config(tmp_path).to_json())
         raw.update(CONFIG_FAULTS.get(case, {}))
@@ -103,6 +106,8 @@ class TestConfig:
             text = text[:-2]
         elif case == "non_integer_seed":
             monkeypatch.setenv("QGAN_SEED", "abc")
+        elif case == "negative_env_seed":
+            monkeypatch.setenv("QGAN_SEED", "-5")
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(text)
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
