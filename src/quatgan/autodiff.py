@@ -265,18 +265,24 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
     return x.tape.record("qdense", inputs, fwd, bwd)
 
 
-def _taps_first(m: np.ndarray, taps: int) -> np.ndarray:
-    """Reorder the rows of a Hamilton block (or its transpose) from
-    (component, channel, tap) to the channels-last patch order
-    (tap, component, channel)."""
-    rows, cols = m.shape
-    return m.reshape(4, -1, taps, cols).transpose(2, 0, 1, 3).reshape(rows, cols)
+def _row_weights(block: np.ndarray, k: int, s: int) -> np.ndarray:
+    """A conv's Hamilton block (out, C*k*k), columns in (component, channel,
+    ki, kj) order, as row weights (k', k'*s*s*C, out), k' = ceil(k/s): tap
+    (s*qi + ri, s*qj + rj) goes to row qi, column (qj, ri, rj, component,
+    channel), the order of the row patches of phases. Taps past k are zero.
+    """
+    out, kk = block.shape[0], -(-k // s)
+    w = block.reshape(out, -1, k, k)
+    if kk * s != k:
+        w = np.pad(w, ((0, 0), (0, 0), (0, kk * s - k), (0, kk * s - k)))
+    return w.reshape(out, -1, kk, s, kk, s).transpose(2, 4, 3, 5, 1, 0).reshape(kk, -1, out)
 
 
-def _taps_last(m: np.ndarray, taps: int) -> np.ndarray:
-    """Inverse of :func:`_taps_first`."""
-    rows, cols = m.shape
-    return m.reshape(taps, 4, -1, cols).transpose(1, 2, 0, 3).reshape(rows, cols)
+def _block_grad(dw: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Adjoint of :func:`_row_weights`: (k'*k'*s*s*C, out) -> (out, C*k*k)."""
+    out, kk = dw.shape[-1], -(-k // s)
+    dw = dw.reshape(kk, kk, s, s, -1, out).transpose(5, 4, 0, 2, 1, 3)
+    return dw.reshape(out, -1, kk * s, kk * s)[:, :, :k, :k].reshape(out, -1)
 
 
 def _row_gemms(patches: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
@@ -293,44 +299,59 @@ def _row_gemms(patches: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
     return y
 
 
+def _row_gemms_t(g_rows: np.ndarray, w_rows: np.ndarray, s: int, p: int, h: int,
+                 w: int) -> np.ndarray:
+    """Adjoint of the conv lowering ``_row_gemms(row_patches(to_phases(v, s,
+    p, ...)))``: a (Ho, B, Wo, out) gradient -> that of the (h, B, w, C) map v.
+
+    It is the stride-1 lowering of the gradient against the row weights
+    reversed on both tap axes with in and out swapped, over only the phases
+    that hold pixels of v; :func:`layers.from_phases` crops the rest.
+    """
+    k, _, out = w_rows.shape
+    ho, b, wo = g_rows.shape[:3]
+    # phases of v padded by p % s that hold pixels the conv reads
+    hr = min(ho + k - 1 - p // s, -(-(h + p % s) // s))
+    wr = min(wo + k - 1 - p // s, -(-(w + p % s) // s))
+    flipped = w_rows.reshape(k, k, -1, out)[::-1, ::-1].transpose(0, 1, 3, 2)
+    g_cols = L.row_patches(L.to_phases(g_rows, 1, k - 1 - p // s, hr + k - 1, wr + k - 1), k)
+    v = _row_gemms(g_cols, flipped.reshape(k, k * out, -1))
+    return L.from_phases(v.reshape(hr, b, wr, -1), s, p % s, h, w)
+
+
+def _row_weights_grad(patches: np.ndarray, g2: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of the row weights as a (k'*k'*C, out) matrix, k' = ``k``, from
+    the row patches and the (Ho*B*Wo, out) output gradient of :func:`_row_gemms`."""
+    ho = patches.shape[0] - k + 1
+    return np.concatenate([patches[ki : ki + ho].reshape(len(g2), -1).T @ g2
+                           for ki in range(k)])
+
+
 def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
     """Quaternion 2-D convolution (cross-correlation convention).
 
-    The layer is GEMMs against the Hamilton block of the kernel, its columns
-    reordered from (component, channel, tap) to the (tap, component,
-    channel) order of channels-last patches; the kernel gradient is
-    reordered back before :func:`layers.fold_block`.
-
-    A stride-1 conv takes the row lowering described in :mod:`quatgan.layers`:
-    k-wide :func:`layers.row_patches` of the padded input and k row-shifted
-    GEMMs. At stride 1 the adjoint of a correlation is again a correlation,
-    so the input gradient is the same lowering of the output gradient,
-    padded by k-1-p (cropped where p > k-1), against the block reversed on
-    both tap axes with its in/out sides swapped: no scatter-add. Backward
-    drops the saved patches once the kernel gradient is formed. Strided
-    convs use :func:`layers.im2col` and :func:`layers.col2im`.
+    Every stride runs the lowering of :mod:`quatgan.layers`: row patches of
+    the input's phases against the :func:`_row_weights` of the kernel's
+    Hamilton block. The kernel gradient pairs the same patches with the
+    output gradient, which backward then drops; the input gradient is
+    :func:`_row_gemms_t` of the output gradient.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    k, o, p = cfg.kernel, cfg.out_q, cfg.padding
-    taps = k * k
+    k, s, p, o = cfg.kernel, cfg.stride, cfg.padding, cfg.out_q
+    kk = -(-k // s)
 
     def fwd(xv, kv, *rest):
         b, i, h, w = _check_conv_input(xv, cfg)
         _check_kernel(kv, (o, i, k, k), "conv")
-        ho = L.conv_out_size(h, k, cfg.stride, p)
-        wo = L.conv_out_size(w, k, cfg.stride, p)
-        block_t = _taps_first(L.hamilton_block(kv.data).T, taps)  # (k*k*4*in_q, 4*out_q)
-        if cfg.stride == 1:
-            cols = L.row_patches(L.pad_rows(xv.data.transpose(3, 1, 4, 0, 2), p), k)
-            y = _row_gemms(cols, block_t.reshape(k, -1, 4 * o))
-            y = y.reshape(ho, b, wo, 4, o).transpose(3, 1, 4, 0, 2)
-        else:
-            x_cl = np.ascontiguousarray(xv.data.transpose(1, 3, 4, 0, 2).reshape(b, h, w, 4 * i))
-            cols = L.im2col(x_cl, k, cfg.stride, p)
-            y = (cols @ block_t).reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
+        ho = L.conv_out_size(h, k, s, p)
+        wo = L.conv_out_size(w, k, s, p)
+        w_rows = _row_weights(L.hamilton_block(kv.data), k, s)
+        x_ph = L.to_phases(xv.data.transpose(3, 1, 4, 0, 2), s, p, ho + kk - 1, wo + kk - 1)
+        cols = L.row_patches(x_ph, kk)
+        y = _row_gemms(cols, w_rows).reshape(ho, b, wo, 4, o).transpose(3, 1, 4, 0, 2)
         if x.tape.needs_grad:
-            saved.update(cols=cols, block_t=block_t, hwi=(h, w, i))
+            saved.update(cols=cols, w_rows=w_rows, hwi=(h, w, i))
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
@@ -338,24 +359,13 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
     def bwd(g):
         _, b, _, ho, wo = g.shape
         h, w, i = saved["hwi"]
-        block_t = saved["block_t"]
-        if cfg.stride == 1:
-            g_rows = np.ascontiguousarray(g.transpose(3, 1, 4, 0, 2)).reshape(ho, b, wo, 4 * o)
-            g2 = g_rows.reshape(-1, 4 * o)
-            cols = saved.pop("cols")  # released below; a tape backpropagates once
-            dblock_t = np.concatenate(
-                [cols[ki : ki + ho].reshape(len(g2), -1).T @ g2 for ki in range(k)])
-            del cols
-            flipped = block_t.reshape(k, k, 4 * i, 4 * o)[::-1, ::-1].transpose(0, 1, 3, 2)
-            g_cols = L.row_patches(L.pad_rows(g_rows, k - 1 - p), k)
-            dx = _row_gemms(g_cols, flipped.reshape(k, -1, 4 * i))
-            dx = dx.reshape(h, b, w, 4, i).transpose(3, 1, 4, 0, 2)
-        else:
-            g2 = g.transpose(1, 3, 4, 0, 2).reshape(b * ho * wo, 4 * o)
-            dx = L.col2im(g2 @ block_t.T, (b, h, w, 4 * i), k, cfg.stride, p)
-            dx = dx.reshape(b, h, w, 4, i).transpose(3, 0, 4, 1, 2)
-            dblock_t = saved["cols"].T @ g2
-        dk = L.fold_block(_taps_last(dblock_t, taps).T).reshape(4, o, i, k, k)
+        g_rows = np.ascontiguousarray(g.transpose(3, 1, 4, 0, 2)).reshape(ho, b, wo, 4 * o)
+        cols = saved.pop("cols")  # released below; a tape backpropagates once
+        dw = _row_weights_grad(cols, g_rows.reshape(-1, 4 * o), kk)
+        del cols
+        dx = _row_gemms_t(g_rows, saved["w_rows"], s, p, h, w)
+        dx = dx.reshape(h, b, w, 4, i).transpose(3, 1, 4, 0, 2)
+        dk = L.fold_block(_block_grad(dw, k, s)).reshape(4, o, i, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))
@@ -366,42 +376,41 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
 def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
     """Quaternion transposed convolution; the kernel is (in_q, out_q, k, k).
 
-    Each input position is one real row of 4*in_q values. One GEMM against
-    the Hamilton block of the per-component transposed kernel
-    (out_q*k*k, in_q), its rows reordered from (component, channel, tap) to
-    (tap, component, channel), gives the patch columns that the
-    channels-last :func:`layers.col2im` scatters into a (B, Ho, Wo, 4*out_q)
-    real map; the backward pass reads the gradient's patches with
-    :func:`layers.im2col` and reorders the kernel gradient back.
+    The adjoint of the :func:`qconv2d` lowering whose block is the transpose
+    of that of the per-component transposed kernel (out_q*k*k, in_q):
+    forward is :func:`_row_gemms_t` of the input, and backward's row patches
+    of the gradient's phases give the input gradient and, paired with the
+    saved input, the kernel gradient.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    k, i, o = cfg.kernel, cfg.in_q, cfg.out_q
-    taps = k * k
+    k, s, p, i, o = cfg.kernel, cfg.stride, cfg.padding, cfg.in_q, cfg.out_q
+    kk = -(-k // s)
 
     def fwd(xv, kv, *rest):
         b, _, h, w = _check_conv_input(xv, cfg)
         _check_kernel(kv, (i, o, k, k), "transposed conv")
-        ho = L.tconv_out_size(h, k, cfg.stride, cfg.padding)
-        wo = L.tconv_out_size(w, k, cfg.stride, cfg.padding)
-        x2 = xv.data.transpose(1, 3, 4, 0, 2).reshape(b * h * w, 4 * i)
-        block = _taps_first(L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1)), taps)
+        ho = L.tconv_out_size(h, k, s, p)
+        wo = L.tconv_out_size(w, k, s, p)
+        block = L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1))
+        w_rows = _row_weights(block.T, k, s)
+        x_rows = np.ascontiguousarray(xv.data.transpose(3, 1, 4, 0, 2)).reshape(h, b, w, 4 * i)
+        y = _row_gemms_t(x_rows, w_rows, s, p, ho, wo).reshape(ho, b, wo, 4, o)
+        y = y.transpose(3, 1, 4, 0, 2)
         if x.tape.needs_grad:
-            saved.update(x2=x2, block=block, hw=(h, w))
-        y = L.col2im(x2 @ block.T, (b, ho, wo, 4 * o), k, cfg.stride, cfg.padding)
-        y = y.reshape(b, ho, wo, 4, o).transpose(3, 0, 4, 1, 2)
+            saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows, hw=(h, w))
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
 
     def bwd(g):
-        _, b, _, ho, wo = g.shape
-        g_cl = np.ascontiguousarray(g.transpose(1, 3, 4, 0, 2).reshape(b, ho, wo, 4 * o))
-        gcols = L.im2col(g_cl, k, cfg.stride, cfg.padding)  # (B*P_in, k*k*4*out_q)
         h, w = saved["hw"]
-        dx = (gcols @ saved["block"]).reshape(b, h, w, 4, i).transpose(3, 0, 4, 1, 2)
-        dblock = _taps_last(gcols.T @ saved["x2"], taps)
-        dk = L.fold_block(dblock).transpose(0, 2, 1).reshape(4, i, o, k, k)
+        g_ph = L.to_phases(g.transpose(3, 1, 4, 0, 2), s, p, h + kk - 1, w + kk - 1)
+        g_cols = L.row_patches(g_ph, kk)
+        dx = _row_gemms(g_cols, saved["w_rows"]).reshape(h, g.shape[1], w, 4, i)
+        dx = dx.transpose(3, 1, 4, 0, 2)
+        dw = _row_weights_grad(g_cols, saved["x2"], kk)
+        dk = L.fold_block(_block_grad(dw, k, s).T).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(1, 3, 4))

@@ -60,37 +60,33 @@ def check_qdense(rng):
     return grad_check(build, params, TOL, STEP)
 
 
-def check_qconv(rng):
-    x = _qt(rng, (2, 2, 4, 5))
-    cfg = L.ConvConfig(3, 1, 1, 2, 3)
-    params = {"k": _qt(rng, (3, 2, 3, 3)), "b": _qt(rng, (3,))}
+def check_qconv(cfg, shape):
+    """Kernel and bias gradients of a conv on an input of ``shape``."""
+    def run(rng):
+        x = _qt(rng, shape)
+        params = {"k": _qt(rng, (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel)),
+                  "b": _qt(rng, (cfg.out_q,))}
 
-    def build(tape, leaves):
-        return _loss(ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg))
+        def build(tape, leaves):
+            return _loss(ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg))
 
-    return grad_check(build, params, TOL, STEP)
+        return grad_check(build, params, TOL, STEP)
 
-
-def check_qconv_strided(rng):
-    x = _qt(rng, (2, 2, 6, 4))
-    cfg = L.ConvConfig(2, 2, 0, 2, 2)
-    params = {"k": _qt(rng, (2, 2, 2, 2)), "b": _qt(rng, (2,))}
-
-    def build(tape, leaves):
-        return _loss(ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg))
-
-    return grad_check(build, params, TOL, STEP)
+    return run
 
 
-def check_qconv_input_grad(rng):
-    cfg = L.ConvConfig(3, 1, 1, 2, 2)
-    k = _qt(rng, (2, 2, 3, 3))
-    params = {"x": _qt(rng, (2, 2, 4, 5))}
+def check_qconv_input(cfg, shape):
+    """Input gradient of a conv on an input of ``shape``."""
+    def run(rng):
+        k = _qt(rng, (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel))
+        params = {"x": _qt(rng, shape)}
 
-    def build(tape, leaves):
-        return _loss(ad.qconv2d(leaves["x"], tape.constant(k), None, cfg))
+        def build(tape, leaves):
+            return _loss(ad.qconv2d(leaves["x"], tape.constant(k), None, cfg))
 
-    return grad_check(build, params, TOL, STEP)
+        return grad_check(build, params, TOL, STEP)
+
+    return run
 
 
 def check_qtconv(rng):
@@ -356,9 +352,11 @@ def check_qsngan_g(rng):
 SUITES = {
     "layers": [
         ("qdense", check_qdense),
-        ("qconv2d", check_qconv),
-        ("qconv2d_strided", check_qconv_strided),
-        ("qconv2d_input", check_qconv_input_grad),
+        ("qconv2d", check_qconv(L.ConvConfig(3, 1, 1, 2, 3), (2, 2, 4, 5))),
+        ("qconv2d_strided", check_qconv(L.ConvConfig(2, 2, 0, 2, 2), (2, 2, 6, 4))),
+        ("qconv2d_input", check_qconv_input(L.ConvConfig(3, 1, 1, 2, 2), (2, 2, 4, 5))),
+        # qdcgan's (4, 2, 1) conv on a non-square map whose padded sides are odd
+        ("qconv2d_strided_input", check_qconv_input(L.ConvConfig(4, 2, 1, 2, 2), (2, 2, 5, 7))),
         ("qtransposed_conv2d", check_qtconv),
         ("split_relu", check_activation("relu")),
         ("split_tanh", check_activation("tanh")),

@@ -1,6 +1,6 @@
 """Primitives behind the quaternion layers: the Hamilton block form of a
-quaternion weight, the conv geometry and channels-last spatial primitives
-(:func:`pad_rows`, :func:`row_patches`, :func:`im2col`, :func:`col2im`,
+quaternion weight, the conv geometry and the channels-last spatial
+primitives (:func:`to_phases`, :func:`from_phases`, :func:`row_patches`,
 :func:`window_sum`), and the polar-form weight initializer. The
 differentiable layer operations themselves, forward and backward, are the
 tape ops of :mod:`quatgan.autodiff`.
@@ -14,28 +14,24 @@ and transposed-conv tape ops in :mod:`quatgan.autodiff` run real GEMMs
 against the block, fold their kernel gradient back through the adjoint, and
 spectral normalization and the sigma diagnostics measure the same block.
 
-The convolution primitives are channels-last. A quaternion map enters
-them with its four components moved inward, C = 4*channels in (component,
-channel) order, so the conv ops reorder the block's (component, channel,
-tap) columns to (tap, component, channel); the block's singular values, and
-so spectral normalization, do not depend on that order.
+The convolution primitives are channels-last and rows-outermost: a
+quaternion map enters them as (H, B, W, C) with its four components moved
+inward, C = 4*channels in (component, channel) order. The block's singular
+values, and so spectral normalization, do not depend on how its columns
+are reordered to match.
 
-A stride-1 conv is lowered by kernel rows. :func:`pad_rows` moves a map
-once into a zero-padded rows-outermost (H+2p, B, W+2p, C) layout, and
-:func:`row_patches` copies each input row k times into k-wide horizontal
-patches (Hp, B*Wo, k*C). The conv is then k GEMMs, one per kernel row ki,
-each over the contiguous row slice ``patches[ki:ki+Ho]``. No stride-1 pass
-scatters: at stride 1 the adjoint of a correlation is a correlation, so the
-input gradient is the same lowering of the output gradient, padded by
-k-1-p, against the tap-reversed block with its in and out sides swapped,
-and every gradient pixel is a sum the GEMMs form rather than an
-accumulation of overlapping patch rows.
-
-:func:`im2col` maps a (B, H, W, C) map to one (B*Ho*Wo, k*k*C) patch
-matrix whose columns run in (ki, kj, c) order, so every tap copies whole
-contiguous C-vectors, and :func:`col2im` is its adjoint, a scatter-add of
-overlapping patches. They serve the strided convs and the transposed conv
-only.
+Every conv and transposed conv, at every stride, has one lowering: phases,
+row patches, row GEMMs. :func:`to_phases` pads the map and stacks each s x s
+pixel block into the channels (space-to-depth), so a stride-s correlation
+with a k x k kernel becomes a stride-1 correlation with a k' = ceil(k/s)
+kernel; at stride 1 it is a plain pad. :func:`row_patches` copies each row
+k' times into k'-wide horizontal patches (Hp, B*Wo, k'*C), and the conv is
+k' GEMMs, one per kernel row, over the contiguous slices
+``patches[ki:ki+Ho]``. Nothing scatters: the adjoint of a stride-1
+correlation is a correlation, so a conv's input gradient, and a transposed
+conv's forward, is the same lowering of the gradient against the kernel
+reversed on both tap axes with in and out swapped, followed by
+:func:`from_phases` (Dumoulin & Visin, arXiv:1603.07285).
 """
 
 from __future__ import annotations
@@ -56,9 +52,8 @@ __all__ = [
     "quaternion_init",
     "conv_out_size",
     "tconv_out_size",
-    "im2col",
-    "col2im",
-    "pad_rows",
+    "to_phases",
+    "from_phases",
     "row_patches",
 ]
 
@@ -144,58 +139,46 @@ def tconv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # -- real spatial primitives -------------------------------------------------
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Channels-last patch matrix: (B, H, W, C) -> (B*Ho*Wo, k*k*C).
+def to_phases(v: np.ndarray, stride: int, padding: int, rows: int, cols: int) -> np.ndarray:
+    """Space-to-depth of a rows-outermost map: (H, B, W, ...) -> (rows, B, cols, s*s*C).
 
-    Row (b, oh, ow) holds the zero-padded input window whose top-left corner
-    is (oh*stride - padding, ow*stride - padding); its columns run in
-    (ki, kj, c) order, so the copy moves contiguous C-vectors. A 1x1,
-    stride-1, unpadded call on a contiguous map returns a view of ``x``.
+    The map is padded in front by ``padding`` (cropped where negative), then
+    cut or zero-filled to s*rows x s*cols pixels, s = ``stride``. Phase pixel
+    (r, b, c) stacks the s x s block at (s*r, s*c), channels in (row phase,
+    column phase, channel) order; trailing axes of ``v``, any strided view,
+    merge into the channel. At stride 1 with no padding and an exact fit,
+    ``v`` itself is returned (a view where its trailing axes merge).
     """
-    b, h, w, c = x.shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
-    if padding:
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xp[:, padding : padding + h, padding : padding + w] = x
-        x = xp
-    # (B, Ho, Wo, C, k, k) view of every window; one copy writes the patch
-    # rows in order, its inner loop over contiguous C-vectors
-    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kernel * kernel * c)
+    b, tail = v.shape[1], v.shape[3:]
+    hs, ws, top, lo = stride * rows, stride * cols, max(padding, 0), max(-padding, 0)
+    src = v[lo : max(hs - padding, lo), :, lo : max(ws - padding, lo)]
+    if top or src.shape[0] < hs or src.shape[2] < ws:
+        xp = np.zeros((hs, b, ws, *tail), dtype=v.dtype)
+        xp[top : top + src.shape[0], :, top : top + src.shape[2]] = src
+        src = xp
+    if stride > 1:
+        src = src.reshape(rows, stride, b, cols, stride, *tail)
+        src = np.ascontiguousarray(src.transpose(0, 2, 3, 1, 4, *range(5, src.ndim)))
+    return src.reshape(rows, b, cols, -1)
 
 
-def col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add (B*Ho*Wo, k*k*C) patch rows,
-    columns in (ki, kj, c) order, back into a (B, H, W, C) map."""
-    b, h, w, c = x_shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
-    c6 = cols.reshape(b, ho, wo, kernel, kernel, c)
-    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            xp[:, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += c6[:, :, :, ki, kj]
-    if padding:
-        return xp[:, padding : padding + h, padding : padding + w].copy()
-    return xp
-
-
-def pad_rows(v: np.ndarray, padding: int) -> np.ndarray:
-    """Rows-outermost map (H, B, W, ...) -> contiguous (H+2p, B, W+2p, C).
-
-    The spatial sides are zero-padded by ``padding``, or cropped by
-    ``-padding`` when it is negative; the trailing axes merge into C. ``v``
-    may be any strided view, so one copy both reorders and pads a map.
-    """
-    h, b, w = v.shape[:3]
-    shape = (h + 2 * padding, b, w + 2 * padding)
-    if padding <= 0:
-        v = v[-padding : h + padding, :, -padding : w + padding]
-        return np.ascontiguousarray(v).reshape(*shape, -1)
-    out = np.zeros((*shape, *v.shape[3:]), dtype=v.dtype)
-    out[padding : padding + h, :, padding : padding + w] = v
-    return out.reshape(*shape, -1)
+def from_phases(u: np.ndarray, stride: int, padding: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`to_phases`: (rows, B, cols, s*s*C) -> (h, B, w, C),
+    the h x w window at (padding, padding) of the s*rows x s*cols pixel map,
+    zero outside it. At stride 1 with no padding and an exact fit, ``u``
+    itself is returned."""
+    rows, b, cols = u.shape[:3]
+    c = u.shape[3] // (stride * stride)
+    if stride > 1:
+        u = u.reshape(rows, b, cols, stride, stride, c).transpose(0, 3, 1, 2, 4, 5)
+        u = u.reshape(stride * rows, b, stride * cols, c)
+    top, lo = max(padding, 0), max(-padding, 0)
+    src = u[top : max(padding + h, top), :, top : max(padding + w, top)]
+    if lo or src.shape[0] < h or src.shape[2] < w:
+        out = np.zeros((h, b, w, c), dtype=u.dtype)
+        out[lo : lo + src.shape[0], :, lo : lo + src.shape[2]] = src
+        return out
+    return src
 
 
 def row_patches(xp: np.ndarray, kernel: int) -> np.ndarray:

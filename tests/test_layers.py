@@ -11,13 +11,13 @@ from quatgan.errors import ConfigError, DomainError, ShapeMismatchError
 from quatgan.layers import (
     ConvConfig,
     conv_out_size,
-    im2col,
-    col2im,
     fold_block,
+    from_phases,
     hamilton_block,
     init_sigma,
     quaternion_init,
     tconv_out_size,
+    to_phases,
 )
 from quatgan.qtensor import QTensor
 
@@ -183,13 +183,20 @@ class TestQConv2d:
         want = conv_oracle(x, kernel, bias, cfg)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
-    def test_strided_matches_oracle(self, rng):
-        x = _qt(rng, (1, 2, 6, 6))
-        kernel = _qt(rng, (3, 2, 2, 2))
-        cfg = ConvConfig(2, 2, 0, 2, 3)
+    @pytest.mark.parametrize("k,stride,pad", [
+        (2, 2, 0), (4, 2, 1), (3, 2, 1), (5, 2, 2), (3, 2, 3), (3, 3, 1), (1, 2, 0),
+        (4, 2, 2), (2, 2, 2), (4, 3, 2)])
+    def test_strided_matches_oracle(self, rng, k, stride, pad):
+        """Strided geometries on a 5x7 map, whose padded sides are not all
+        multiples of the stride: s dividing k or not, k = 1, and p >= s. At
+        (4,2,2) and (2,2,2) the last input row sits in a phase row that a
+        symmetric pad of the phase map by p // s would cut."""
+        x = _qt(rng, (2, 2, 5, 7))
+        kernel, bias = _qt(rng, (3, 2, k, k)), _qt(rng, (3,))
+        cfg = ConvConfig(k, stride, pad, 2, 3)
         assert np.allclose(
-            run_op(ad.qconv2d, x, kernel, None, cfg).data,
-            conv_oracle(x, kernel, None, cfg).data,
+            run_op(ad.qconv2d, x, kernel, bias, cfg).data,
+            conv_oracle(x, kernel, bias, cfg).data,
             atol=1e-12,
         )
 
@@ -216,6 +223,10 @@ class TestQConv2d:
             run_op(ad.qconv2d, x, _qt(rng, (1, 1, 5, 5)), None, ConvConfig(5, 1, 0, 1, 1))
 
 
+_ADJOINT_CASES = [(1, 0, 1), (1, 1, 1), (3, 0, 1), (3, 1, 1), (3, 3, 1), (5, 2, 1),
+                  (4, 1, 2), (3, 1, 2)]
+
+
 class TestTransposedConv:
     def test_shape_formula(self, rng):
         assert tconv_out_size(8, 4, 2, 1) == 16
@@ -230,7 +241,9 @@ class TestTransposedConv:
         y = run_op(ad.qtconv2d, x, kernel, None, ConvConfig(1, 1, 0, 3, 3))
         assert_qclose(y, x)
 
-    @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (3, 1, 1), (2, 2, 0)])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (4, 2, 1), (3, 1, 1), (2, 2, 0), (3, 2, 1), (5, 2, 2), (3, 2, 3), (3, 3, 1),
+        (1, 2, 0), (4, 2, 2), (4, 3, 2), (2, 2, 1)])
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
         x = _qt(rng, (2, 2, 3, 5))
         kernel, bias = _qt(rng, (2, 3, k, k)), _qt(rng, (3,))
@@ -239,16 +252,21 @@ class TestTransposedConv:
         want = tconv_oracle(x, kernel, bias, cfg)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
-    @pytest.mark.parametrize("k,pad", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (5, 2)])
-    def test_adjoint_of_conv_with_conjugated_weights(self, rng, k, pad):
+    @pytest.mark.parametrize("k,pad,stride", _ADJOINT_CASES,
+                             ids=[f"{k}-{p}" + (f"-s{s}" if s > 1 else "")
+                                  for k, p, s in _ADJOINT_CASES])
+    def test_adjoint_of_conv_with_conjugated_weights(self, rng, k, pad, stride):
         """<conv(x), g> = <x, tconv(g, adapted w)>: the input gradient of the
-        stride-1 quaternion conv (the row lowering of the padded or cropped
-        gradient) equals the transposed conv with conjugated kernel, which
-        scatters through col2im."""
-        x = _qt(rng, (2, 2, 5, 7))
+        quaternion conv equals the transposed conv with conjugated kernel.
+        Both run the adjoint row GEMMs, against row weights built from
+        different Hamilton blocks. The map is cut so that the stride reaches
+        its last padded row and column, as the transposed conv's output size
+        requires."""
+        h, w = (n - (n + 2 * pad - k) % stride for n in (5, 7))
+        x = _qt(rng, (2, 2, h, w))
         kernel = _qt(rng, (3, 2, k, k))
-        cfg = ConvConfig(k, 1, pad, 2, 3)
-        ho, wo = conv_out_size(5, k, 1, pad), conv_out_size(7, k, 1, pad)
+        cfg = ConvConfig(k, stride, pad, 2, 3)
+        ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
         g = _qt(rng, (2, 3, ho, wo))
 
         tape = ad.Tape()
@@ -260,33 +278,44 @@ class TestTransposedConv:
         adapted = kernel.data.copy()
         adapted[1:] = -adapted[1:]
         tw = QTensor(adapted)  # (out,in,k,k) already matches the (in,out) slot
-        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(k, 1, pad, 3, 2))
+        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(k, stride, pad, 3, 2))
         assert got.shape == x.shape
         assert np.allclose(got.data, dx.data, atol=1e-10)
 
-    def test_im2col_col2im_adjoint(self, rng):
-        x = rng.standard_normal((2, 5, 5, 3))
-        cols = rng.standard_normal((50, 27))
-        lhs = (im2col(x, 3, 1, 1) * cols).sum()
-        rhs = (x * col2im(cols, x.shape, 3, 1, 1)).sum()
-        assert abs(lhs - rhs) < 1e-10
 
-
-class TestIm2colAdjoint:
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 4), stride=st.integers(1, 2),
-           pad=st.integers(0, 2), c=st.integers(1, 5), b=st.integers(1, 2))
-    def test_col2im_is_adjoint_of_im2col(self, data, k, stride, pad, c, b):
-        """<im2col(x), cols> == <x, col2im(cols)> on non-square maps."""
-        low = max(1, k - 2 * pad)
-        h = data.draw(st.integers(low, 7), label="h")
-        w = data.draw(st.integers(low, 7).filter(lambda v: v != h), label="w")
-        x = data.draw(arrays(np.float64, (b, h, w, c), elements=_finite))
-        ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
-        cols = data.draw(arrays(np.float64, (b * ho * wo, k * k * c), elements=_finite))
-        lhs = float((im2col(x, k, stride, pad) * cols).sum())
-        rhs = float((x * col2im(cols, x.shape, k, stride, pad)).sum())
+class TestPhasesAdjoint:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), s=st.integers(1, 3), pad=st.integers(-2, 2),
+           c=st.integers(1, 3), b=st.integers(1, 2))
+    def test_from_phases_is_adjoint_of_to_phases(self, data, s, pad, c, b):
+        """<to_phases(x), y> == <x, from_phases(y)> on non-square maps, with
+        phase grids that cut the shifted map and ones that zero-fill it."""
+        h = data.draw(st.integers(1, 7), label="h")
+        w = data.draw(st.integers(1, 7).filter(lambda v: v != h), label="w")
+        # the exact fit is ceil((size + pad) / s) phases; draw up to one past it
+        rows = data.draw(st.integers(1, max(1, -(-(h + pad) // s)) + 1), label="rows")
+        cols = data.draw(st.integers(1, max(1, -(-(w + pad) // s)) + 1), label="cols")
+        x = data.draw(arrays(np.float64, (h, b, w, c), elements=_finite))
+        y = data.draw(arrays(np.float64, (rows, b, cols, s * s * c), elements=_finite))
+        lhs = float((to_phases(x, s, pad, rows, cols) * y).sum())
+        rhs = float((x * from_phases(y, s, pad, h, w)).sum())
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    def test_phase_layout(self):
+        """Phase pixel (r, c) stacks the s x s block at (s*r, s*c) of the
+        padded map, channels in (row phase, column phase, channel) order."""
+        x = np.arange(5 * 7, dtype=float).reshape(5, 1, 7, 1)
+        got = to_phases(x, 2, 1, 3, 4)
+        xp = np.zeros((6, 1, 8, 1))
+        xp[1:6, :, 1:8] = x
+        for ri in range(2):
+            for rj in range(2):
+                assert np.array_equal(got[..., 2 * ri + rj], xp[ri::2, :, rj::2, 0])
+
+    def test_stride_one_exact_fit_returns_view(self, rng):
+        x = rng.standard_normal((5, 2, 7, 3))
+        assert np.shares_memory(to_phases(x, 1, 0, 5, 7), x)
+        assert np.shares_memory(from_phases(x, 1, 0, 5, 7), x)
 
 
 class TestHamiltonBlock:

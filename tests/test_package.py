@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +17,15 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     stale = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert stale == []
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m quatgan`` works from a plain checkout, without installing
+    the ``quatgan`` script."""
+    src = Path(quatgan.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    cmd = [sys.executable, "-m", "quatgan", "count-params", "--spec", "qdcgan_toy8"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "  total       :       18,472   twin total :       70,693" in done.stdout.splitlines()
