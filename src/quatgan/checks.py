@@ -18,6 +18,7 @@ from . import layers as L
 from . import losses as LS
 from . import models as MD
 from . import qnorm
+from . import train as T
 from .autodiff import GradCheckReport, grad_check
 from .qtensor import QTensor
 
@@ -155,6 +156,24 @@ def check_real_dense(rng):
     return grad_check(build, params, TOL, STEP)
 
 
+def check_sub(rng):
+    params = {"a": _qt(rng, (3, 2)), "b": _qt(rng, (3, 2))}
+
+    def build(tape, leaves):
+        return _loss(ad.sub(leaves["a"], leaves["b"]))
+
+    return grad_check(build, params, TOL, STEP)
+
+
+def check_scale(rng):
+    params = {"x": _qt(rng, (3, 2))}
+
+    def build(tape, leaves):
+        return _loss(ad.scale(leaves["x"], -0.7))
+
+    return grad_check(build, params, TOL, STEP)
+
+
 # -- norm checks -----------------------------------------------------------------
 
 
@@ -245,46 +264,37 @@ def check_wgan(rng):
     return grad_check(build, params, TOL, STEP)
 
 
+def check_abs_q0(rng):
+    """The wgan_gp penalty's |q0|, on scalar parts kept clear of its kink at 0."""
+    x = _qt(rng, (5,))
+    x.data[0] += np.sign(x.data[0]) * 1e-2
+    params = {"x": x}
+
+    def build(tape, leaves):
+        return _loss(T._abs_q0(leaves["x"]))
+
+    return grad_check(build, params, TOL, STEP)
+
+
 # -- block / model checks -----------------------------------------------------------
 
 
-def check_gen_block(rng):
-    block = MD.GenResBlock("b", 8, 8)
-    block.init_params(rng, "glorot")
-    x = _qt(rng, (2, 2, 3, 3))
-    params = {name: p.value for name, p in block.params()}
+def check_block(make_block, shape):
+    """Parameter gradients of the residual block ``make_block()`` on an input
+    of ``shape``; each run builds and draws a fresh block."""
+    def run(rng):
+        block = make_block()
+        block.init_params(rng, "glorot")
+        x = _qt(rng, shape)
+        params = {name: p.value for name, p in block.params()}
 
-    def build(tape, leaves):
-        node = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
-        return _loss(node)
+        def build(tape, leaves):
+            node = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
+            return _loss(node)
 
-    return grad_check(build, params, TOL, STEP, max_entries=40)
+        return grad_check(build, params, TOL, STEP, max_entries=40)
 
-
-def check_disc_block(rng):
-    block = MD.DiscResBlock("b", 8, 12, downsample=True)
-    block.init_params(rng, "glorot")
-    x = _qt(rng, (2, 2, 4, 4))
-    params = {name: p.value for name, p in block.params()}
-
-    def build(tape, leaves):
-        node = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
-        return _loss(node)
-
-    return grad_check(build, params, TOL, STEP, max_entries=40)
-
-
-def check_first_disc_block(rng):
-    block = MD.FirstDiscBlock("b", 8)
-    block.init_params(rng, "glorot")
-    x = _qt(rng, (2, 1, 8, 8))
-    params = {name: p.value for name, p in block.params()}
-
-    def build(tape, leaves):
-        node = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
-        return _loss(node)
-
-    return grad_check(build, params, TOL, STEP, max_entries=40)
+    return run
 
 
 def check_qdcgan_g(rng):
@@ -365,6 +375,8 @@ SUITES = {
         ("global_sum_pool", check_pool("global")),
         ("upsample2x", check_upsample),
         ("real_dense", check_real_dense),
+        ("sub", check_sub),
+        ("scale", check_scale),
     ],
     "norm": [
         ("qbn_train", check_qbn_train),
@@ -375,11 +387,12 @@ SUITES = {
         ("hinge", check_hinge),
         ("qce", check_qce),
         ("wgan_gp", check_wgan),
+        ("abs_q0", check_abs_q0),
     ],
     "models": [
-        ("gen_res_block", check_gen_block),
-        ("disc_res_block", check_disc_block),
-        ("first_disc_block", check_first_disc_block),
+        ("gen_res_block", check_block(lambda: MD.gen_block("b", 2, 2), (2, 2, 3, 3))),
+        ("disc_res_block", check_block(lambda: MD.disc_block("b", 2, 3, True), (2, 2, 4, 4))),
+        ("first_disc_block", check_block(lambda: MD.first_disc_block("b", 2), (2, 1, 8, 8))),
         ("qdcgan_generator", check_qdcgan_g),
         ("qdcgan_discriminator", check_qdcgan_d),
         ("qsngan_generator", check_qsngan_g),

@@ -1,13 +1,13 @@
 """GAN architectures in the quaternion framework: declarative specs, the
-module/Model machinery, residual blocks, and parameter accounting, including
-the counts of the real-valued twins that the quaternion models are compared
-with.
+module/Model machinery, and parameter accounting, including the counts of the
+real-valued twins that the quaternion models are compared with.
 
-Block channel conventions follow the spectral-norm GAN lineage: generator
-residual blocks use conv1 in->out / conv2 out->out with a learnable 1x1
-shortcut, discriminator blocks use conv1 in->in / conv2 in->out with a
-learnable shortcut only when the block changes width or downsamples (the
-dimension-preserving refiner keeps an identity shortcut).
+A model is a list of modules. The residual blocks of the spectral-norm GAN
+lineage are each one :class:`Residual`, a main path and a shortcut (two lists
+of modules) whose outputs are added. :func:`gen_block`, :func:`disc_block` and
+:func:`first_disc_block` fill those lists and state the channel conventions;
+they take quaternion channel counts, while :class:`ModelSpec` widths count
+real channels.
 """
 
 from __future__ import annotations
@@ -238,134 +238,101 @@ class Op(Module):
         return self.fn(x, *self.args)
 
 
-class Composite(Module):
-    """A module made of named children run by a ``wire`` function."""
+class Residual(Module):
+    """A residual block: the sum of two paths over the block input.
 
-    def __init__(self, name, children: dict[str, Module]):
+    ``main`` and ``shortcut`` are lists of modules, each run in order; an
+    empty ``shortcut`` is the identity. The block's parameters, states and
+    leaf modules are those of ``main`` followed by those of ``shortcut``.
+    """
+
+    def __init__(self, name, main: list[Module], shortcut: list[Module]):
         super().__init__(name)
-        self.children = children
+        self.main, self.shortcut = main, shortcut
 
     def params(self):
-        out = []
-        for child in self.children.values():
-            out.extend(child.params())
-        return out
+        return [p for m in self.main + self.shortcut for p in m.params()]
 
     def states(self):
-        out = []
-        for child in self.children.values():
-            out.extend(child.states())
-        return out
+        return [s for m in self.main + self.shortcut for s in m.states()]
 
     def init_params(self, rng, criterion):
-        for child in self.children.values():
-            child.init_params(rng, criterion)
-
-
-class GenResBlock(Composite):
-    """Upsampling generator residual block: [QBN + split ReLU + conv3x3] x 2 on
-    the residual path, nearest upsample x2 before the first conv, and an
-    upsample + 1x1 conv shortcut."""
-
-    def __init__(self, name, in_f, out_f, dtype=np.float64):
-        _require_quat_width(in_f, out_f)
-        i, o = in_f // 4, out_f // 4
-        children = {
-            "bn1": QBN(f"{name}.bn1", i, dtype=dtype),
-            "conv1": QConv(f"{name}.conv1", L.ConvConfig(3, 1, 1, i, o), dtype=dtype),
-            "bn2": QBN(f"{name}.bn2", o, dtype=dtype),
-            "conv2": QConv(f"{name}.conv2", L.ConvConfig(3, 1, 1, o, o), dtype=dtype),
-            "sc": QConv(f"{name}.sc", L.ConvConfig(1, 1, 0, i, o), dtype=dtype),
-        }
-        super().__init__(name, children)
+        for m in self.main + self.shortcut:
+            m.init_params(rng, criterion)
 
     def forward(self, leaves, x, mode):
-        c = self.children
-        h = c["bn1"].forward(leaves, x, mode)
-        h = ad.split_act(h, "relu")
-        h = ad.upsample2x(h)
-        h = c["conv1"].forward(leaves, h, mode)
-        h = c["bn2"].forward(leaves, h, mode)
-        h = ad.split_act(h, "relu")
-        h = c["conv2"].forward(leaves, h, mode)
-        sc = ad.upsample2x(x)
-        sc = c["sc"].forward(leaves, sc, mode)
+        h = sc = x
+        for m in self.main:
+            h = m.forward(leaves, h, mode)
+        for m in self.shortcut:
+            sc = m.forward(leaves, sc, mode)
         return ad.add(h, sc)
 
 
-class DiscResBlock(Composite):
-    """Discriminator residual block: [split ReLU + conv3x3] x 2 (QBN replaced
-    by spectral normalization), average pooling when downsampling; the
-    shortcut is pool + 1x1 conv, or identity when the block keeps both width
-    and resolution (the refiner)."""
-
-    def __init__(self, name, in_f, out_f, downsample, dtype=np.float64):
-        _require_quat_width(in_f, out_f)
-        i, o = in_f // 4, out_f // 4
-        self.downsample = downsample
-        self.learn_sc = downsample or (in_f != out_f)
-        children = {
-            "conv1": QConv(f"{name}.conv1", L.ConvConfig(3, 1, 1, i, i), dtype=dtype),
-            "conv2": QConv(f"{name}.conv2", L.ConvConfig(3, 1, 1, i, o), dtype=dtype),
-        }
-        if self.learn_sc:
-            children["sc"] = QConv(f"{name}.sc", L.ConvConfig(1, 1, 0, i, o), dtype=dtype)
-        super().__init__(name, children)
-
-    def forward(self, leaves, x, mode):
-        c = self.children
-        h = ad.split_act(x, "relu")
-        h = c["conv1"].forward(leaves, h, mode)
-        h = ad.split_act(h, "relu")
-        h = c["conv2"].forward(leaves, h, mode)
-        if self.downsample:
-            h = ad.avg_pool(h, 2)
-        sc = x
-        if self.downsample:
-            sc = ad.avg_pool(sc, 2)
-        if self.learn_sc:
-            sc = c["sc"].forward(leaves, sc, mode)
-        return ad.add(h, sc)
+def _conv(name, k, i, o, dtype):
+    """A stride-1 ``k``x``k`` conv from ``i`` to ``o`` quaternion channels
+    that keeps the map size (padding ``k // 2``)."""
+    return QConv(name, L.ConvConfig(k, 1, k // 2, i, o), dtype=dtype)
 
 
-class FirstDiscBlock(Composite):
-    """Input block of the discriminator: conv -> split ReLU -> conv -> avg
-    pool on the residual path, 1x1 conv -> avg pool on the shortcut, no QBN."""
+def gen_block(name, i, o, dtype=np.float64) -> Residual:
+    """Upsampling generator block, ``i`` to ``o`` quaternion channels: conv1
+    ``i -> o``, conv2 ``o -> o``, and a learnable 1x1 shortcut conv after the
+    nearest upsample."""
+    main = [
+        QBN(f"{name}.bn1", i, dtype=dtype),
+        Op(f"{name}.act1", ad.split_act, "relu"),
+        Op(f"{name}.up", ad.upsample2x),
+        _conv(f"{name}.conv1", 3, i, o, dtype),
+        QBN(f"{name}.bn2", o, dtype=dtype),
+        Op(f"{name}.act2", ad.split_act, "relu"),
+        _conv(f"{name}.conv2", 3, o, o, dtype),
+    ]
+    shortcut = [Op(f"{name}.sc_up", ad.upsample2x), _conv(f"{name}.sc", 1, i, o, dtype)]
+    return Residual(name, main, shortcut)
 
-    def __init__(self, name, out_f, dtype=np.float64):
-        _require_quat_width(out_f)
-        o = out_f // 4
-        children = {
-            "conv1": QConv(f"{name}.conv1", L.ConvConfig(3, 1, 1, 1, o), dtype=dtype),
-            "conv2": QConv(f"{name}.conv2", L.ConvConfig(3, 1, 1, o, o), dtype=dtype),
-            "sc": QConv(f"{name}.sc", L.ConvConfig(1, 1, 0, 1, o), dtype=dtype),
-        }
-        super().__init__(name, children)
 
-    def forward(self, leaves, x, mode):
-        c = self.children
-        h = c["conv1"].forward(leaves, x, mode)
-        h = ad.split_act(h, "relu")
-        h = c["conv2"].forward(leaves, h, mode)
-        h = ad.avg_pool(h, 2)
-        sc = c["sc"].forward(leaves, x, mode)
-        sc = ad.avg_pool(sc, 2)
-        return ad.add(h, sc)
+def disc_block(name, i, o, downsample, dtype=np.float64) -> Residual:
+    """Discriminator block, ``i`` to ``o`` quaternion channels, with spectral
+    norm in place of QBN: conv1 ``i -> i``, conv2 ``i -> o``. The shortcut has
+    a learnable 1x1 conv only when the block pools or changes width; the
+    refiner, which does neither, keeps the identity."""
+    main = [
+        Op(f"{name}.act1", ad.split_act, "relu"),
+        _conv(f"{name}.conv1", 3, i, i, dtype),
+        Op(f"{name}.act2", ad.split_act, "relu"),
+        _conv(f"{name}.conv2", 3, i, o, dtype),
+    ]
+    shortcut = []
+    if downsample:
+        main.append(Op(f"{name}.pool", ad.avg_pool, 2))
+        shortcut.append(Op(f"{name}.sc_pool", ad.avg_pool, 2))
+    if downsample or i != o:
+        shortcut.append(_conv(f"{name}.sc", 1, i, o, dtype))
+    return Residual(name, main, shortcut)
+
+
+def first_disc_block(name, o, dtype=np.float64) -> Residual:
+    """Input block of the discriminator, the image's one quaternion channel
+    to ``o``: no leading ReLU, and the 1x1 shortcut conv runs before the pool."""
+    main = [
+        _conv(f"{name}.conv1", 3, 1, o, dtype),
+        Op(f"{name}.act", ad.split_act, "relu"),
+        _conv(f"{name}.conv2", 3, o, o, dtype),
+        Op(f"{name}.pool", ad.avg_pool, 2),
+    ]
+    shortcut = [_conv(f"{name}.sc", 1, 1, o, dtype), Op(f"{name}.sc_pool", ad.avg_pool, 2)]
+    return Residual(name, main, shortcut)
 
 
 def _leaves(module: Module):
-    """``module`` itself, or the leaves of a ``Composite`` in declaration order."""
-    if isinstance(module, Composite):
-        for child in module.children.values():
-            yield from _leaves(child)
+    """``module`` itself, or the leaves of a ``Residual``'s main path and
+    shortcut, in that order."""
+    if isinstance(module, Residual):
+        for m in module.main + module.shortcut:
+            yield from _leaves(m)
     else:
         yield module
-
-
-def _require_quat_width(*widths):
-    for w in widths:
-        if w % 4:
-            raise ConfigError(f"real-channel width {w} not divisible by 4")
 
 
 # -- model ------------------------------------------------------------------------
@@ -533,7 +500,7 @@ def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     ]
     prev = base
     for i, w in enumerate(spec.g_widths[1:], start=1):
-        g_modules.append(GenResBlock(f"g.b{i}", prev, w, dtype=dtype))
+        g_modules.append(gen_block(f"g.b{i}", prev // 4, w // 4, dtype=dtype))
         prev = w
     g_modules += [
         QBN("g.out_bn", prev // 4, dtype=dtype),
@@ -542,10 +509,10 @@ def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
         Op("g.out_tanh", ad.split_act, "tanh"),
     ]
 
-    d_modules: list[Module] = [FirstDiscBlock("d.b0", spec.d_widths[0], dtype=dtype)]
+    d_modules: list[Module] = [first_disc_block("d.b0", spec.d_widths[0] // 4, dtype=dtype)]
     prev = spec.d_widths[0]
     for i, (w, down) in enumerate(zip(spec.d_widths[1:], spec.d_downsample), start=1):
-        d_modules.append(DiscResBlock(f"d.b{i}", prev, w, downsample=down, dtype=dtype))
+        d_modules.append(disc_block(f"d.b{i}", prev // 4, w // 4, down, dtype=dtype))
         prev = w
     d_modules += [
         Op("d.out_act", ad.split_act, "relu"),

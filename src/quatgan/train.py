@@ -332,21 +332,17 @@ def load_checkpoint(path):
 
 
 def _d_loss_node(config, tape, d, d_leaves, real_node, fake_node, aux):
+    d_real = d.forward(tape, real_node, training=True, leaves=d_leaves)
+    d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
     if config.loss == "hinge":
-        d_real = d.forward(tape, real_node, training=True, leaves=d_leaves)
-        d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
         return LS.hinge_discriminator_op(d_real, d_fake)
     if config.loss == "qce":
-        d_real = d.forward(tape, real_node, training=True, leaves=d_leaves)
-        d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
         b = d_real.value.shape[0]
         ones = QTensor(np.ones((4, b, 1), dtype=np.float32))
         zeros = QTensor.zeros((b, 1), dtype=np.float32)
         return ad.add(LS.qce_op(ones, d_real), LS.qce_op(zeros, d_fake))
     # wgan_gp: directional finite-difference estimate of the interpolate
     # gradient norm (double-backward-free)
-    d_real = d.forward(tape, real_node, training=True, leaves=d_leaves)
-    d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
     real, fake = real_node.value.data, fake_node.value.data
     b = real.shape[1]
     eps = aux["noise_rng"].uniform(size=b).astype(real.dtype)

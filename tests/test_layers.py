@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import Quaternion, hamilton_product, run_op
-from hypothesis import given, settings
+from conftest import Quaternion, hamilton_product, run_op, tensor_hamilton
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -316,6 +316,43 @@ class TestPhasesAdjoint:
         x = rng.standard_normal((5, 2, 7, 3))
         assert np.shares_memory(to_phases(x, 1, 0, 5, 7), x)
         assert np.shares_memory(from_phases(x, 1, 0, 5, 7), x)
+
+
+class TestRightMultiplication:
+    @pytest.mark.parametrize("layer", ["qdense", "qconv2d", "qtconv2d"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), s=st.integers(1, 3),
+           data=st.data(), in_q=st.integers(1, 3), out_q=st.integers(1, 3))
+    def test_bias_free_layer_commutes_with_right_multiplication(
+            self, layer, seed, k, s, data, in_q, out_q):
+        """f(x q) == f(x) q for a quaternion q: the weight multiplies from the
+        left, so by associativity a right factor passes through the layer.
+        Covers the sign pattern and the layout without a scalar oracle."""
+        p = data.draw(st.integers(0, k - 1), label="p")
+        h = data.draw(st.integers(1, 7), label="h")
+        w = data.draw(st.integers(1, 7).filter(lambda v: v != h), label="w")
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(4)
+        if layer == "qdense":
+            x, weight, args = _qt(rng, (2, in_q)), _qt(rng, (out_q, in_q)), ()
+        else:
+            if layer == "qconv2d":
+                assume(min(h, w) + 2 * p >= k)
+                kernel = (out_q, in_q, k, k)
+            else:
+                assume((min(h, w) - 1) * s - 2 * p + k >= 1)
+                kernel = (in_q, out_q, k, k)
+            x, weight = _qt(rng, (2, in_q, h, w)), _qt(rng, kernel)
+            args = (None, ConvConfig(k, s, p, in_q, out_q))
+
+        def f(v):
+            return run_op(getattr(ad, layer), v, weight, *args)
+
+        def right(v):
+            return tensor_hamilton(v, QTensor(np.broadcast_to(
+                q.reshape(4, *[1] * len(v.shape)), v.data.shape).copy()))
+
+        assert np.allclose(f(right(x)).data, right(f(x)).data, rtol=0, atol=1e-12)
 
 
 class TestHamiltonBlock:

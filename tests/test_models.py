@@ -148,6 +148,11 @@ class TestTapeOps:
         assert Counter(node.op for node in tape.nodes) == ops  # 105 and 32 nodes
 
 
+def _named(block, name):
+    """The module of ``block``'s main path or shortcut called ``name``."""
+    return next(m for m in block.main + block.shortcut if m.name == name)
+
+
 class TestShapes:
     def test_qsngan_generator_output(self, rng):
         spec = MD.preset_spec("qsngan_toy16")
@@ -175,7 +180,7 @@ class TestShapes:
         assert np.all(dec.data > 0.0) and np.all(dec.data < 1.0)  # sigmoid, all comps
 
     def test_gen_block_doubles_spatial(self, rng):
-        block = MD.GenResBlock("b", 16, 8)
+        block = MD.gen_block("b", 4, 2)
         block.init_params(rng, "glorot")
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
@@ -184,7 +189,7 @@ class TestShapes:
         assert y.value.shape == (2, 2, 10, 10)
 
     def test_first_disc_block_halves(self, rng):
-        block = MD.FirstDiscBlock("b", 8)
+        block = MD.first_disc_block("b", 2)
         block.init_params(rng, "glorot")
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
@@ -193,9 +198,9 @@ class TestShapes:
         assert y.value.shape == (2, 2, 4, 4)
 
     def test_refiner_preserves_dims(self, rng):
-        block = MD.DiscResBlock("b", 8, 8, downsample=False)
+        block = MD.disc_block("b", 2, 2, downsample=False)
         block.init_params(rng, "glorot")
-        assert not block.learn_sc  # identity shortcut
+        assert block.shortcut == []  # identity shortcut
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = tape.constant(QTensor(rng.standard_normal((4, 2, 2, 4, 4))))
@@ -205,30 +210,30 @@ class TestShapes:
     def test_disc_block_shortcut_only_ablation(self, rng):
         """Zeroing the residual-path convs reduces the block to the pooled
         1x1 shortcut conv."""
-        block = MD.DiscResBlock("b", 8, 12, downsample=True)
+        block = MD.disc_block("b", 2, 3, downsample=True)
         block.init_params(rng, "glorot")
-        block.children["conv2"].kernel.value.data[...] = 0.0
-        block.children["conv2"].bias.value.data[...] = 0.0
+        _named(block, "b.conv2").kernel.value.data[...] = 0.0
+        _named(block, "b.conv2").bias.value.data[...] = 0.0
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = QTensor(rng.standard_normal((4, 2, 2, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        sc = block.children["sc"]
+        sc = _named(block, "b.sc")
         pooled = run_op(ad.avg_pool, x, 2)
         want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.cfg)
         assert np.allclose(y.value.data, want.data, atol=1e-12)
 
     def test_first_block_sums_residual_and_shortcut(self, rng):
         """With spectral norm off, output = pooled(residual(x)) + pooled(sc(x))."""
-        block = MD.FirstDiscBlock("b", 8)
+        block = MD.first_disc_block("b", 2)
         block.init_params(rng, "glorot")
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = QTensor(rng.standard_normal((4, 2, 1, 4, 4)))
         y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
 
-        c1, c2, sc = (block.children[k] for k in ("conv1", "conv2", "sc"))
+        c1, c2, sc = (_named(block, f"b.{k}") for k in ("conv1", "conv2", "sc"))
         h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
         h = run_op(ad.split_act, h, "relu")
         h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.cfg)
