@@ -20,6 +20,7 @@ from . import models as MD
 from . import qnorm
 from . import train as T
 from .autodiff import GradCheckReport, grad_check
+from .errors import ConfigError
 from .qtensor import QTensor
 
 __all__ = ["run_grad_checks", "SUITES"]
@@ -177,49 +178,21 @@ def check_scale(rng):
 # -- norm checks -----------------------------------------------------------------
 
 
-def check_qbn_train(rng):
-    state = qnorm.QBNState(channels=3)
-    state.gamma.q0[...] = rng.uniform(0.5, 1.5, size=3)
-    state.beta.data[...] = 0.3 * rng.standard_normal((4, 3))
-    params = {
-        "x": _qt(rng, (5, 3)),
-        "gamma": state.gamma,
-        "beta": state.beta,
-    }
+def check_qbn(shape):
+    """Input, gain and shift gradients of QBN on an input of ``shape``, with
+    gains and shifts away from their starting values of 1 and 0."""
+    def run(rng):
+        channels = shape[1]
+        gamma = QTensor.from_real(rng.uniform(0.5, 1.5, size=channels))
+        beta = QTensor(0.3 * rng.standard_normal((4, channels)))
+        params = {"x": _qt(rng, shape), "gamma": gamma, "beta": beta}
 
-    def build(tape, leaves):
-        node = qnorm.qbn(leaves["x"], leaves["gamma"], leaves["beta"], state,
-                         training=True, update_running=False)
-        return _loss(node)
+        def build(tape, leaves):
+            return _loss(qnorm.qbn(leaves["x"], leaves["gamma"], leaves["beta"]))
 
-    return grad_check(build, params, TOL, STEP)
+        return grad_check(build, params, TOL, STEP)
 
-
-def check_qbn_train_conv(rng):
-    state = qnorm.QBNState(channels=2)
-    params = {"x": _qt(rng, (3, 2, 2, 2)), "gamma": state.gamma, "beta": state.beta}
-
-    def build(tape, leaves):
-        node = qnorm.qbn(leaves["x"], leaves["gamma"], leaves["beta"], state,
-                         training=True, update_running=False)
-        return _loss(node)
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_qbn_eval(rng):
-    state = qnorm.QBNState(channels=3)
-    warm = ad.Tape(needs_grad=False)
-    qnorm.qbn(warm.constant(_qt(rng, (16, 3))), warm.constant(state.gamma),
-              warm.constant(state.beta), state, training=True)
-    params = {"x": _qt(rng, (4, 3)), "gamma": state.gamma, "beta": state.beta}
-
-    def build(tape, leaves):
-        node = qnorm.qbn(leaves["x"], leaves["gamma"], leaves["beta"], state,
-                         training=False)
-        return _loss(node)
-
-    return grad_check(build, params, TOL, STEP)
+    return run
 
 
 # -- loss checks -----------------------------------------------------------------
@@ -289,7 +262,7 @@ def check_block(make_block, shape):
         params = {name: p.value for name, p in block.params()}
 
         def build(tape, leaves):
-            node = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
+            node = block.forward(leaves, tape.constant(x))
             return _loss(node)
 
         return grad_check(build, params, TOL, STEP, max_entries=40)
@@ -305,9 +278,7 @@ def check_qdcgan_g(rng):
     params = g.param_tensors()
 
     def build(tape, leaves):
-        node = g.forward(tape, tape.constant(z), training=True,
-                         update_stats=False, leaves=leaves)
-        return _loss(node)
+        return _loss(g.forward(tape, tape.constant(z), leaves))
 
     return grad_check(build, params, TOL, STEP, max_entries=24)
 
@@ -320,8 +291,7 @@ def check_qdcgan_d(rng):
     params = d.param_tensors()
 
     def build(tape, leaves):
-        node = d.forward(tape, tape.constant(x), training=True,
-                         update_stats=False, leaves=leaves)
+        node = d.forward(tape, tape.constant(x), leaves)
         return LS.qce_op(QTensor(np.ones((4, 2, 1))), node)
 
     return grad_check(build, params, TOL, STEP, max_entries=24)
@@ -337,8 +307,8 @@ def check_qsngan_d_sn(rng):
     params = d.param_tensors()
 
     def build(tape, leaves):
-        dr = d.forward(tape, tape.constant(x), training=True, leaves=leaves)
-        df = d.forward(tape, tape.constant(fake), training=True, leaves=leaves)
+        dr = d.forward(tape, tape.constant(x), leaves)
+        df = d.forward(tape, tape.constant(fake), leaves)
         return LS.hinge_discriminator_op(dr, df)
 
     return grad_check(build, params, TOL, STEP, max_entries=24)
@@ -352,9 +322,7 @@ def check_qsngan_g(rng):
     params = g.param_tensors()
 
     def build(tape, leaves):
-        node = g.forward(tape, tape.constant(z), training=True,
-                         update_stats=False, leaves=leaves)
-        return _loss(node)
+        return _loss(g.forward(tape, tape.constant(z), leaves))
 
     return grad_check(build, params, TOL, STEP, max_entries=16)
 
@@ -379,9 +347,8 @@ SUITES = {
         ("scale", check_scale),
     ],
     "norm": [
-        ("qbn_train", check_qbn_train),
-        ("qbn_train_conv", check_qbn_train_conv),
-        ("qbn_eval", check_qbn_eval),
+        ("qbn_train", check_qbn((5, 3))),
+        ("qbn_train_conv", check_qbn((3, 2, 2, 2))),
     ],
     "losses": [
         ("hinge", check_hinge),
@@ -404,8 +371,6 @@ SUITES = {
 def run_grad_checks(module: str | None = None):
     """Run one suite or all of them; returns [(name, GradCheckReport)]."""
     if module is not None and module not in SUITES:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown check suite {module!r}; known: {sorted(SUITES)}")
     names = [module] if module else list(SUITES)
     results = []

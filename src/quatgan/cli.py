@@ -19,7 +19,7 @@ from . import checks
 from . import metrics as M
 from . import models as MD
 from . import train as T
-from .errors import CheckpointError, ConfigError, DomainError, NumericError, QuatError
+from .errors import CheckpointError, ConfigError, NumericError, QuatError
 
 
 def _load_config(path) -> T.TrainConfig:
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     except (OSError, CheckpointError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, QuatError) as exc:
+    except QuatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

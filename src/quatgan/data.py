@@ -132,7 +132,11 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        field = data[start:pos]
+        if not field.isdigit():
+            raise DomainError(f"{path}: PPM header field {field!r} is not a nonnegative integer"
+                              if field else f"{path}: PPM header ends before its three fields")
+        fields.append(int(field))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if maxval != 255:
@@ -165,10 +169,15 @@ def load_packed(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != PACKED_MAGIC:
             raise DomainError(f"{path}: bad magic {magic!r}")
-        n, h, w = struct.unpack("<IHH", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise DomainError(f"{path}: truncated packed dataset header")
+        n, h, w = struct.unpack("<IHH", header)
         raw = fh.read(n * h * w * 3)
     if len(raw) != n * h * w * 3:
         raise DomainError(f"{path}: truncated packed dataset")
+    if n == 0:
+        raise DomainError(f"{path}: packed dataset holds no images")
     frames = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w, 3)
     return np.stack([from_uint8(f) for f in frames])
 

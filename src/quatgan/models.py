@@ -12,7 +12,6 @@ real channels.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as L
 from . import qnorm
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .qtensor import QTensor
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "PRESETS",
     "preset_spec",
 ]
-
-Mode = namedtuple("Mode", ["training", "update_stats"])
-
 
 @dataclass
 class Param:
@@ -68,7 +64,7 @@ class Module:
     def init_params(self, rng: np.random.Generator, criterion: str):
         pass
 
-    def forward(self, leaves, x, mode: Mode):
+    def forward(self, leaves, x):
         raise NotImplementedError
 
 
@@ -152,7 +148,7 @@ class QDense(_WeightedModule):
     def __init__(self, name, in_q, out_q, bias=True, dtype=np.float64):
         super().__init__(name, (out_q, in_q), in_q, out_q, bias, dtype)
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         return ad.qdense(x, self._kernel_node(leaves), self._bias_node(leaves))
 
 
@@ -162,7 +158,7 @@ class QConv(_WeightedModule):
         super().__init__(name, (cfg.out_q, cfg.in_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
         self.cfg = cfg
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         return ad.qconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
 
 
@@ -172,7 +168,7 @@ class QTConv(_WeightedModule):
         super().__init__(name, (cfg.in_q, cfg.out_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
         self.cfg = cfg
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         return ad.qtconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
 
 
@@ -192,37 +188,26 @@ class RealDense(Module):
         a = np.sqrt(6.0 / (self.in_f + self.out_f))
         self.kernel.value.data[0] = rng.uniform(-a, a, size=(self.out_f, self.in_f))
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         return ad.real_dense(x, leaves[f"{self.name}.kernel"], leaves[f"{self.name}.bias"])
 
 
 class QBN(Module):
+    """Quaternion batch normalization (:func:`quatgan.qnorm.qbn`) with a real
+    gain ``gamma`` (in q0, starting at 1) and a quaternion shift ``beta``
+    (starting at 0) per channel. It has no state."""
+
     def __init__(self, name, channels, dtype=np.float64):
         super().__init__(name)
-        self.state = qnorm.QBNState(channels, dtype)
+        self.channels = channels
+        self.gamma = Param(QTensor.from_real(np.ones(channels, dtype=dtype)), kind="real")
+        self.beta = Param(QTensor.zeros((channels,), dtype=dtype))
 
     def params(self):
-        return [
-            (f"{self.name}.gamma", Param(self.state.gamma, kind="real")),
-            (f"{self.name}.beta", Param(self.state.beta, kind="quat")),
-        ]
+        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
 
-    def states(self):
-        return [
-            (f"{self.name}.running_mean", self.state.running_mean.data),
-            (f"{self.name}.running_var", self.state.running_var),
-            (f"{self.name}.bn_init", self.state.bn_init),
-        ]
-
-    def forward(self, leaves, x, mode):
-        return qnorm.qbn(
-            x,
-            leaves[f"{self.name}.gamma"],
-            leaves[f"{self.name}.beta"],
-            self.state,
-            training=mode.training,
-            update_running=mode.update_stats,
-        )
+    def forward(self, leaves, x):
+        return qnorm.qbn(x, leaves[f"{self.name}.gamma"], leaves[f"{self.name}.beta"])
 
 
 class Op(Module):
@@ -234,7 +219,7 @@ class Op(Module):
         super().__init__(name)
         self.fn, self.args = fn, args
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         return self.fn(x, *self.args)
 
 
@@ -260,12 +245,12 @@ class Residual(Module):
         for m in self.main + self.shortcut:
             m.init_params(rng, criterion)
 
-    def forward(self, leaves, x, mode):
+    def forward(self, leaves, x):
         h = sc = x
         for m in self.main:
-            h = m.forward(leaves, h, mode)
+            h = m.forward(leaves, h)
         for m in self.shortcut:
-            sc = m.forward(leaves, sc, mode)
+            sc = m.forward(leaves, sc)
         return ad.add(h, sc)
 
 
@@ -368,23 +353,28 @@ class Model:
     def bind(self, tape: ad.Tape) -> dict[str, ad.Node]:
         return {name: tape.param(name, p.value) for name, p in self.parameters().items()}
 
-    def forward(self, tape: ad.Tape, x: ad.Node, training: bool = False,
-                update_stats: bool | None = None, leaves=None) -> ad.Node:
+    # The benchmark harness still passes ``training=True`` here and
+    # ``update_stats`` to forward_array; both change nothing, and both
+    # parameters go when the harness runs the shared training step.
+    def forward(self, tape: ad.Tape, x: ad.Node, leaves=None, *,
+                training: bool = True) -> ad.Node:
+        """Run every module on ``x`` with parameters from ``leaves`` (bound to
+        ``tape`` when not given). QBN has no eval mode, so ``training=False``
+        raises :class:`DomainError`."""
+        if not training:
+            raise DomainError("QBN has no eval mode: every forward uses batch statistics")
         if leaves is None:
             leaves = self.bind(tape)
-        mode = Mode(training=training,
-                    update_stats=training if update_stats is None else update_stats)
         h = x
         for m in self.modules:
-            h = m.forward(leaves, h, mode)
+            h = m.forward(leaves, h)
         return h
 
-    def forward_array(self, x: QTensor, training: bool = False,
-                      update_stats: bool = False) -> QTensor:
-        """Pure forward (no gradients recorded)."""
+    def forward_array(self, x: QTensor, *, training: bool = True,
+                      update_stats: bool | None = None) -> QTensor:
+        """Pure forward (no gradients recorded); see :meth:`forward`."""
         tape = ad.Tape(needs_grad=False)
-        node = tape.constant(x)
-        return self.forward(tape, node, training=training, update_stats=update_stats).value
+        return self.forward(tape, tape.constant(x), training=training).value
 
     def leaf_modules(self):
         for m in self.modules:
@@ -574,7 +564,7 @@ def _twin_parameters(m: Module, in_ch: int | None = None, out_ch: int | None = N
     BN over 4C channels (gain and shift each); a ``RealDense`` is real already.
     """
     if isinstance(m, QBN):
-        return 8 * m.state.channels
+        return 8 * m.channels
     if isinstance(m, RealDense):
         return sum(_scalars(p) for _, p in m.params())
     if not isinstance(m, _WeightedModule):

@@ -6,6 +6,8 @@ pooled into a single per-channel scale (the 4-sigma^2 aggregate), the
 quaternion mean is subtracted component-wise, and the affine stage uses one
 real gain per channel plus a quaternion shift. Full whitening by the inverse
 square root of the augmented covariance is deliberately not implemented.
+QBN always normalizes by the statistics of the batch it is given, in training
+and in sampling alike; it keeps no running statistics and has no eval mode.
 
 Spectral normalization itself lives on the weighted modules
 (:meth:`quatgan.models._WeightedModule.update_sn_scale`). Each normalized
@@ -24,9 +26,7 @@ from .errors import DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
-    "MOMENTUM",
     "EPSILON",
-    "QBNState",
     "qbn",
     "power_iteration_sigma",
 ]
@@ -34,7 +34,6 @@ __all__ = [
 
 # -- batch normalization --------------------------------------------------------
 
-MOMENTUM = 0.9  # weight of the old value in each running-statistics update
 EPSILON = 1e-5  # added to the pooled variance before its square root
 
 
@@ -45,24 +44,6 @@ def _reduce_axes(data: np.ndarray):
     return (1,) + tuple(range(3, data.ndim))
 
 
-class QBNState:
-    """Per-channel QBN parameters and running statistics.
-
-    ``gamma`` is a real scalar per quaternion channel (carried in q0),
-    ``beta`` a quaternion per channel. ``running_var`` stores the 4-sigma^2
-    aggregate. Running stats are unset until the first train-mode batch sets
-    ``bn_init`` to 1; it is a (1,) array so that it is state like the others.
-    """
-
-    def __init__(self, channels: int, dtype=np.float64):
-        self.channels = channels
-        self.gamma = QTensor.from_real(np.ones(channels, dtype=dtype))
-        self.beta = QTensor.zeros((channels,), dtype=dtype)
-        self.running_mean = QTensor.zeros((channels,), dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
-        self.bn_init = np.zeros(1, dtype=dtype)
-
-
 def _chan(arr: np.ndarray, ndim: int) -> np.ndarray:
     """Broadcast a (4, C) or (C,) per-channel array across (4, B, C, ...)."""
     if arr.ndim == 2:
@@ -71,6 +52,8 @@ def _chan(arr: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _batch_stats(data: np.ndarray, eps: float):
+    """The centred batch ``data - mu``, the per-channel scale
+    ``sqrt(sum_c var_c + eps)`` and the sample count per channel."""
     axes = _reduce_axes(data)
     n = 1
     for a in axes:
@@ -80,59 +63,34 @@ def _batch_stats(data: np.ndarray, eps: float):
     mu = data.mean(axis=axes, keepdims=True)
     xc = data - mu
     var_c = (xc * xc).mean(axis=axes, keepdims=True)
-    v = var_c.sum(axis=0, keepdims=True)
-    s = np.sqrt(v + eps)
-    return mu, xc, v, s, n
+    s = np.sqrt(var_c.sum(axis=0, keepdims=True) + eps)
+    return xc, s, n
 
 
-def _update_running(state: QBNState, mu, v):
-    mu_c = mu.reshape(4, -1)
-    v_c = v.reshape(-1)
-    if not state.bn_init[0]:
-        state.running_mean.data[...] = mu_c
-        state.running_var[...] = v_c
-        state.bn_init[0] = 1
-    else:
-        m = MOMENTUM
-        state.running_mean.data[...] = m * state.running_mean.data + (1.0 - m) * mu_c
-        state.running_var[...] = m * state.running_var + (1.0 - m) * v_c
+def qbn(x, gamma, beta):
+    """QBN of a (4, B, C, ...) tape node by the statistics of its batch.
 
-
-def qbn(x, gamma, beta, state: QBNState, training: bool, update_running: bool = True):
-    """Differentiable QBN over tape nodes; the batch-statistics path is part
-    of the recorded gradient. ``gamma``/``beta`` leaf values must alias the
-    state's own tensors."""
+    ``gamma`` holds one real gain per channel (carried in q0) and ``beta``
+    one quaternion shift per channel. The batch statistics are part of the
+    recorded gradient.
+    """
     saved = {}
 
     def fwd(xv: QTensor, gv: QTensor, bv: QTensor) -> QTensor:
         data = xv.data
-        if training:
-            mu, xc, v, s, n = _batch_stats(data, EPSILON)
-            if update_running:
-                _update_running(state, mu, v)
-            xhat = xc / s
-            saved.update(xc=xc, s=s, n=n, train=True)
-        else:
-            if not state.bn_init[0]:
-                raise DomainError("QBN eval requested before any train-mode batch")
-            mu = _chan(state.running_mean.data, data.ndim)
-            s = np.sqrt(_chan(state.running_var, data.ndim) + EPSILON)
-            xhat = (data - mu) / s
-            saved.update(s=s, train=False)
+        xc, s, n = _batch_stats(data, EPSILON)
+        xhat = xc / s
         g0 = _chan(gv.q0, data.ndim)
-        saved.update(xhat=xhat, gamma=g0)
+        saved.update(xc=xc, s=s, n=n, xhat=xhat, gamma=g0)
         return QTensor(g0 * xhat + _chan(bv.data, data.ndim))
 
     def bwd(g):
-        xhat, gamma, s = saved["xhat"], saved["gamma"], saved["s"]
+        xhat, gamma, s, xc, n = (saved[k] for k in ("xhat", "gamma", "s", "xc", "n"))
         axes = _reduce_axes(g)
         dgamma = np.zeros((4, gamma.shape[2]), dtype=g.dtype)
         dgamma[0] = (g * xhat).sum(axis=(0,) + axes)
         dbeta = g.sum(axis=axes)
         dxhat = g * gamma
-        if not saved["train"]:
-            return dxhat / s, dgamma, dbeta
-        xc, n = saved["xc"], saved["n"]
         dv = (dxhat * xc).sum(axis=(0,) + axes, keepdims=True) * (-0.5) / (s ** 3)
         dmu = dxhat.sum(axis=axes, keepdims=True) * (-1.0 / s)
         dx = dxhat / s + dv * (2.0 / n) * xc + dmu / n

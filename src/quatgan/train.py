@@ -189,8 +189,9 @@ def _check_finite(label: str, value: float, iteration: int, g, d):
 
 def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Generator,
                     batch: int = 64, dtype=np.float32) -> np.ndarray:
-    """Sample n images as (n, 3, H, W) floats; uses batch statistics without
-    touching the running averages, so sampling never mutates the model."""
+    """Sample n images as (n, 3, H, W) floats, in batches of at most
+    ``batch``. QBN normalizes each batch by its own statistics, and sampling
+    never mutates the model."""
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     out = []
@@ -198,7 +199,7 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
     while remaining > 0:
         take = min(batch, remaining)
         z = make_noise(spec, take, rng, dtype)
-        imgs = g.forward_array(z, training=True, update_stats=False)
+        imgs = g.forward_array(z)
         out.append(D.decapsulate_batch(imgs))
         remaining -= take
     return np.concatenate(out, axis=0)
@@ -332,8 +333,8 @@ def load_checkpoint(path):
 
 
 def _d_loss_node(config, tape, d, d_leaves, real_node, fake_node, aux):
-    d_real = d.forward(tape, real_node, training=True, leaves=d_leaves)
-    d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
+    d_real = d.forward(tape, real_node, d_leaves)
+    d_fake = d.forward(tape, fake_node, d_leaves)
     if config.loss == "hinge":
         return LS.hinge_discriminator_op(d_real, d_fake)
     if config.loss == "qce":
@@ -355,8 +356,8 @@ def _d_loss_node(config, tape, d, d_leaves, real_node, fake_node, aux):
     delta = 1e-2
     up = tape.constant(QTensor(interp + delta * direction))
     dn = tape.constant(QTensor(interp - delta * direction))
-    d_up = d.forward(tape, up, training=True, leaves=d_leaves)
-    d_dn = d.forward(tape, dn, training=True, leaves=d_leaves)
+    d_up = d.forward(tape, up, d_leaves)
+    d_dn = d.forward(tape, dn, d_leaves)
     diff = ad.scale(ad.sub(d_up, d_dn), 1.0 / (2.0 * delta))
     norms = _abs_q0(diff)
     return LS.wgan_discriminator_op(d_real, d_fake, norms, config.lambda_gp)
@@ -496,7 +497,7 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
             idx = rngs["data"].integers(0, n_images, size=config.batch_size)
             real = D.encapsulate_batch(images[idx])
             z = make_noise(spec, config.batch_size, rngs["noise"])
-            fake = g.forward_array(z, training=True, update_stats=True)
+            fake = g.forward_array(z)
             if config.sn_mode != "none":
                 MD.apply_spectral_norm(d)
             tape = ad.Tape()
@@ -518,8 +519,8 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
         tape = ad.Tape()
         g_leaves = g.bind(tape)
         d_leaves = d.bind(tape)
-        fake_node = g.forward(tape, tape.constant(z), training=True, leaves=g_leaves)
-        d_fake = d.forward(tape, fake_node, training=True, leaves=d_leaves)
+        fake_node = g.forward(tape, tape.constant(z), g_leaves)
+        d_fake = d.forward(tape, fake_node, d_leaves)
         g_loss_node = _g_loss_node(config, d_fake)
         g_loss = float(g_loss_node.value.q0.reshape(-1)[0])
         _check_finite("g_loss", g_loss, iteration, g, d)

@@ -71,8 +71,8 @@ class TestTapeLifetime:
         MD.apply_spectral_norm(d)
         tape = ad.Tape()
         z = QTensor.from_real(rng.standard_normal((2, spec.noise_dim)))
-        fake = g.forward(tape, tape.constant(z), training=True)
-        loss = LS.hinge_generator_op(d.forward(tape, fake, training=True))
+        fake = g.forward(tape, tape.constant(z))
+        loss = LS.hinge_generator_op(d.forward(tape, fake))
         tape.backward(loss)
         return tape, loss
 

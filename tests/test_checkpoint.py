@@ -33,6 +33,19 @@ class TestTensorFormat:
         C.save_tensors(p2, C.load_tensors(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_old_file(self, tmp_path, rng):
+        """A save that fails part way leaves the file it would replace
+        byte-identical and no temporary file behind."""
+        path = tmp_path / "t.qgn"
+        C.save_tensors(path, {"a": rng.standard_normal(3).astype(np.float32)})
+        old = path.read_bytes()
+        # "a" is written before "b", which cannot be cast to f32
+        bad = {"a": rng.standard_normal((4, 4)).astype(np.float32), "b": np.array(["x"])}
+        with pytest.raises(ValueError):
+            C.save_tensors(path, bad)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     @settings(max_examples=150, deadline=None)
     @given(tensors=st.dictionaries(
         st.text(st.characters(exclude_categories=("Cs",)), max_size=12),

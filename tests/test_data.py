@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from quatgan import cli
 from quatgan import data as D
 from quatgan.errors import DomainError, ShapeMismatchError
 from quatgan.qtensor import QTensor
@@ -106,6 +109,13 @@ class TestPPM:
         with pytest.raises(DomainError):
             D.read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"P6\nab 4\n255\n", b"P6\n4"])
+    def test_malformed_header_field(self, tmp_path, header):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header + b"\x00" * 48)
+        with pytest.raises(DomainError):
+            D.read_ppm(path)
+
 
 class TestPackedAndLoader:
     def test_packed_round_trip(self, tmp_path, rng):
@@ -138,3 +148,25 @@ class TestPackedAndLoader:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DomainError):
             D.load_packed(path)
+
+    def test_packed_short_header(self, tmp_path):
+        path = tmp_path / "short.qimg"
+        path.write_bytes(D.PACKED_MAGIC + b"\x01\x00")
+        with pytest.raises(DomainError, match="header"):
+            D.load_packed(path)
+
+    def test_packed_without_images(self, tmp_path):
+        path = tmp_path / "empty.qimg"
+        D.save_packed(path, np.zeros((0, 8, 8, 3), dtype=np.uint8))
+        with pytest.raises(DomainError, match="no images"):
+            D.load_packed(path)
+
+    def test_cli_train_on_truncated_dataset_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "short.qimg"
+        path.write_bytes(D.PACKED_MAGIC + b"\x01\x00")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": "qsngan_toy8", "dataset": str(path),
+                                   "out_dir": str(tmp_path / "run")}))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -7,7 +7,7 @@ from conftest import run_op
 from quatgan import autodiff as ad
 from quatgan import cli
 from quatgan import models as MD
-from quatgan.errors import ConfigError
+from quatgan.errors import ConfigError, DomainError
 from quatgan.layers import ConvConfig
 from quatgan.qtensor import QTensor
 from quatgan.train import make_noise
@@ -143,8 +143,8 @@ class TestTapeOps:
         d.init_params(rng)
         MD.apply_spectral_norm(d)
         tape = ad.Tape()
-        fake = g.forward(tape, tape.constant(make_noise(spec, 4, rng)), training=True)
-        d.forward(tape, fake, training=True)
+        fake = g.forward(tape, tape.constant(make_noise(spec, 4, rng)))
+        d.forward(tape, fake)
         assert Counter(node.op for node in tape.nodes) == ops  # 105 and 32 nodes
 
 
@@ -160,9 +160,9 @@ class TestShapes:
         g.init_params(rng)
         d.init_params(rng)
         z = make_noise(spec, 3, rng, dtype=np.float64)
-        img = g.forward_array(z, training=True, update_stats=False)
+        img = g.forward_array(z)
         assert img.shape == (3, 1, 16, 16)  # one quaternion channel = 4 reals
-        out = d.forward_array(img, training=True)
+        out = d.forward_array(img)
         assert out.shape == (3,)
         assert np.all(out.data[1:] == 0.0)  # raw scalar decision in q0
 
@@ -172,10 +172,10 @@ class TestShapes:
         g.init_params(rng)
         d.init_params(rng)
         z = make_noise(spec, 2, rng, dtype=np.float64)
-        img = g.forward_array(z, training=True, update_stats=False)
+        img = g.forward_array(z)
         assert img.shape == (2, 1, 16, 16)
         assert np.all(img.data >= -1.0) and np.all(img.data <= 1.0)  # split tanh
-        dec = d.forward_array(img, training=True)
+        dec = d.forward_array(img)
         assert dec.shape == (2, 1)
         assert np.all(dec.data > 0.0) and np.all(dec.data < 1.0)  # sigmoid, all comps
 
@@ -185,7 +185,7 @@ class TestShapes:
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = tape.constant(QTensor(rng.standard_normal((4, 2, 4, 5, 5))))
-        y = block.forward(leaves, x, MD.Mode(True, False))
+        y = block.forward(leaves, x)
         assert y.value.shape == (2, 2, 10, 10)
 
     def test_first_disc_block_halves(self, rng):
@@ -194,7 +194,7 @@ class TestShapes:
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = tape.constant(QTensor(rng.standard_normal((4, 2, 1, 8, 8))))
-        y = block.forward(leaves, x, MD.Mode(True, False))
+        y = block.forward(leaves, x)
         assert y.value.shape == (2, 2, 4, 4)
 
     def test_refiner_preserves_dims(self, rng):
@@ -204,7 +204,7 @@ class TestShapes:
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = tape.constant(QTensor(rng.standard_normal((4, 2, 2, 4, 4))))
-        y = block.forward(leaves, x, MD.Mode(True, False))
+        y = block.forward(leaves, x)
         assert y.value.shape == (2, 2, 4, 4)
 
     def test_disc_block_shortcut_only_ablation(self, rng):
@@ -217,7 +217,7 @@ class TestShapes:
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = QTensor(rng.standard_normal((4, 2, 2, 4, 4)))
-        y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
+        y = block.forward(leaves, tape.constant(x))
 
         sc = _named(block, "b.sc")
         pooled = run_op(ad.avg_pool, x, 2)
@@ -231,7 +231,7 @@ class TestShapes:
         tape = ad.Tape(needs_grad=False)
         leaves = {n: tape.param(n, p.value) for n, p in block.params()}
         x = QTensor(rng.standard_normal((4, 2, 1, 4, 4)))
-        y = block.forward(leaves, tape.constant(x), MD.Mode(True, False))
+        y = block.forward(leaves, tape.constant(x))
 
         c1, c2, sc = (_named(block, f"b.{k}") for k in ("conv1", "conv2", "sc"))
         h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
@@ -241,6 +241,19 @@ class TestShapes:
         s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
         s = run_op(ad.avg_pool, s, 2)
         assert np.allclose(y.value.data, h.data + s.data, atol=1e-12)
+
+
+def test_eval_mode_is_refused(rng):
+    """QBN normalizes every batch by its own statistics; a forward that asks
+    for an eval mode is refused rather than run in train mode."""
+    spec = MD.preset_spec("qdcgan_toy16")
+    g, _ = MD.build_gan(spec)
+    z = make_noise(spec, 2, rng, dtype=np.float64)
+    tape = ad.Tape(needs_grad=False)
+    with pytest.raises(DomainError, match="eval"):
+        g.forward(tape, tape.constant(z), training=False)
+    with pytest.raises(DomainError, match="eval"):
+        g.forward_array(z, training=False)
 
 
 class TestSpectralNormIntegration:
@@ -279,7 +292,7 @@ class TestSpectralNormIntegration:
         MD.sn_warmup(d, iters=2)
         tape = ad.Tape()
         x = QTensor(rng.standard_normal((4, 2, 1, 16, 16)).astype(np.float32))
-        y = d.forward(tape, tape.constant(x), training=True)
+        y = d.forward(tape, tape.constant(x))
         loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
         assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
         grads = tape.backward(loss)
@@ -290,9 +303,9 @@ class TestSpectralNormIntegration:
         _, d = MD.build_gan(spec)
         d.init_params(rng)
         x = QTensor(rng.standard_normal((4, 2, 1, 8, 8)))
-        before = d.forward_array(x, training=True).data.copy()
+        before = d.forward_array(x).data.copy()
         MD.sn_warmup(d, iters=30)
-        after = d.forward_array(x, training=True).data
+        after = d.forward_array(x).data
         assert not np.allclose(before, after)
 
 
@@ -300,26 +313,26 @@ class TestLiveStates:
     @pytest.mark.parametrize("preset,sn", [("qsngan_toy8", "full"), ("qsngan_toy8", "split"),
                                            ("qdcgan_toy16", "none")])
     def test_states_exist_from_construction_and_update_in_place(self, rng, preset, sn):
-        """``states()`` lists the same arrays before and after training-mode
-        work changes them, so a checkpoint load can write into them."""
+        """``states()`` lists the same arrays before and after training
+        work changes them, so a checkpoint load can write into them. Only
+        spectral norm keeps state: a model without it has none."""
         spec = MD.preset_spec(preset)
         spec.sn = sn
         g, d = MD.build_gan(spec, dtype=np.float32)
         g.init_params(rng)
         d.init_params(rng)
         before = {**g.states(), **d.states()}
-        assert before
-        if sn == "split":
+        if sn == "none":
+            assert before == {}
+        elif sn == "split":
             assert "d.fc.sn_u3" in before and "d.fc.sn_u" not in before
         elif sn == "full":
             assert "d.fc.sn_u" in before
         snapshot = {k: v.copy() for k, v in before.items()}
         MD.apply_spectral_norm(d)
-        fake = g.forward_array(make_noise(spec, 4, rng), training=True, update_stats=True)
-        d.forward_array(fake, training=True, update_stats=True)
+        d.forward_array(g.forward_array(make_noise(spec, 4, rng)))
         after = {**g.states(), **d.states()}
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
         changed = {k for k in before if not np.array_equal(after[k], snapshot[k])}
-        assert {k for k in before if k.endswith(("bn_init", "running_var"))} <= changed
         assert any(".sn_u" in k for k in changed) == (sn != "none")

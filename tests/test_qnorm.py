@@ -6,11 +6,7 @@ from quatgan import autodiff as ad
 from quatgan import models as MD
 from quatgan.errors import DomainError
 from quatgan.layers import ConvConfig, hamilton_block
-from quatgan.qnorm import (
-    QBNState,
-    power_iteration_sigma,
-    qbn,
-)
+from quatgan.qnorm import EPSILON, power_iteration_sigma, qbn
 from quatgan.qtensor import QTensor
 
 
@@ -19,128 +15,123 @@ def proper_signal(rng, batch, channels, sigma=1.0):
     return QTensor(sigma * rng.standard_normal((4, batch, channels)))
 
 
-def qbn_forward(x: QTensor, state: QBNState, mode: str = "train") -> QTensor:
-    """Value of the QBN tape op: batch statistics (updating the running ones)
-    in train mode, running statistics in eval mode."""
-    def op(xn, gamma, beta):
-        return qbn(xn, gamma, beta, state, training=mode == "train")
+def qbn_forward(x: QTensor, gamma=None, beta=None) -> QTensor:
+    """Value of the QBN tape op; ``gamma`` (real, per channel) defaults to 1
+    and ``beta`` (quaternion, per channel) to 0."""
+    channels = x.shape[1]
+    gamma = QTensor.from_real(np.ones(channels) if gamma is None else gamma)
+    beta = QTensor.zeros((channels,)) if beta is None else QTensor(beta)
+    return run_op(qbn, x, gamma, beta)
 
-    return run_op(op, x, state.gamma, state.beta)
 
-
-def batch_stats(x: QTensor):
-    """Per-channel quaternion mean and 4-sigma^2 aggregate of one train-mode
-    QBN batch, read back from the running statistics its first batch sets."""
-    state = QBNState(channels=x.shape[1])
-    qbn_forward(x, state, mode="train")
-    return state.running_mean.data, state.running_var
+def loop_oracle(data: np.ndarray) -> np.ndarray:
+    """QBN with gamma 1 and beta 0 by scalar loops: per channel, each
+    component minus its batch mean, over sqrt(sum of the four component
+    variances + eps). The batch is axis 1; any axes after the channel axis
+    are spatial and pooled with it."""
+    _, b, channels = data.shape[:3]
+    cells = [(i, *pos) for i in range(b) for pos in np.ndindex(*data.shape[3:])]
+    out = np.empty_like(data)
+    for ch in range(channels):
+        means, var_sum = [], 0.0
+        for c in range(4):
+            acc = 0.0
+            for cell in cells:
+                acc += data[(c, cell[0], ch, *cell[1:])]
+            means.append(acc / len(cells))
+            sq = 0.0
+            for cell in cells:
+                sq += (data[(c, cell[0], ch, *cell[1:])] - means[c]) ** 2
+            var_sum += sq / len(cells)
+        scale = (var_sum + EPSILON) ** 0.5
+        for c in range(4):
+            for cell in cells:
+                idx = (c, cell[0], ch, *cell[1:])
+                out[idx] = (data[idx] - means[c]) / scale
+    return out
 
 
 class TestStatistics:
+    """QBN's output with gain 1 and shift 0 is the input normalized by its
+    batch statistics: the per-component channel mean and the pooled
+    4-sigma^2 variance."""
+
+    def test_output_matches_loop(self, rng):
+        x = QTensor(rng.standard_normal((4, 6, 3)) + rng.standard_normal((4, 1, 3)))
+        assert np.allclose(qbn_forward(x).data, loop_oracle(x.data), atol=1e-12)
+
+    def test_spatial_output_matches_loop(self, rng):
+        x = QTensor(rng.standard_normal((4, 3, 2, 3, 4)) + 0.5)
+        assert np.allclose(qbn_forward(x).data, loop_oracle(x.data), atol=1e-12)
+
     def test_mean_of_constant_batch(self):
+        """Each component's channel mean is removed: a batch constant per
+        component maps to zero."""
         data = np.tile(np.array([1.0, -2.0, 3.0, 0.5]).reshape(4, 1, 1), (1, 8, 2))
-        mu, _ = batch_stats(QTensor(data))
-        assert np.allclose(mu, [[1.0, 1.0], [-2.0, -2.0], [3.0, 3.0], [0.5, 0.5]])
+        assert np.allclose(qbn_forward(QTensor(data)).data, 0.0, atol=1e-10)
 
     def test_mean_symmetry(self):
         data = np.zeros((4, 2, 1))
         data[0, 0, 0], data[0, 1, 0] = 1.0, -1.0
-        assert np.allclose(batch_stats(QTensor(data))[0], 0.0)
-
-    def test_mean_matches_loop(self, rng):
-        x = QTensor(rng.standard_normal((4, 6, 3)))
-        mu, _ = batch_stats(x)
-        for c in range(4):
-            for ch in range(3):
-                acc = 0.0
-                for b in range(6):
-                    acc += x.data[c, b, ch]
-                assert abs(mu[c, ch] - acc / 6) < 1e-12
+        y = qbn_forward(QTensor(data)).data
+        assert np.allclose(y, data / np.sqrt(1.0 + EPSILON), atol=1e-15)
 
     def test_variance_constant_is_zero(self):
-        x = QTensor(np.ones((4, 8, 2)))
-        assert np.allclose(batch_stats(x)[1], 0.0)
+        """A zero-variance batch is scaled by 1/sqrt(eps), so only the exact
+        zero numerator keeps the output at zero."""
+        assert np.array_equal(qbn_forward(QTensor(np.ones((4, 8, 2)))).data, np.zeros((4, 8, 2)))
 
     def test_variance_of_unit_components(self, rng):
+        """Unit-variance components pool to a variance near 4: the output is
+        the centred input halved."""
         x = proper_signal(rng, 4096, 3)
-        _, v = batch_stats(x)
-        assert np.all(np.abs(v - 4.0) / 4.0 < 0.05)
+        y = qbn_forward(x).data
+        xc = x.data - x.data.mean(axis=1, keepdims=True)
+        scale = (xc * y).sum(axis=(0, 1)) / (y * y).sum(axis=(0, 1))
+        assert np.all(np.abs(scale ** 2 - 4.0) / 4.0 < 0.05)
+        assert np.allclose(xc, scale * y, atol=1e-12)
 
     def test_variance_single_varying_component(self, rng):
         x = QTensor.zeros((64, 1))
         q0 = rng.standard_normal(64)
         x.data[0, :, 0] = q0
-        _, v = batch_stats(x)
-        assert abs(v[0] - q0.var()) < 1e-12
+        y = qbn_forward(x).data
+        assert np.allclose(y[0, :, 0], (q0 - q0.mean()) / np.sqrt(q0.var() + EPSILON),
+                           atol=1e-12)
+        assert np.all(y[1:] == 0.0)
 
     def test_variance_needs_batch(self):
         with pytest.raises(DomainError):
-            batch_stats(QTensor(np.ones((4, 1, 2))))
+            qbn_forward(QTensor(np.ones((4, 1, 2))))
 
 
 class TestQBNForward:
     def test_train_statistics(self, rng):
-        state = QBNState(channels=3)
         x = QTensor(1.5 * rng.standard_normal((4, 256, 3)) + 0.7)
-        y = qbn_forward(x, state, mode="train")
+        y = qbn_forward(x)
         means = y.data.mean(axis=1)
         assert np.all(np.abs(means) < 1e-6)
         var_sum = y.data.var(axis=1).sum(axis=0)
         assert np.all(np.abs(var_sum - 1.0) < 1e-3)
 
     def test_constant_input_returns_beta(self, rng):
-        state = QBNState(channels=2)
-        state.beta.data[...] = rng.standard_normal((4, 2))
+        beta = rng.standard_normal((4, 2))
         x = QTensor(np.tile(rng.standard_normal((4, 1, 2)), (1, 16, 1)))
-        y = qbn_forward(x, state, mode="train")
-        want = np.tile(state.beta.data[:, None, :], (1, 16, 1))
+        y = qbn_forward(x, beta=beta)
+        want = np.tile(beta[:, None, :], (1, 16, 1))
         # the zero numerator is exact in math; float summation of the mean
         # leaves ~1 ulp, scaled by 1/sqrt(eps)
         assert np.allclose(y.data, want, atol=1e-10)
 
     def test_gamma_scales_linearly(self, rng):
         x = QTensor(rng.standard_normal((4, 32, 2)))
-        s1 = QBNState(channels=2)
-        y1 = qbn_forward(x, s1, mode="train")
-        s2 = QBNState(channels=2)
-        s2.gamma.q0[...] = 2.0
-        y2 = qbn_forward(x, s2, mode="train")
+        y1 = qbn_forward(x)
+        y2 = qbn_forward(x, gamma=np.full(2, 2.0))
         assert np.allclose(y2.data, 2.0 * y1.data, atol=1e-12)
 
-    def test_eval_before_train_errors(self, rng):
-        state = QBNState(channels=2)
-        with pytest.raises(DomainError):
-            qbn_forward(QTensor(rng.standard_normal((4, 4, 2))), state, mode="eval")
-
-    def test_running_stats_ema(self, rng):
-        state = QBNState(channels=1)
-        x1 = QTensor(rng.standard_normal((4, 64, 1)))
-        qbn_forward(x1, state, mode="train")
-        mu1 = x1.data.mean(axis=1).copy()
-        v1 = x1.data.var(axis=1).sum(axis=0).copy()
-        assert np.allclose(state.running_mean.data, mu1, atol=1e-12)
-        assert np.allclose(state.running_var, v1, atol=1e-12)
-        x2 = QTensor(rng.standard_normal((4, 64, 1)) + 2.0)
-        qbn_forward(x2, state, mode="train")
-        mu2 = x2.data.mean(axis=1)
-        v2 = x2.data.var(axis=1).sum(axis=0)
-        assert np.allclose(state.running_mean.data, 0.9 * mu1 + 0.1 * mu2, atol=1e-12)
-        assert np.allclose(state.running_var, 0.9 * v1 + 0.1 * v2, atol=1e-12)
-
-    def test_eval_uses_running_stats_without_mutation(self, rng):
-        state = QBNState(channels=2)
-        qbn_forward(QTensor(rng.standard_normal((4, 128, 2))), state, mode="train")
-        rm = state.running_mean.data.copy()
-        x = QTensor(rng.standard_normal((4, 8, 2)))
-        y1 = qbn_forward(x, state, mode="eval")
-        y2 = qbn_forward(x, state, mode="eval")
-        assert np.array_equal(y1.data, y2.data)
-        assert np.array_equal(state.running_mean.data, rm)
-
     def test_spatial_input(self, rng):
-        state = QBNState(channels=2)
         x = QTensor(rng.standard_normal((4, 16, 2, 4, 4)))
-        y = qbn_forward(x, state, mode="train")
+        y = qbn_forward(x)
         means = y.data.mean(axis=(1, 3, 4))
         assert np.all(np.abs(means) < 1e-6)
 

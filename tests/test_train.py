@@ -408,7 +408,7 @@ class TestCheckpointLoader:
         "missing_config", "missing_iteration", "fractional_iteration", "missing_param",
         "missing_rng", "unknown_param", "unknown_kind", "unknown_net", "unknown_state",
         "unknown_adam_slot", "misshaped_param", "misshaped_state", "misshaped_sn_vector",
-        "misshaped_moment", "misshaped_rng", "bad_adam_step",
+        "misshaped_moment", "misshaped_rng", "bad_adam_step", "stale_qbn_state",
     ])
     def test_structural_faults(self, tmp_path, toy_checkpoint, case):
         def first(t, prefix):
@@ -439,7 +439,7 @@ class TestCheckpointLoader:
                 name = first(t, "param.d.")
                 t[name] = t[name].reshape(-1)
             elif case == "misshaped_state":
-                name = first(t, "state.g.")
+                name = first(t, "state.d.")
                 t[name] = np.concatenate([t[name].reshape(-1), [0.0]]).astype(np.float32)
             elif case == "misshaped_sn_vector":
                 name = next(k for k in sorted(t) if k.endswith(".sn_u"))
@@ -451,12 +451,17 @@ class TestCheckpointLoader:
                 t["rng.noise"] = t["rng.noise"][:-1]
             elif case == "bad_adam_step":
                 t["adam.g.step"] = np.array([-1.0], dtype=np.float32)
+            elif case == "stale_qbn_state":
+                # QBN kept running statistics in checkpoints written before
+                # it became batch-statistics only
+                t["state.g.g.b1.bn1.running_mean"] = np.zeros((4, 8), dtype=np.float32)
 
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as info:
             _load_edited(tmp_path, toy_checkpoint, edit)
+        if case == "stale_qbn_state":
+            assert "state.g.g.b1.bn1.running_mean" in str(info.value)
 
-    @pytest.mark.parametrize("prefix", ["adam.d.step", "adam.g.m.", "state.d.d.b0.conv1.sn_u",
-                                        "state.g.g.b1.bn1.running_"])
+    @pytest.mark.parametrize("prefix", ["adam.d.step", "adam.g.m.", "state.d.d.b0.conv1.sn_u"])
     def test_incomplete_checkpoint_names_missing_tensor(self, tmp_path, toy_checkpoint, prefix):
         name = sorted(k for k in C.load_tensors(toy_checkpoint) if k.startswith(prefix))[0]
         with pytest.raises(CheckpointError, match=re.escape(name)):
