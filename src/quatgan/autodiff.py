@@ -9,7 +9,9 @@ the four component arrays.
 
 Each differentiable operation is one function here that holds both its
 forward and its backward; there is no separate pure forward. A gradient-free
-tape (``Tape(needs_grad=False)``) runs the same ops for inference.
+tape (``Tape(needs_grad=False)``) runs the same ops for inference. It keeps no
+backward closure, so what an op's forward saves for its backward is freed as
+soon as ``record`` returns; the ops save unconditionally.
 
 Losses are real scalars carried in the q0 slot of a scalar-shaped QTensor;
 q1..q3 of a loss must be zero.
@@ -164,17 +166,6 @@ def add(a: Node, b: Node) -> Node:
     return a.tape.record("add", (a, b), fwd, lambda g: (g, g))
 
 
-def sub(a: Node, b: Node) -> Node:
-    return a.tape.record("sub", (a, b), lambda av, bv: QTensor(av.data - bv.data),
-                         lambda g: (g, -g))
-
-
-def scale(a: Node, c: float) -> Node:
-    c = float(c)
-    return a.tape.record("scale", (a,), lambda av: QTensor(av.data * c),
-                         lambda g: (g * c,))
-
-
 def scale_components(a: Node, factors) -> Node:
     """Multiply each quaternion component by its own scalar factor; the
     factors are cast to ``a``'s dtype, so a float32 input stays float32."""
@@ -246,8 +237,7 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
         b = xv.shape[0]
         x2 = xv.data.transpose(1, 0, 2).reshape(b, 4 * in_q)
         block = L.hamilton_block(kv.data)
-        if x.tape.needs_grad:
-            saved.update(x2=x2, block=block)
+        saved.update(x2=x2, block=block)
         y = (x2 @ block.T).reshape(b, 4, out_q).transpose(1, 0, 2)
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :], order="C"))
@@ -350,8 +340,7 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
         x_ph = L.to_phases(xv.data.transpose(3, 1, 4, 0, 2), s, p, ho + kk - 1, wo + kk - 1)
         cols = L.row_patches(x_ph, kk)
         y = _row_gemms(cols, w_rows).reshape(ho, b, wo, 4, o).transpose(3, 1, 4, 0, 2)
-        if x.tape.needs_grad:
-            saved.update(cols=cols, w_rows=w_rows, hwi=(h, w, i))
+        saved.update(cols=cols, w_rows=w_rows, hwi=(h, w, i))
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
@@ -397,8 +386,7 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
         x_rows = np.ascontiguousarray(xv.data.transpose(3, 1, 4, 0, 2)).reshape(h, b, w, 4 * i)
         y = _row_gemms_t(x_rows, w_rows, s, p, ho, wo).reshape(ho, b, wo, 4, o)
         y = y.transpose(3, 1, 4, 0, 2)
-        if x.tape.needs_grad:
-            saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows, hw=(h, w))
+        saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows, hw=(h, w))
         if rest:
             return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
         return QTensor(np.ascontiguousarray(y))
@@ -495,72 +483,34 @@ def upsample2x(x: Node) -> Node:
     return x.tape.record("upsample2x", (x,), fwd, bwd)
 
 
-# -- real-valued bridges (values carried in q0) ---------------------------------
+# -- real-valued bridge (values carried in q0) ----------------------------------
 
 
-def real_dense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
-    """Real fully connected layer on q0-carried data: y0 = x0 W^T + b0."""
+def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int) -> Node:
+    """Real fully connected layer from q0-carried data to a quaternion map:
+    y0 = x0 W^T + b0, a (B, 4*channels*h*w) real vector, read as the
+    (B, channels, h, w) map whose channel c holds real channels 4c..4c+3 as
+    its components r = 0..3."""
     saved = {}
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    b = x.value.shape[0]
 
-    def fwd(xv, kv, *rest):
+    def fwd(xv, kv, bv):
         saved["x0"], saved["k0"] = xv.q0, kv.q0
-        y0 = np.matmul(xv.q0, kv.q0.T)
-        if rest:
-            y0 = y0 + rest[0].q0[None, :]
-        out = np.zeros((4, *y0.shape), dtype=y0.dtype)
-        out[0] = y0
-        return QTensor(out)
+        y0 = np.matmul(xv.q0, kv.q0.T) + bv.q0[None, :]
+        v = y0.reshape(b, channels, 4, h, w)
+        return QTensor(np.ascontiguousarray(v.transpose(2, 0, 1, 3, 4)))
 
     def bwd(g):
-        g0 = g[0]
+        g0 = g.transpose(1, 2, 0, 3, 4).reshape(b, -1)
         dx = np.zeros((4, *saved["x0"].shape), dtype=g.dtype)
         dx[0] = np.matmul(g0, saved["k0"])
         dk = np.zeros((4, *saved["k0"].shape), dtype=g.dtype)
         dk[0] = np.einsum("bo,bi->oi", g0, saved["x0"])
-        if bias is None:
-            return dx, dk
         db = np.zeros((4, saved["k0"].shape[0]), dtype=g.dtype)
         db[0] = g0.sum(axis=0)
         return dx, dk, db
 
-    return x.tape.record("real_dense", inputs, fwd, bwd)
-
-
-def real_to_quat(x: Node, channels: int, h: int, w: int) -> Node:
-    """Reinterpret a q0-carried real vector (B, 4*channels*h*w) as a quaternion
-    map (B, channels, h, w): real channel 4c+r becomes component r of
-    quaternion channel c."""
-    b = x.value.shape[0]
-
-    def fwd(xv):
-        v = xv.q0.reshape(b, channels, 4, h, w)
-        return QTensor(np.ascontiguousarray(v.transpose(2, 0, 1, 3, 4)))
-
-    def bwd(g):
-        g0 = g.transpose(1, 2, 0, 3, 4).reshape(b, 4 * channels * h * w)
-        dx = np.zeros((4, b, 4 * channels * h * w), dtype=g.dtype)
-        dx[0] = g0
-        return (dx,)
-
-    return x.tape.record("real_to_quat", (x,), fwd, bwd)
-
-
-def component_sum(x: Node) -> Node:
-    """(B, 1) quaternion decisions -> (B,) real scalars q0+q1+q2+q3."""
-    if len(x.value.shape) != 2 or x.value.shape[1] != 1:
-        raise ShapeMismatchError(f"component_sum expects (batch, 1), got {x.value.shape}")
-    b = x.value.shape[0]
-
-    def fwd(xv):
-        out = np.zeros((4, b), dtype=xv.dtype)
-        out[0] = xv.data.sum(axis=0)[:, 0]
-        return QTensor(out)
-
-    def bwd(g):
-        return (np.broadcast_to(g[0][None, :, None], (4, b, 1)).copy(),)
-
-    return x.tape.record("component_sum", (x,), fwd, bwd)
+    return x.tape.record("real_dense", (x, kernel, bias), fwd, bwd)
 
 
 # -- gradient checking ----------------------------------------------------------

@@ -2,11 +2,12 @@
 operation and block in scope; shared by the CLI and the test suite.
 
 Each check runs in float64 at step 1e-6 against tolerance 1e-4. Inputs are
-drawn from seeded generators; checks whose operations have kinks (ReLU,
-hinge margins) retry a couple of seeds so a draw that lands on a measure-zero
-kink is resampled away -- a genuine gradient bug fails for every seed. The
-conv, pooling and upsampling checks run on non-square maps, so a layout
-change that mixes up height and width fails them.
+drawn from seeded generators. Every check retries up to three seeds (0, 1,
+2), so a draw that lands near a kink (ReLU, hinge margins, |.|) is resampled
+away -- a genuine gradient bug fails for every seed. Every check passes at
+seed 0, and only ``qsngan_discriminator_sn`` fails at one of the three (1).
+The conv, pooling, upsampling and real dense checks run on non-square maps,
+so a layout change that mixes up height and width fails them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import layers as L
 from . import losses as LS
 from . import models as MD
 from . import qnorm
-from . import train as T
 from .autodiff import GradCheckReport, grad_check
 from .errors import ConfigError
 from .qtensor import QTensor
@@ -147,30 +147,12 @@ def check_upsample(rng):
 def check_real_dense(rng):
     x = QTensor.from_real(rng.standard_normal((3, 4)))
     params = {
-        "k": QTensor.from_real(rng.standard_normal((2, 4))),
-        "b": QTensor.from_real(rng.standard_normal(2)),
+        "k": QTensor.from_real(rng.standard_normal((16, 4))),
+        "b": QTensor.from_real(rng.standard_normal(16)),
     }
 
     def build(tape, leaves):
-        return _loss(ad.real_dense(tape.constant(x), leaves["k"], leaves["b"]))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_sub(rng):
-    params = {"a": _qt(rng, (3, 2)), "b": _qt(rng, (3, 2))}
-
-    def build(tape, leaves):
-        return _loss(ad.sub(leaves["a"], leaves["b"]))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_scale(rng):
-    params = {"x": _qt(rng, (3, 2))}
-
-    def build(tape, leaves):
-        return _loss(ad.scale(leaves["x"], -0.7))
+        return _loss(ad.real_dense(tape.constant(x), leaves["k"], leaves["b"], 2, 1, 2))
 
     return grad_check(build, params, TOL, STEP)
 
@@ -198,13 +180,19 @@ def check_qbn(shape):
 # -- loss checks -----------------------------------------------------------------
 
 
+def _decisions(rng, b, clear_of=None):
+    """(b, 1) quaternion decisions whose scores (component sums) keep 1e-2
+    clear of ``clear_of``, a number or one per decision: q0 moves a score
+    that lands too close."""
+    d = QTensor(0.4 * rng.standard_normal((4, b, 1)))
+    if clear_of is not None:
+        d.data[0, np.abs(LS._scores(d) - clear_of) < 1e-2, 0] += 0.05
+    return d
+
+
 def check_hinge(rng):
-    r = rng.standard_normal(6) * 0.8
-    f = rng.standard_normal(6) * 0.8
-    # keep margins clear of the hinge kink at +-1
-    r = np.where(np.abs(1.0 - r) < 1e-2, r + 0.05, r)
-    f = np.where(np.abs(1.0 + f) < 1e-2, f + 0.05, f)
-    params = {"r": QTensor.from_real(r), "f": QTensor.from_real(f)}
+    # keep scores clear of the hinge kinks at +-1
+    params = {"r": _decisions(rng, 6, 1.0), "f": _decisions(rng, 6, -1.0)}
 
     def build(tape, leaves):
         return ad.add(LS.hinge_discriminator_op(leaves["r"], leaves["f"]),
@@ -225,26 +213,14 @@ def check_qce(rng):
 
 
 def check_wgan(rng):
-    params = {
-        "r": QTensor.from_real(rng.standard_normal(5)),
-        "f": QTensor.from_real(rng.standard_normal(5)),
-        "n": QTensor.from_real(rng.uniform(0.5, 2.0, size=5)),
-    }
+    # keep the up and down scores clear of equality, the penalty's kink
+    up = _decisions(rng, 5)
+    params = {"r": _decisions(rng, 5), "f": _decisions(rng, 5), "up": up,
+              "down": _decisions(rng, 5, LS._scores(up))}
 
     def build(tape, leaves):
-        return LS.wgan_discriminator_op(leaves["r"], leaves["f"], leaves["n"], 10.0)
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_abs_q0(rng):
-    """The wgan_gp penalty's |q0|, on scalar parts kept clear of its kink at 0."""
-    x = _qt(rng, (5,))
-    x.data[0] += np.sign(x.data[0]) * 1e-2
-    params = {"x": x}
-
-    def build(tape, leaves):
-        return _loss(T._abs_q0(leaves["x"]))
+        return LS.wgan_discriminator_op(leaves["r"], leaves["f"], leaves["up"],
+                                        leaves["down"], 10.0, 0.25)
 
     return grad_check(build, params, TOL, STEP)
 
@@ -343,8 +319,6 @@ SUITES = {
         ("global_sum_pool", check_pool("global")),
         ("upsample2x", check_upsample),
         ("real_dense", check_real_dense),
-        ("sub", check_sub),
-        ("scale", check_scale),
     ],
     "norm": [
         ("qbn_train", check_qbn((5, 3))),
@@ -354,7 +328,6 @@ SUITES = {
         ("hinge", check_hinge),
         ("qce", check_qce),
         ("wgan_gp", check_wgan),
-        ("abs_q0", check_abs_q0),
     ],
     "models": [
         ("gen_res_block", check_block(lambda: MD.gen_block("b", 2, 2), (2, 2, 3, 3))),

@@ -8,6 +8,10 @@ of modules) whose outputs are added. :func:`gen_block`, :func:`disc_block` and
 :func:`first_disc_block` fill those lists and state the channel conventions;
 they take quaternion channel counts, while :class:`ModelSpec` widths count
 real channels.
+
+The qsngan G maps real noise (in q0) by a real dense layer to its first
+quaternion map; the qsngan D returns (B, 1) quaternion decisions, which the
+hinge and Wasserstein losses score by their component sums.
 """
 
 from __future__ import annotations
@@ -173,13 +177,14 @@ class QTConv(_WeightedModule):
 
 
 class RealDense(Module):
-    """Real-valued fully connected layer carried in the q0 slot."""
+    """Real fully connected layer (parameters in q0) from q0-carried features
+    to a (channels, h, w) quaternion map: :func:`quatgan.autodiff.real_dense`."""
 
-    def __init__(self, name, in_f, out_f, dtype=np.float64):
+    def __init__(self, name, in_f, channels, h, w, dtype=np.float64):
         super().__init__(name)
-        self.in_f, self.out_f = in_f, out_f
-        self.kernel = Param(QTensor.zeros((out_f, in_f), dtype=dtype), kind="real")
-        self.bias = Param(QTensor.zeros((out_f,), dtype=dtype), kind="real")
+        self.in_f, self.out_f, self.map = in_f, 4 * channels * h * w, (channels, h, w)
+        self.kernel = Param(QTensor.zeros((self.out_f, in_f), dtype=dtype), kind="real")
+        self.bias = Param(QTensor.zeros((self.out_f,), dtype=dtype), kind="real")
 
     def params(self):
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.bias", self.bias)]
@@ -189,7 +194,8 @@ class RealDense(Module):
         self.kernel.value.data[0] = rng.uniform(-a, a, size=(self.out_f, self.in_f))
 
     def forward(self, leaves, x):
-        return ad.real_dense(x, leaves[f"{self.name}.kernel"], leaves[f"{self.name}.bias"])
+        return ad.real_dense(x, leaves[f"{self.name}.kernel"], leaves[f"{self.name}.bias"],
+                             *self.map)
 
 
 class QBN(Module):
@@ -485,8 +491,7 @@ def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     s = spec.base_spatial
     base = spec.g_widths[0]
     g_modules: list[Module] = [
-        RealDense("g.fc", spec.noise_dim, s * s * base, dtype=dtype),
-        Op("g.enc", ad.real_to_quat, base // 4, s, s),
+        RealDense("g.fc", spec.noise_dim, base // 4, s, s, dtype=dtype),
     ]
     prev = base
     for i, w in enumerate(spec.g_widths[1:], start=1):
@@ -509,7 +514,6 @@ def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
         Op("d.pool", ad.global_sum_pool),
         Op("d.flat", ad.reshape, (-1, prev // 4)),
         QDense("d.fc", prev // 4, 1, dtype=dtype),
-        Op("d.proj", ad.component_sum),
     ]
     return Model("g", g_modules), Model("d", d_modules)
 

@@ -31,16 +31,16 @@ class TestTapeRecording:
     def test_same_op_twice_distinct_ids(self, rng):
         tape = ad.Tape()
         x = tape.constant(QTensor(rng.standard_normal((4, 3))))
-        a = ad.scale(x, 2.0)
-        b = ad.scale(x, 2.0)
+        a = ad.scale_components(x, [2.0] * 4)
+        b = ad.scale_components(x, [2.0] * 4)
         assert a.nid != b.nid
 
     def test_chained_backward_order(self):
         tape = ad.Tape()
         x = tape.param("x", scalar_qt(1.5))
-        a = ad.scale(x, 2.0)      # nid 1
-        b = ad.scale(a, 3.0)      # nid 2
-        c = ad.scale(b, 4.0)      # nid 3
+        a = ad.scale_components(x, [2.0] * 4)      # nid 1
+        b = ad.scale_components(a, [3.0] * 4)      # nid 2
+        c = ad.scale_components(b, [4.0] * 4)      # nid 3
         grads = tape.backward(c)
         assert np.array_equal(grads["x"].data, [2.0 * 3.0 * 4.0, 0.0, 0.0, 0.0])
 
@@ -92,7 +92,7 @@ class TestTapeLifetime:
         with pytest.raises(DomainError):
             loss.tape
         with pytest.raises(DomainError):
-            ad.scale(loss, 2.0)
+            ad.scale_components(loss, [2.0] * 4)
 
 
 class TestBackward:
@@ -142,7 +142,7 @@ class TestBackward:
             w = tape.param("w", QTensor(rng_fixed.standard_normal((4, 2, 3))))
             x = tape.constant(QTensor(rng_fixed.standard_normal((4, 5, 3))))
             y = ad.qdense(x, w, None)
-            loss = ad.scale(total(ad.split_act(y, "tanh")), factor)
+            loss = ad.scale_components(total(ad.split_act(y, "tanh")), [factor] * 4)
             return tape.backward(loss)["w"].data
 
         rng_fixed = np.random.default_rng(3)

@@ -147,6 +147,23 @@ class TestQDense:
             run_op(ad.qdense, x, _qt(rng, (4, 5)))
 
 
+class TestRealDense:
+    def test_map_layout_matches_scalar_loop(self, rng):
+        """Real output channel 4c+r of a (c, h, w) map lands at component r of
+        quaternion channel c."""
+        b, n_in, c, h, w = 2, 3, 2, 3, 2
+        x = rng.standard_normal((b, n_in))
+        k = rng.standard_normal((4 * c * h * w, n_in))
+        bias = rng.standard_normal(4 * c * h * w)
+        got = run_op(lambda *a: ad.real_dense(*a, c, h, w), QTensor.from_real(x),
+                     QTensor.from_real(k), QTensor.from_real(bias))
+        assert got.shape == (b, c, h, w)
+        for n, ch, r, i, j in np.ndindex(b, c, 4, h, w):
+            row = ((4 * ch + r) * h + i) * w + j
+            want = sum(x[n, f] * k[row, f] for f in range(n_in)) + bias[row]
+            assert abs(got.data[r, n, ch, i, j] - want) < 1e-12
+
+
 class TestQConv2d:
     def test_identity_one_by_one(self, rng):
         x = _qt(rng, (2, 3, 4, 4))

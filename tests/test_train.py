@@ -278,7 +278,7 @@ class TestTrainingLoop:
 
     def test_nan_aborts_with_diagnostic(self, tmp_path):
         cfg = toy_config(tmp_path, lr=1e18, iterations=50, checkpoint_every=0, eval_every=0)
-        with pytest.raises(NumericError) as exc:
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as exc:
             T.train(cfg)
         diag = exc.value.diagnostic
         assert "iteration" in diag and "d_param_norms" in diag
