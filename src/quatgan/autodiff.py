@@ -15,6 +15,17 @@ soon as ``record`` returns; the ops save unconditionally.
 
 Losses are real scalars carried in the q0 slot of a scalar-shaped QTensor;
 q1..q3 of a loss must be zero.
+
+Map values and map gradients follow one storage rule: a (4, B, C, H, W) map
+is stored channels-last, as the rows-outermost (H, B, W, 4, C) array that
+the conv lowering of :mod:`quatgan.layers` reads and writes, so
+:func:`quatgan.layers.map_rows` of it is C-contiguous. Convs take their
+operands as views and hand back views; the ops that read spatial axes
+(pools, upsampling, QBN, the reshape and real-dense edges) write their
+outputs and input gradients in the same layout, and elementwise ops keep
+the layout of their inputs. The rule affects speed, not values: every op
+accepts any layout, and a value's logical shape and contents do not depend
+on how it is stored.
 """
 
 from __future__ import annotations
@@ -141,7 +152,7 @@ class Tape:
                 if contrib is None:
                     continue
                 if grads[inp] is None:
-                    grads[inp] = contrib.copy() if contrib.base is not None else contrib
+                    grads[inp] = contrib.copy(order="K") if contrib.base is not None else contrib
                 else:
                     grads[inp] = grads[inp] + contrib
 
@@ -175,10 +186,16 @@ def scale_components(a: Node, factors) -> Node:
 
 
 def reshape(a: Node, shape) -> Node:
-    """Reshape keeping the quaternion components; one entry of ``shape`` may be -1."""
-    shape, in_shape = tuple(shape), a.value.data.shape
-    return a.tape.record("reshape", (a,), lambda av: av.reshape(shape),
-                         lambda g: (g.reshape(in_shape),))
+    """Reshape keeping the quaternion components; one entry of ``shape`` may
+    be -1. The input gradient takes the input's layout."""
+    shape, like = tuple(shape), a.value.data
+
+    def bwd(g):
+        dx = np.empty_like(like)
+        dx[...] = g.reshape(like.shape)
+        return (dx,)
+
+    return a.tape.record("reshape", (a,), lambda av: av.reshape(shape), bwd)
 
 
 def inner_const(a: Node, k: QTensor) -> Node:
@@ -324,7 +341,8 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
     the input's phases against the :func:`_row_weights` of the kernel's
     Hamilton block. The kernel gradient pairs the same patches with the
     output gradient, which backward then drops; the input gradient is
-    :func:`_row_gemms_t` of the output gradient.
+    :func:`_row_gemms_t` of the output gradient. The output and the input
+    gradient are channels-last views of the GEMM results.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -337,27 +355,27 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
         ho = L.conv_out_size(h, k, s, p)
         wo = L.conv_out_size(w, k, s, p)
         w_rows = _row_weights(L.hamilton_block(kv.data), k, s)
-        x_ph = L.to_phases(xv.data.transpose(3, 1, 4, 0, 2), s, p, ho + kk - 1, wo + kk - 1)
+        x_ph = L.to_phases(L.map_rows(xv.data), s, p, ho + kk - 1, wo + kk - 1)
         cols = L.row_patches(x_ph, kk)
-        y = _row_gemms(cols, w_rows).reshape(ho, b, wo, 4, o).transpose(3, 1, 4, 0, 2)
+        y = _row_gemms(cols, w_rows)
         saved.update(cols=cols, w_rows=w_rows, hwi=(h, w, i))
         if rest:
-            return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
-        return QTensor(np.ascontiguousarray(y))
+            y += rest[0].data.reshape(-1)
+        return QTensor(L.map_rows(y.reshape(ho, b, wo, 4, o)))
 
     def bwd(g):
         _, b, _, ho, wo = g.shape
         h, w, i = saved["hwi"]
-        g_rows = np.ascontiguousarray(g.transpose(3, 1, 4, 0, 2)).reshape(ho, b, wo, 4 * o)
+        g_rows = np.ascontiguousarray(L.map_rows(g)).reshape(ho, b, wo, 4 * o)
         cols = saved.pop("cols")  # released below; a tape backpropagates once
         dw = _row_weights_grad(cols, g_rows.reshape(-1, 4 * o), kk)
         del cols
         dx = _row_gemms_t(g_rows, saved["w_rows"], s, p, h, w)
-        dx = dx.reshape(h, b, w, 4, i).transpose(3, 1, 4, 0, 2)
+        dx = L.map_rows(dx.reshape(h, b, w, 4, i))
         dk = L.fold_block(_block_grad(dw, k, s)).reshape(4, o, i, k, k)
         if bias is None:
             return dx, dk
-        return dx, dk, g.sum(axis=(1, 3, 4))
+        return dx, dk, L.channel_sum(g_rows, 4 * o).reshape(4, o)
 
     return x.tape.record("qconv2d", inputs, fwd, bwd)
 
@@ -383,25 +401,23 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
         wo = L.tconv_out_size(w, k, s, p)
         block = L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1))
         w_rows = _row_weights(block.T, k, s)
-        x_rows = np.ascontiguousarray(xv.data.transpose(3, 1, 4, 0, 2)).reshape(h, b, w, 4 * i)
-        y = _row_gemms_t(x_rows, w_rows, s, p, ho, wo).reshape(ho, b, wo, 4, o)
-        y = y.transpose(3, 1, 4, 0, 2)
+        x_rows = np.ascontiguousarray(L.map_rows(xv.data)).reshape(h, b, w, 4 * i)
+        y = _row_gemms_t(x_rows, w_rows, s, p, ho, wo)
         saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows, hw=(h, w))
         if rest:
-            return QTensor(np.add(y, rest[0].data[:, None, :, None, None], order="C"))
-        return QTensor(np.ascontiguousarray(y))
+            y += rest[0].data.reshape(-1)
+        return QTensor(L.map_rows(y.reshape(ho, b, wo, 4, o)))
 
     def bwd(g):
         h, w = saved["hw"]
-        g_ph = L.to_phases(g.transpose(3, 1, 4, 0, 2), s, p, h + kk - 1, w + kk - 1)
-        g_cols = L.row_patches(g_ph, kk)
+        g_rows = L.map_rows(g)
+        g_cols = L.row_patches(L.to_phases(g_rows, s, p, h + kk - 1, w + kk - 1), kk)
         dx = _row_gemms(g_cols, saved["w_rows"]).reshape(h, g.shape[1], w, 4, i)
-        dx = dx.transpose(3, 1, 4, 0, 2)
         dw = _row_weights_grad(g_cols, saved["x2"], kk)
         dk = L.fold_block(_block_grad(dw, k, s).T).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:
-            return dx, dk
-        return dx, dk, g.sum(axis=(1, 3, 4))
+            return L.map_rows(dx), dk
+        return L.map_rows(dx), dk, L.channel_sum(g_rows, 4 * o).reshape(4, o)
 
     return x.tape.record("qtconv2d", inputs, fwd, bwd)
 
@@ -447,38 +463,37 @@ def avg_pool(x: Node, window: int) -> Node:
         raise ShapeMismatchError(f"pooling window {window} must divide spatial dims {(h, w)}")
 
     def fwd(xv):
-        out = L.window_sum(xv.data.reshape(*xv.data.shape[:-2], h // window, window,
-                                           w // window, window))
+        out = L.window_sum(L.map_rows(xv.data), window)
         out /= window * window
-        return QTensor(out)
+        return QTensor(L.map_rows(out))
 
     def bwd(g):
-        g4 = np.repeat(np.repeat(g, window, axis=-2), window, axis=-1)
-        return (g4 / (window * window),)
+        return (L.map_rows(L.window_repeat(L.map_rows(g) / (window * window), window)),)
 
     return x.tape.record("avg_pool", (x,), fwd, bwd)
 
 
 def global_sum_pool(x: Node) -> Node:
     """Sum over all spatial positions; spatial dims collapse to 1x1."""
-    shape = x.value.data.shape
+    rows_shape = L.map_rows(x.value.data).shape
+
+    def fwd(xv):
+        return QTensor(L.map_rows(L.map_rows(xv.data).sum(axis=(0, 2), keepdims=True)))
 
     def bwd(g):
-        return (np.broadcast_to(g, shape).copy(),)
+        return (L.map_rows(np.broadcast_to(L.map_rows(g), rows_shape).copy()),)
 
-    return x.tape.record("global_sum_pool", (x,),
-                         lambda xv: QTensor(xv.data.sum(axis=(-2, -1), keepdims=True)), bwd)
+    return x.tape.record("global_sum_pool", (x,), fwd, bwd)
 
 
 def upsample2x(x: Node) -> Node:
     """Nearest-neighbour upsampling by 2 along both spatial axes."""
 
     def fwd(xv):
-        return QTensor(np.repeat(np.repeat(xv.data, 2, axis=-2), 2, axis=-1))
+        return QTensor(L.map_rows(L.window_repeat(L.map_rows(xv.data), 2)))
 
     def bwd(g):
-        s = g.shape
-        return (L.window_sum(g.reshape(*s[:-2], s[-2] // 2, 2, s[-1] // 2, 2)),)
+        return (L.map_rows(L.window_sum(L.map_rows(g), 2)),)
 
     return x.tape.record("upsample2x", (x,), fwd, bwd)
 
@@ -497,8 +512,8 @@ def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int)
     def fwd(xv, kv, bv):
         saved["x0"], saved["k0"] = xv.q0, kv.q0
         y0 = np.matmul(xv.q0, kv.q0.T) + bv.q0[None, :]
-        v = y0.reshape(b, channels, 4, h, w)
-        return QTensor(np.ascontiguousarray(v.transpose(2, 0, 1, 3, 4)))
+        rows = y0.reshape(b, channels, 4, h, w).transpose(3, 0, 4, 2, 1)
+        return QTensor(L.map_rows(np.ascontiguousarray(rows)))
 
     def bwd(g):
         g0 = g.transpose(1, 2, 0, 3, 4).reshape(b, -1)

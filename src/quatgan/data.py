@@ -44,10 +44,12 @@ def encapsulate_batch(rgb: np.ndarray) -> QTensor:
 
 
 def decapsulate_batch(x: QTensor) -> np.ndarray:
-    """Drop q0 and return the (N, 3, H, W) channels clamped to [-1, 1]."""
+    """Drop q0 and return the (N, 3, H, W) channels clamped to [-1, 1], as a
+    C-contiguous array."""
     if len(x.shape) != 4 or x.shape[1] != 1:
         raise ShapeMismatchError(f"expected quaternion batch (N, 1, H, W), got {x.shape}")
-    return np.clip(x.data[1:, :, 0].transpose(1, 0, 2, 3), -1.0, 1.0)
+    rgb = x.data[1:, :, 0].transpose(1, 0, 2, 3)
+    return np.clip(rgb, -1.0, 1.0, out=np.empty(rgb.shape, dtype=rgb.dtype))
 
 
 # -- synthetic data ---------------------------------------------------------------

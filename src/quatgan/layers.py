@@ -14,11 +14,14 @@ and transposed-conv tape ops in :mod:`quatgan.autodiff` run real GEMMs
 against the block, fold their kernel gradient back through the adjoint, and
 spectral normalization and the sigma diagnostics measure the same block.
 
-The convolution primitives are channels-last and rows-outermost: a
-quaternion map enters them as (H, B, W, C) with its four components moved
-inward, C = 4*channels in (component, channel) order. The block's singular
-values, and so spectral normalization, do not depend on how its columns
-are reordered to match.
+The spatial primitives are channels-last and rows-outermost: a quaternion
+map enters them as (H, B, W, C) with its four components moved inward,
+C = 4*channels in (component, channel) order. The block's singular values,
+and so spectral normalization, do not depend on how its columns are
+reordered to match. Tape maps arrive already rows-outermost: a map value
+keeps its (4, B, C, H, W) shape but is stored as (H, B, W, 4, C), so
+:func:`map_rows` of it is a C-contiguous view and the lowering reads and
+writes it without moving it (see :mod:`quatgan.autodiff`).
 
 Every conv and transposed conv, at every stride, has one lowering: phases,
 row patches, row GEMMs. :func:`to_phases` pads the map and stacks each s x s
@@ -48,7 +51,10 @@ __all__ = [
     "ConvConfig",
     "hamilton_block",
     "fold_block",
+    "map_rows",
+    "channel_sum",
     "window_sum",
+    "window_repeat",
     "quaternion_init",
     "conv_out_size",
     "tconv_out_size",
@@ -139,6 +145,33 @@ def tconv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # -- real spatial primitives -------------------------------------------------
 
 
+def map_rows(v: np.ndarray) -> np.ndarray:
+    """The rows-outermost (H, B, W, 4, C) view of a (4, B, C, H, W) map, and
+    back: the axis permutation is its own inverse. For a map stored
+    channels-last the view is C-contiguous."""
+    return v.transpose(3, 1, 4, 0, 2)
+
+
+def channel_sum(v: np.ndarray, c: int) -> np.ndarray:
+    """Sum of a rows-outermost map over every axis but its trailing ``c``
+    channels: (H, ..., c) -> (c,). It reduces the (H, ...) rows, as wide as
+    the rest of the map, then the channel blocks of the one row left; numpy
+    sums a tall matrix of narrow rows over its first axis several times
+    slower."""
+    return v.reshape(v.shape[0], -1).sum(axis=0).reshape(-1, c).sum(axis=0)
+
+
+def _phase_span(i: int, stride: int, padding: int, size: int, phases: int):
+    """Where phase offset ``i`` meets a map axis of ``size`` pixels padded in
+    front by ``padding``: (first pixel, first phase index, count). Pixel
+    y = s*r + i - padding of the map is row r of phase i."""
+    y0 = (i - padding) % stride
+    r0 = (y0 + padding - i) // stride
+    if r0 < 0:
+        y0, r0 = y0 - stride * r0, 0
+    return y0, r0, max(min(-(-(size - y0) // stride), phases - r0), 0)
+
+
 def to_phases(v: np.ndarray, stride: int, padding: int, rows: int, cols: int) -> np.ndarray:
     """Space-to-depth of a rows-outermost map: (H, B, W, ...) -> (rows, B, cols, s*s*C).
 
@@ -146,39 +179,40 @@ def to_phases(v: np.ndarray, stride: int, padding: int, rows: int, cols: int) ->
     cut or zero-filled to s*rows x s*cols pixels, s = ``stride``. Phase pixel
     (r, b, c) stacks the s x s block at (s*r, s*c), channels in (row phase,
     column phase, channel) order; trailing axes of ``v``, any strided view,
-    merge into the channel. At stride 1 with no padding and an exact fit,
-    ``v`` itself is returned (a view where its trailing axes merge).
+    merge into the channel. Each phase is one strided copy. At stride 1 with
+    no padding and an exact fit, ``v`` itself is returned (a view where its
+    trailing axes merge).
     """
-    b, tail = v.shape[1], v.shape[3:]
-    hs, ws, top, lo = stride * rows, stride * cols, max(padding, 0), max(-padding, 0)
-    src = v[lo : max(hs - padding, lo), :, lo : max(ws - padding, lo)]
-    if top or src.shape[0] < hs or src.shape[2] < ws:
-        xp = np.zeros((hs, b, ws, *tail), dtype=v.dtype)
-        xp[top : top + src.shape[0], :, top : top + src.shape[2]] = src
-        src = xp
-    if stride > 1:
-        src = src.reshape(rows, stride, b, cols, stride, *tail)
-        src = np.ascontiguousarray(src.transpose(0, 2, 3, 1, 4, *range(5, src.ndim)))
-    return src.reshape(rows, b, cols, -1)
+    h, b, w, tail = v.shape[0], v.shape[1], v.shape[2], v.shape[3:]
+    if stride == 1 and padding == 0 and (rows, cols) == (h, w):
+        return v.reshape(rows, b, cols, -1)
+    out = np.zeros((rows, b, cols, stride, stride, *tail), dtype=v.dtype)
+    for i in range(stride):
+        y0, r0, n = _phase_span(i, stride, padding, h, rows)
+        for j in range(stride):
+            x0, c0, m = _phase_span(j, stride, padding, w, cols)
+            out[r0 : r0 + n, :, c0 : c0 + m, i, j] = \
+                v[y0 : y0 + stride * n : stride, :, x0 : x0 + stride * m : stride]
+    return out.reshape(rows, b, cols, -1)
 
 
 def from_phases(u: np.ndarray, stride: int, padding: int, h: int, w: int) -> np.ndarray:
     """Adjoint of :func:`to_phases`: (rows, B, cols, s*s*C) -> (h, B, w, C),
     the h x w window at (padding, padding) of the s*rows x s*cols pixel map,
-    zero outside it. At stride 1 with no padding and an exact fit, ``u``
-    itself is returned."""
+    zero outside it, as a C-contiguous array. At stride 1 with no padding
+    and an exact fit, ``u`` itself is returned."""
     rows, b, cols = u.shape[:3]
-    c = u.shape[3] // (stride * stride)
-    if stride > 1:
-        u = u.reshape(rows, b, cols, stride, stride, c).transpose(0, 3, 1, 2, 4, 5)
-        u = u.reshape(stride * rows, b, stride * cols, c)
-    top, lo = max(padding, 0), max(-padding, 0)
-    src = u[top : max(padding + h, top), :, top : max(padding + w, top)]
-    if lo or src.shape[0] < h or src.shape[2] < w:
-        out = np.zeros((h, b, w, c), dtype=u.dtype)
-        out[lo : lo + src.shape[0], :, lo : lo + src.shape[2]] = src
-        return out
-    return src
+    if stride == 1 and padding == 0 and (rows, cols) == (h, w):
+        return u
+    u = u.reshape(rows, b, cols, stride, stride, -1)
+    out = np.zeros((h, b, w, u.shape[-1]), dtype=u.dtype)
+    for i in range(stride):
+        y0, r0, n = _phase_span(i, stride, padding, h, rows)
+        for j in range(stride):
+            x0, c0, m = _phase_span(j, stride, padding, w, cols)
+            out[y0 : y0 + stride * n : stride, :, x0 : x0 + stride * m : stride] = \
+                u[r0 : r0 + n, :, c0 : c0 + m, i, j]
+    return out
 
 
 def row_patches(xp: np.ndarray, kernel: int) -> np.ndarray:
@@ -195,19 +229,29 @@ def row_patches(xp: np.ndarray, kernel: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 3).reshape(hp, b * (wp - kernel + 1), kernel * c)
 
 
-def window_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of a (..., h, window, w, window) view over its two window axes.
+def window_sum(v: np.ndarray, window: int) -> np.ndarray:
+    """Sums over the non-overlapping window x window blocks of a
+    rows-outermost map: (H, B, W, ...) -> (H/window, B, W/window, ...).
 
-    Adds the window**2 strided slices ``v[..., i, :, j]``; numpy reduces
-    over two strided axes of one view several times slower.
+    Adds the window**2 strided slices ``v[i::window, :, j::window]``; numpy
+    reduces over two strided axes of one view several times slower.
     """
-    window = v.shape[-1]
-    out = v[..., 0, :, 0].copy()
+    out = v[::window, :, ::window].copy()
     for i in range(window):
         for j in range(window):
             if i or j:
-                out += v[..., i, :, j]
+                out += v[i::window, :, j::window]
     return out
+
+
+def window_repeat(v: np.ndarray, window: int) -> np.ndarray:
+    """Adjoint of :func:`window_sum`, nearest-neighbour upsampling of a
+    rows-outermost map: (H, B, W, ...) -> (H*window, B, W*window, ...),
+    C-contiguous, in one broadcast copy."""
+    h, b, w, tail = v.shape[0], v.shape[1], v.shape[2], v.shape[3:]
+    out = np.empty((h, window, b, w, window, *tail), dtype=v.dtype)
+    out[...] = v[:, None, :, :, None]
+    return out.reshape(h * window, b, w * window, *tail)
 
 
 # -- initialization ------------------------------------------------------------

@@ -378,9 +378,11 @@ class Model:
 
     def forward_array(self, x: QTensor, *, training: bool = True,
                       update_stats: bool | None = None) -> QTensor:
-        """Pure forward (no gradients recorded); see :meth:`forward`."""
+        """Pure forward (no gradients recorded) as a C-contiguous array; see
+        :meth:`forward`."""
         tape = ad.Tape(needs_grad=False)
-        return self.forward(tape, tape.constant(x), training=training).value
+        return QTensor(np.ascontiguousarray(self.forward(tape, tape.constant(x),
+                                                         training=training).value.data))
 
     def leaf_modules(self):
         for m in self.modules:

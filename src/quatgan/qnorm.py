@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import layers as L
 from .errors import DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
@@ -37,34 +38,22 @@ __all__ = [
 EPSILON = 1e-5  # added to the pooled variance before its square root
 
 
-def _reduce_axes(data: np.ndarray):
-    """Axes of a (4, B, C, ...) array pooled by per-channel statistics."""
+def _sample_rows(data: np.ndarray):
+    """A (4, B, C, ...) array as a (rows, r*4*C) matrix, r samples of the
+    per-channel statistics per row, and the axis order that took it there.
+    A channels-last map (H, B, W, 4, C) gives its (H, B*W*4*C) view: rows
+    this wide make the column sums and per-channel broadcasts fast."""
     if data.ndim < 3:
         raise ShapeMismatchError(f"expected (batch, channels, ...) input, got {data.shape[1:]}")
-    return (1,) + tuple(range(3, data.ndim))
+    order = (3, 1, 4, 0, 2) if data.ndim == 5 else (1, *range(3, data.ndim), 0, 2)
+    stored = data.transpose(order)
+    return stored.reshape(stored.shape[0], -1), order
 
 
-def _chan(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """Broadcast a (4, C) or (C,) per-channel array across (4, B, C, ...)."""
-    if arr.ndim == 2:
-        return arr.reshape(4, 1, -1, *([1] * (ndim - 3)))
-    return arr.reshape(1, 1, -1, *([1] * (ndim - 3)))
-
-
-def _batch_stats(data: np.ndarray, eps: float):
-    """The centred batch ``data - mu``, the per-channel scale
-    ``sqrt(sum_c var_c + eps)`` and the sample count per channel."""
-    axes = _reduce_axes(data)
-    n = 1
-    for a in axes:
-        n *= data.shape[a]
-    if n < 2:
-        raise DomainError("QBN needs at least two samples per channel for variance")
-    mu = data.mean(axis=axes, keepdims=True)
-    xc = data - mu
-    var_c = (xc * xc).mean(axis=axes, keepdims=True)
-    s = np.sqrt(var_c.sum(axis=0, keepdims=True) + eps)
-    return xc, s, n
+def _from_rows(m: np.ndarray, shape, order) -> np.ndarray:
+    """Inverse of :func:`_sample_rows`: a (4, B, C, ...) array of ``shape``
+    stored in the axis order of the matrix."""
+    return m.reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 
 def qbn(x, gamma, beta):
@@ -72,29 +61,44 @@ def qbn(x, gamma, beta):
 
     ``gamma`` holds one real gain per channel (carried in q0) and ``beta``
     one quaternion shift per channel. The batch statistics are part of the
-    recorded gradient.
+    recorded gradient. Both passes run on the :func:`_sample_rows` matrix,
+    a view of a channels-last map, and write their results in its layout.
     """
     saved = {}
+    channels = x.value.shape[1]
+
+    def col_sum(m):
+        """Per (component, channel) sum over all samples: (4, C)."""
+        return L.channel_sum(m, 4 * channels).reshape(4, channels)
+
+    def tile(v, r):
+        """A (4, C) or (C,) per-channel array as one row of the matrix."""
+        return np.tile(np.broadcast_to(v, (4, channels)).reshape(-1), r)
 
     def fwd(xv: QTensor, gv: QTensor, bv: QTensor) -> QTensor:
-        data = xv.data
-        xc, s, n = _batch_stats(data, EPSILON)
-        xhat = xc / s
-        g0 = _chan(gv.q0, data.ndim)
-        saved.update(xc=xc, s=s, n=n, xhat=xhat, gamma=g0)
-        return QTensor(g0 * xhat + _chan(bv.data, data.ndim))
+        m, order = _sample_rows(xv.data)
+        r = m.shape[1] // (4 * channels)
+        n = m.shape[0] * r
+        if n < 2:
+            raise DomainError("QBN needs at least two samples per channel for variance")
+        xc = m - tile(col_sum(m) / n, r)
+        s = np.sqrt((col_sum(xc * xc) / n).sum(axis=0) + EPSILON)
+        xhat = xc / tile(s, r)
+        saved.update(xc=xc, s=s, n=n, r=r, xhat=xhat, gamma=gv.q0)
+        out = xhat * tile(gv.q0, r) + tile(bv.data, r)
+        return QTensor(_from_rows(out, xv.data.shape, order))
 
     def bwd(g):
-        xhat, gamma, s, xc, n = (saved[k] for k in ("xhat", "gamma", "s", "xc", "n"))
-        axes = _reduce_axes(g)
-        dgamma = np.zeros((4, gamma.shape[2]), dtype=g.dtype)
-        dgamma[0] = (g * xhat).sum(axis=(0,) + axes)
-        dbeta = g.sum(axis=axes)
-        dxhat = g * gamma
-        dv = (dxhat * xc).sum(axis=(0,) + axes, keepdims=True) * (-0.5) / (s ** 3)
-        dmu = dxhat.sum(axis=axes, keepdims=True) * (-1.0 / s)
-        dx = dxhat / s + dv * (2.0 / n) * xc + dmu / n
-        return dx, dgamma, dbeta
+        xhat, gamma, s, xc, n, r = (saved[k] for k in ("xhat", "gamma", "s", "xc", "n", "r"))
+        gm, order = _sample_rows(g)
+        dgamma = np.zeros((4, channels), dtype=g.dtype)
+        dgamma[0] = col_sum(gm * xhat).sum(axis=0)
+        dbeta = col_sum(gm)
+        dxhat = gm * tile(gamma, r)
+        dv = col_sum(dxhat * xc).sum(axis=0) * (-0.5) / (s ** 3)
+        dmu = col_sum(dxhat) * (-1.0 / s)
+        dx = dxhat / tile(s, r) + tile(dv * (2.0 / n), r) * xc + tile(dmu / n, r)
+        return _from_rows(dx, g.shape, order), dgamma, dbeta
 
     return x.tape.record("qbn", (x, gamma, beta), fwd, bwd)
 

@@ -1,8 +1,11 @@
 """Batched quaternion tensors.
 
 A :class:`QTensor` stores one real array per quaternion component in a single
-``(4, *shape)`` ndarray (component-major layout). ``shape`` never includes the
-component axis.
+``(4, *shape)`` ndarray (component-major indexing). ``shape`` never includes the
+component axis. The index order need not be the memory order: a map on the
+tape, (4, B, C, H, W), is stored channels-last (see :mod:`quatgan.autodiff`),
+so its ``.data`` may be a non-contiguous view. Use ``np.ascontiguousarray``
+where C order matters.
 """
 
 from __future__ import annotations
