@@ -23,13 +23,27 @@ the conv lowering of :mod:`quatgan.layers` reads and writes, so
 operands as views and hand back views; the ops that read spatial axes
 (pools, upsampling, QBN, the reshape and real-dense edges) write their
 outputs and input gradients in the same layout, and elementwise ops keep
-the layout of their inputs. The rule affects speed, not values: every op
+the layout of their inputs. A (B, n) value of a dense edge (``qdense``,
+``reshape``) is stored batch-major, (B, 4, n), the real matrix the dense
+GEMM reads and writes. The rule affects speed, not values: every op
 accepts any layout, and a value's logical shape and contents do not depend
 on how it is stored.
+
+Importing this module sets the process's heap policy once (glibc
+``mallopt``; nothing where the C library has none): freed blocks stay on
+the heap for the next step to reuse instead of going back to the kernel.
+A training step frees and reallocates the same array sizes every
+iteration, and glibc's default policy unmaps or trims them after each
+step, so the next step faults the pages in again. The policy is set at
+import because every caller that records a tape, the CLI, tests and
+benchmark harnesses alike, imports this module. It changes speed and
+resident memory, not values.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -40,6 +54,26 @@ from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = ["Tape", "Node", "grad_check", "GradCheckReport"]
+
+
+def _keep_freed_heap() -> None:
+    """Serve arrays up to 32 MiB from the heap and trim it only past 256 MiB
+    free. Under glibc's dynamic policy a warm ``qdcgan_toy16`` batch-32 step
+    took ~2,300 minor page faults and ~4 ms of system time, faulting in again
+    the memory the previous step had trimmed or unmapped; with this policy
+    it takes 0-3. 32 MiB is the highest mmap threshold glibc's own policy
+    reaches."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class Node:
@@ -152,7 +186,9 @@ class Tape:
                 if contrib is None:
                     continue
                 if grads[inp] is None:
-                    grads[inp] = contrib.copy(order="K") if contrib.base is not None else contrib
+                    # a view of part of a larger buffer would pin all of it
+                    partial = contrib.base is not None and contrib.nbytes < contrib.base.nbytes
+                    grads[inp] = contrib.copy(order="K") if partial else contrib
                 else:
                     grads[inp] = grads[inp] + contrib
 
@@ -185,17 +221,41 @@ def scale_components(a: Node, factors) -> Node:
                          lambda g: (g * f,))
 
 
+def _tape_empty(shape, dtype) -> np.ndarray:
+    """An uninitialised (4, *shape) value in the tape's storage: a map
+    channels-last, anything else batch-major, (B, 4, ...)."""
+    if len(shape) == 4:
+        b, c, h, w = shape
+        return L.map_rows(np.empty((h, b, w, 4, c), dtype=dtype))
+    lead = shape[:1]
+    return np.moveaxis(np.empty((*lead, 4, *shape[1:]), dtype=dtype), len(lead), 0)
+
+
+def _copy_reshaped(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Write ``src`` into ``dst``, an array of the same size in another shape,
+    in one pass: the reshape is a view of ``dst`` where it can be, else of
+    ``src``."""
+    try:
+        dst.reshape(src.shape, copy=False)[...] = src
+    except ValueError:
+        dst[...] = src.reshape(dst.shape)
+    return dst
+
+
 def reshape(a: Node, shape) -> Node:
     """Reshape keeping the quaternion components; one entry of ``shape`` may
-    be -1. The input gradient takes the input's layout."""
-    shape, like = tuple(shape), a.value.data
+    be -1. The output takes the tape's storage and the input gradient the
+    input's, so the map edge of a dense layer, whose (B, n) values are
+    stored (B, 4, n), is one copy each way."""
+    like = a.value.data
+    # with one -1 entry, -prod(shape) is the product of the others
+    shape = tuple(like[0].size // -math.prod(shape) if d == -1 else d for d in shape)
 
-    def bwd(g):
-        dx = np.empty_like(like)
-        dx[...] = g.reshape(like.shape)
-        return (dx,)
+    def fwd(av):
+        return QTensor(_copy_reshaped(_tape_empty(shape, av.dtype), av.data))
 
-    return a.tape.record("reshape", (a,), lambda av: av.reshape(shape), bwd)
+    return a.tape.record("reshape", (a,), fwd,
+                         lambda g: (_copy_reshaped(np.empty_like(like), g),))
 
 
 def inner_const(a: Node, k: QTensor) -> Node:
@@ -257,8 +317,8 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
         saved.update(x2=x2, block=block)
         y = (x2 @ block.T).reshape(b, 4, out_q).transpose(1, 0, 2)
         if rest:
-            return QTensor(np.add(y, rest[0].data[:, None, :], order="C"))
-        return QTensor(np.ascontiguousarray(y))
+            y += rest[0].data[:, None, :]
+        return QTensor(y)
 
     def bwd(g):
         b, out_q = g.shape[1], g.shape[2]

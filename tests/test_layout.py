@@ -14,7 +14,10 @@ from quatgan.layers import ConvConfig
 from quatgan.qtensor import QTensor
 
 # ops whose rank-5 values must be stored channels-last
-MAP_OPS = ("qconv2d", "qtconv2d", "qbn", "add", "avg_pool", "upsample2x", "real_dense")
+MAP_OPS = ("qconv2d", "qtconv2d", "qbn", "add", "avg_pool", "upsample2x", "real_dense",
+           "reshape")
+# ops whose (B, n) values must be stored batch-major, (B, 4, n)
+DENSE_OPS = ("qdense", "reshape")
 # ops whose rank-5 values are kernels, not maps
 KERNEL_OPS = ("param", "scale_components")
 
@@ -40,7 +43,8 @@ class TestStorageRule:
                                                     loss):
         """One D step and one G step at batch 4: every map value the listed
         ops record, and every map input gradient with more than one pixel,
-        is channels-last; the images a model hands out are C-contiguous."""
+        is channels-last, and every (B, n) value of a dense edge is stored
+        (B, 4, n); the images a model hands out are C-contiguous."""
         bad, ops = [], set()
         record = ad.Tape.record
 
@@ -61,6 +65,8 @@ class TestStorageRule:
                 ops.add(op)
                 if not is_channels_last(value):
                     bad.append(("value", op, value.shape))
+            if op in DENSE_OPS and value.ndim == 3 and not value.swapaxes(0, 1).flags.c_contiguous:
+                bad.append(("value", op, value.shape))
             return node
 
         monkeypatch.setattr(ad.Tape, "record", checked_record)
