@@ -482,6 +482,38 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
     return x.tape.record("qtconv2d", inputs, fwd, bwd)
 
 
+# Per axis, the 4-tap kernel of the stride-2, padding-1 transposed conv that
+# equals a nearest 2x upsample followed by a 3-tap conv of padding 1 has taps
+# [w2, w1+w2, w0+w1, w0] = w @ _UPCONV_AXIS. Over both axes that is the
+# flattened 3x3 taps times the (9, 16) Kronecker product of it with itself.
+_UPCONV_AXIS = np.array([[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]])
+_UPCONV_TAPS = np.kron(_UPCONV_AXIS, _UPCONV_AXIS)
+
+
+def upconv_kernel(kernel: Node) -> Node:
+    """The (in_q, out_q, 4, 4) kernel whose stride-2, padding-1 transposed
+    conv equals a nearest 2x upsample followed by the stride-1, padding-1
+    conv of the (out_q, in_q, 3, 3) ``kernel``, so the conv runs on the
+    low-resolution map (Dumoulin & Visin, arXiv:1603.07285). The map is one
+    GEMM against ``_UPCONV_TAPS``; backward is the GEMM against its
+    transpose."""
+    taps = _UPCONV_TAPS.astype(kernel.value.dtype)
+
+    def fwd(kv):
+        if len(kv.shape) != 4 or kv.shape[2:] != (3, 3):
+            raise ShapeMismatchError(f"upconv kernel must be (out_q, in_q, 3, 3), got {kv.shape}")
+        o, i = kv.shape[:2]
+        w = kv.data.transpose(0, 2, 1, 3, 4).reshape(-1, 9)
+        return QTensor((w @ taps).reshape(4, i, o, 4, 4))
+
+    def bwd(g):
+        i, o = g.shape[1:3]
+        dw = g.transpose(0, 2, 1, 3, 4).reshape(-1, 16) @ taps.T
+        return (dw.reshape(4, o, i, 3, 3),)
+
+    return kernel.tape.record("upconv_kernel", (kernel,), fwd, bwd)
+
+
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     pos = v >= 0
@@ -580,7 +612,7 @@ def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int)
         dx = np.zeros((4, *saved["x0"].shape), dtype=g.dtype)
         dx[0] = np.matmul(g0, saved["k0"])
         dk = np.zeros((4, *saved["k0"].shape), dtype=g.dtype)
-        dk[0] = np.einsum("bo,bi->oi", g0, saved["x0"])
+        dk[0] = g0.T @ saved["x0"]
         db = np.zeros((4, saved["k0"].shape[0]), dtype=g.dtype)
         db[0] = g0.sum(axis=0)
         return dx, dk, db

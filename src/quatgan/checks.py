@@ -102,6 +102,15 @@ def check_qtconv(rng):
     return grad_check(build, params, TOL, STEP)
 
 
+def check_upconv_kernel(rng):
+    params = {"k": _qt(rng, (3, 2, 3, 3))}
+
+    def build(tape, leaves):
+        return _loss(ad.upconv_kernel(leaves["k"]))
+
+    return grad_check(build, params, TOL, STEP)
+
+
 def _margin(data, threshold=1e-3):
     return np.abs(data).min() > threshold
 
@@ -312,6 +321,7 @@ SUITES = {
         # qdcgan's (4, 2, 1) conv on a non-square map whose padded sides are odd
         ("qconv2d_strided_input", check_qconv_input(L.ConvConfig(4, 2, 1, 2, 2), (2, 2, 5, 7))),
         ("qtransposed_conv2d", check_qtconv),
+        ("upconv_kernel", check_upconv_kernel),
         ("split_relu", check_activation("relu")),
         ("split_tanh", check_activation("tanh")),
         ("split_sigmoid", check_activation("sigmoid")),

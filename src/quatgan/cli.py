@@ -56,7 +56,7 @@ def cmd_sample(args) -> int:
     spec = MD.preset_spec(config.model)
     rng = np.random.default_rng(args.seed)
     paths = T.emit_samples(g, spec, args.n, args.out, rng)
-    print(f"wrote {len(paths) - 1} samples + grid under {args.out} "
+    print(f"wrote {len(paths) - 1} samples under {args.out} and their grid to {paths[-1]} "
           f"(checkpoint iteration {iteration})")
     return 0
 

@@ -166,6 +166,21 @@ class QConv(_WeightedModule):
         return ad.qconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
 
 
+class QUpConv(QConv):
+    """A nearest 2x upsample followed by a 3x3, stride-1, padding-1 conv from
+    ``in_q`` to ``out_q`` channels, run as one stride-2 transposed conv of the
+    low-resolution input against :func:`quatgan.autodiff.upconv_kernel` of
+    the conv's kernel. The parameters are the 3x3 conv's."""
+
+    def __init__(self, name, in_q, out_q, dtype=np.float64):
+        super().__init__(name, L.ConvConfig(3, 1, 1, in_q, out_q), dtype=dtype)
+        self.up_cfg = L.ConvConfig(4, 2, 1, in_q, out_q)
+
+    def forward(self, leaves, x):
+        kernel = ad.upconv_kernel(self._kernel_node(leaves))
+        return ad.qtconv2d(x, kernel, self._bias_node(leaves), self.up_cfg)
+
+
 class QTConv(_WeightedModule):
     def __init__(self, name, cfg: L.ConvConfig, bias=True, dtype=np.float64):
         k = cfg.kernel
@@ -268,18 +283,19 @@ def _conv(name, k, i, o, dtype):
 
 def gen_block(name, i, o, dtype=np.float64) -> Residual:
     """Upsampling generator block, ``i`` to ``o`` quaternion channels: conv1
-    ``i -> o``, conv2 ``o -> o``, and a learnable 1x1 shortcut conv after the
-    nearest upsample."""
+    ``i -> o`` on the nearest 2x upsample, conv2 ``o -> o``, and a learnable
+    1x1 shortcut conv. conv1 is a :class:`QUpConv`, which runs at the low
+    resolution; the shortcut conv runs before its upsample, with which a 1x1
+    conv and its bias commute."""
     main = [
         QBN(f"{name}.bn1", i, dtype=dtype),
         Op(f"{name}.act1", ad.split_act, "relu"),
-        Op(f"{name}.up", ad.upsample2x),
-        _conv(f"{name}.conv1", 3, i, o, dtype),
+        QUpConv(f"{name}.conv1", i, o, dtype=dtype),
         QBN(f"{name}.bn2", o, dtype=dtype),
         Op(f"{name}.act2", ad.split_act, "relu"),
         _conv(f"{name}.conv2", 3, o, o, dtype),
     ]
-    shortcut = [Op(f"{name}.sc_up", ad.upsample2x), _conv(f"{name}.sc", 1, i, o, dtype)]
+    shortcut = [_conv(f"{name}.sc", 1, i, o, dtype), Op(f"{name}.sc_up", ad.upsample2x)]
     return Residual(name, main, shortcut)
 
 

@@ -207,7 +207,9 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
 
 def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
                  rng: np.random.Generator, dtype=np.float32) -> list[str]:
-    """Write n PPM samples plus an n-up grid image; returns the paths."""
+    """Write n PPM samples into ``out_dir`` and their n-up grid image beside
+    it, as ``<out_dir>_grid.ppm``, so the directory holds only same-sized
+    images and loads as a dataset; returns the paths, the grid's last."""
     images = generate_images(g, spec, n, rng, dtype=dtype)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -222,7 +224,7 @@ def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
     for i, img in enumerate(images):
         r, c = divmod(i, cols)
         grid[:, r * h : (r + 1) * h, c * w : (c + 1) * w] = img
-    gp = os.path.join(out_dir, "grid.ppm")
+    gp = os.path.abspath(out_dir) + "_grid.ppm"
     D.write_ppm(gp, grid)
     paths.append(gp)
     return paths

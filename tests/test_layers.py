@@ -300,6 +300,39 @@ class TestTransposedConv:
         assert np.allclose(got.data, dx.data, atol=1e-10)
 
 
+class TestUpConv:
+    @pytest.mark.parametrize("b,i,o,h,w", [(1, 2, 3, 3, 5), (2, 3, 1, 1, 2), (1, 1, 2, 4, 4)])
+    def test_matches_conv_of_upsampled_input(self, rng, b, i, o, h, w):
+        """The module's output and its input, kernel and bias gradients equal
+        those of the 3x3 conv of the nearest 2x upsample."""
+        conv = MD.QUpConv("c", i, o)
+        conv.init_params(rng, "glorot")
+        conv.bias.value.data[...] = rng.standard_normal((4, o))
+        x = _qt(rng, (b, i, h, w))
+        probe = _qt(rng, (b, o, 2 * h, 2 * w))
+
+        def run(fused):
+            tape = ad.Tape()
+            xn = tape.param("x", x)
+            leaves = {"c.kernel": tape.param("k", conv.kernel.value),
+                      "c.bias": tape.param("b", conv.bias.value)}
+            if fused:
+                y = conv.forward(leaves, xn)
+            else:
+                y = ad.qconv2d(ad.upsample2x(xn), leaves["c.kernel"], leaves["c.bias"],
+                               conv.cfg)
+            return y.value, tape.backward(ad.inner_const(y, probe))
+
+        (y, grads), (want, want_grads) = run(True), run(False)
+        assert np.allclose(y.data, want.data, rtol=0, atol=1e-12)
+        for name in ("x", "k", "b"):
+            assert np.allclose(grads[name].data, want_grads[name].data, rtol=0, atol=1e-12)
+
+    def test_kernel_must_be_three_by_three(self, rng):
+        with pytest.raises(ShapeMismatchError):
+            run_op(ad.upconv_kernel, _qt(rng, (2, 2, 4, 4)))
+
+
 class TestPhasesAdjoint:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), s=st.integers(1, 3), pad=st.integers(-2, 2),

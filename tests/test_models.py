@@ -126,10 +126,10 @@ class TestParameterAccounting:
 class TestTapeOps:
     @pytest.mark.parametrize("name,ops", [
         ("qsngan_toy16", {"add": 5, "avg_pool": 4, "const": 1,
-                          "global_sum_pool": 1, "param": 44, "qbn": 5, "qconv2d": 15,
-                          "qdense": 1, "real_dense": 1, "reshape": 1,
+                          "global_sum_pool": 1, "param": 44, "qbn": 5, "qconv2d": 13,
+                          "qdense": 1, "qtconv2d": 2, "real_dense": 1, "reshape": 1,
                           "scale_components": 9, "split_relu": 11, "split_tanh": 1,
-                          "upsample2x": 4}),
+                          "upconv_kernel": 2, "upsample2x": 2}),
         ("qdcgan_toy16", {"const": 1, "param": 16, "qbn": 2, "qconv2d": 2, "qdense": 2,
                           "qtconv2d": 2, "reshape": 2, "split_relu": 3, "split_sigmoid": 1,
                           "split_tanh": 1}),

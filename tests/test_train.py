@@ -124,6 +124,18 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_cli_samples_load_as_an_eval_dataset(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, model="qdcgan_toy8", loss="qce", sn_mode="none",
+                         iterations=1, checkpoint_every=0, eval_every=0)
+        checkpoint = T.train(cfg)["checkpoints"][-1]
+        out = tmp_path / "samples"
+        assert cli.main(["sample", "--checkpoint", checkpoint, "--out", str(out),
+                         "--n", "5"]) == 0
+        assert sorted(os.listdir(out)) == [f"sample_{i:03d}.ppm" for i in range(5)]
+        assert (tmp_path / "samples_grid.ppm").exists()
+        assert cli.main(["eval", "--checkpoint", checkpoint, "--data", str(out)]) == 0
+        assert "frechet distance (pixels features, 5 samples)" in capsys.readouterr().out
+
     def test_dataset_size_mismatch(self, tmp_path):
         cfg = toy_config(tmp_path, synth={"n": 8, "size": 16, "seed": 0})
         with pytest.raises(ConfigError):
