@@ -1,6 +1,10 @@
 """Command-line surface.
 
-Subcommands: train, sample, eval, count-params, grad-check, qsn-ablation.
+Subcommands: train, sample, eval, count-params, grad-check.
+eval prints the Frechet distance between the 8x8 average-pooled pixels of a
+checkpoint's samples and of a dataset, a stand-in for FID (see quatgan.metrics).
+train prints the run's distances and its largest discriminator sigma, so a
+config's sn_mode runs a spectral-norm ablation.
 Exit codes: 0 success, 1 config error, 2 numeric failure, 3 I/O error.
 The QGAN_SEED environment variable overrides the config seed.
 """
@@ -47,6 +51,8 @@ def cmd_train(args) -> int:
     print(f"finished {config.iterations} iterations")
     print(f"fd init {_fd(report['fd_init'])} best {_fd(report['fd_best'])} "
           f"final {_fd(report['fd_final'])}")
+    worst = max(max(sigmas.values()) for _, sigmas in report["sigma_trace"])
+    print(f"max sigma over discriminator layers and eval points: {worst:.4f}")
     print(f"report: {os.path.join(config.out_dir, 'report.json')}")
     return 0
 
@@ -67,19 +73,17 @@ def cmd_eval(args) -> int:
     config, g, d, *_rest = T.load_checkpoint(args.checkpoint)
     spec = MD.preset_spec(config.model)
     images = D.load_dataset(args.data)
-    extractor = M.make_extractor(args.extractor)
+    T.check_image_size(images, spec, config.model)
+    features = M.PixelFeatures()
     rng = np.random.default_rng(args.seed)
     n = args.n or images.shape[0]
     fakes = T.generate_images(g, spec, n, rng)
-    mu_g, cov_g = M.fit_gaussian(extractor(fakes))
-    mu_r, cov_r = M.fit_gaussian(extractor(images))
+    mu_g, cov_g = M.fit_gaussian(features(fakes))
+    mu_r, cov_r = M.fit_gaussian(features(images))
     fd = M.frechet_distance(mu_g, cov_g, mu_r, cov_r)
-    probs = M.softmax_class_probs(extractor(fakes))
-    is_mean, is_std = M.inception_score(probs)
-    print(f"frechet distance ({args.extractor} features, {n} samples): {fd:.6f}")
-    print(f"inception-style score: {is_mean:.4f} +/- {is_std:.4f}")
-    print("note: built-in extractors are deterministic stand-ins; values are "
-          "comparable only across runs with the same extractor")
+    print(f"frechet distance (pixels features, {n} samples): {fd:.6f}")
+    print("note: features are 8x8 average-pooled pixels, a stand-in for Inception-v3; "
+          "values are comparable only with other quatgan distances")
     return 0
 
 
@@ -110,28 +114,6 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def cmd_qsn_ablation(args) -> int:
-    config = T.TrainConfig(
-        model="qsngan_toy16",
-        synth={"n": 256, "size": 16, "seed": 7},
-        batch_size=32,
-        iterations=args.iterations,
-        sn_mode=args.mode,
-        loss="hinge",
-        seed=args.seed,
-        eval_every=max(args.iterations // 20, 1),
-        out_dir=args.out,
-    )
-    report = T.train(config)
-    worst = 0.0
-    for iteration, sigmas in report["sigma_trace"]:
-        worst = max(worst, max(sigmas.values()))
-    print(f"mode {args.mode}: {args.iterations} iterations")
-    print(f"  max sigma over discriminator layers and eval points: {worst:.4f}")
-    print(f"  fd init {report['fd_init']:.4f} -> best {report['fd_best']:.4f}")
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="quatgan", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -149,10 +131,9 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_sample)
 
-    e = sub.add_parser("eval", help="metrics of a checkpoint against a dataset")
+    e = sub.add_parser("eval", help="frechet distance of a checkpoint's samples to a dataset")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--extractor", default="pixels")
     e.add_argument("--n", type=int, default=0)
     e.add_argument("--seed", type=int, default=0)
     e.set_defaults(fn=cmd_eval)
@@ -166,12 +147,6 @@ def build_parser():
                      help="restrict to one suite (layers, norm, losses, models)")
     gch.set_defaults(fn=cmd_grad_check)
 
-    a = sub.add_parser("qsn-ablation", help="toy spectral-normalization ablation run")
-    a.add_argument("--mode", choices=["none", "split", "full"], required=True)
-    a.add_argument("--iterations", type=int, default=500)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--out", default="runs/ablation")
-    a.set_defaults(fn=cmd_qsn_ablation)
     return p
 
 

@@ -1,11 +1,11 @@
-"""Distribution metrics for generated images: Frechet distance between
-Gaussian feature fits and the inception-style score over conditional class
-probabilities, with pluggable deterministic feature extractors.
+"""The one distribution metric: the Frechet distance between Gaussian fits
+of generated and real image features.
 
-The extractors shipped here (downsampled pixels, fixed-seed random
-projection) replace the pretrained Inception embedding, so absolute values
-are only comparable between runs that use the same extractor -- never against
-numbers reported elsewhere.
+The features are the images average-pooled to an 8x8 grid and flattened
+(:class:`PixelFeatures`). This is a stand-in: FID and the Inception Score
+are defined on Inception-v3 features, and those weights are not in this
+repository. So a distance here is comparable only with other distances made
+by this repository, never with FID or IS values reported elsewhere.
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 
-__all__ = [
-    "fit_gaussian",
-    "frechet_distance",
-    "inception_score",
-    "PixelFeatures",
-    "RandomProjectionFeatures",
-    "softmax_class_probs",
-    "EXTRACTORS",
-    "make_extractor",
-]
+__all__ = ["fit_gaussian", "frechet_distance", "PixelFeatures"]
+
+# Side of the pooled feature grid; every preset's images are at least this big.
+FEATURE_GRID = 8
 
 
 def fit_gaussian(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,102 +66,19 @@ def frechet_distance(mu_g, cov_g, mu_r, cov_r) -> float:
     return max(fd, 0.0)
 
 
-def inception_score(cond_probs: np.ndarray, splits: int = 10) -> tuple[float, float]:
-    """exp(mean KL(p(y|x) || p_hat(y))), evaluated over splits -> (mean, std).
-
-    Rows must be probability vectors (nonnegative, summing to 1 within 1e-6).
-    """
-    p = np.asarray(cond_probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise DomainError(f"need a (N, K) probability batch, got {p.shape}")
-    if np.any(p < 0.0):
-        raise DomainError("conditional probabilities must be nonnegative")
-    sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise DomainError("conditional probability rows must sum to 1 within 1e-6")
-    splits = max(1, min(splits, p.shape[0]))
-    scores = []
-    for chunk in np.array_split(p, splits):
-        marginal = chunk.mean(axis=0)
-        logs = np.where(chunk > 0.0, np.log(np.maximum(chunk, 1e-300)) - np.log(np.maximum(marginal, 1e-300)), 0.0)
-        kl = (chunk * logs).sum(axis=1)
-        scores.append(np.exp(kl.mean()))
-    return float(np.mean(scores)), float(np.std(scores))
-
-
-# -- feature extractors -------------------------------------------------------------
-
-
 class PixelFeatures:
-    """Average-pool images to ``out_size`` and flatten. Deterministic."""
-
-    name = "pixels"
-
-    def __init__(self, out_size: int = 8):
-        self.out_size = out_size
+    """Average-pool (N, 3, H, W) images to a ``FEATURE_GRID`` square and
+    flatten to (N, 3 * FEATURE_GRID**2). Deterministic."""
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeMismatchError(f"expected (N, 3, H, W) images, got {x.shape}")
         n, c, h, w = x.shape
-        if h < self.out_size:
-            reps = self.out_size // h
-            x = np.repeat(np.repeat(x, reps, axis=2), reps, axis=3)
-            n, c, h, w = x.shape
-        if h % self.out_size or w % self.out_size:
+        if h % FEATURE_GRID or w % FEATURE_GRID:
             raise ShapeMismatchError(
-                f"image size {(h, w)} not divisible by feature grid {self.out_size}"
+                f"image size {(h, w)} not divisible by feature grid {FEATURE_GRID}"
             )
-        bh, bw = h // self.out_size, w // self.out_size
-        pooled = x.reshape(n, c, self.out_size, bh, self.out_size, bw).mean(axis=(3, 5))
+        bh, bw = h // FEATURE_GRID, w // FEATURE_GRID
+        pooled = x.reshape(n, c, FEATURE_GRID, bh, FEATURE_GRID, bw).mean(axis=(3, 5))
         return pooled.reshape(n, -1)
-
-
-class RandomProjectionFeatures:
-    """Project flattened pixels with a fixed-seed Gaussian matrix."""
-
-    name = "randproj"
-
-    def __init__(self, dim: int = 64, seed: int = 1234):
-        self.dim = dim
-        self.seed = seed
-        self._proj = {}
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        x = np.asarray(images, dtype=np.float64)
-        if x.ndim != 4:
-            raise ShapeMismatchError(f"expected (N, 3, H, W) images, got {x.shape}")
-        flat = x.reshape(x.shape[0], -1)
-        key = flat.shape[1]
-        if key not in self._proj:
-            rng = np.random.default_rng(self.seed)
-            self._proj[key] = rng.standard_normal((key, self.dim)) / np.sqrt(key)
-        return flat @ self._proj[key]
-
-
-def softmax_class_probs(features: np.ndarray, classes: int = 10, seed: int = 99) -> np.ndarray:
-    """Deterministic stand-in classifier: softmax over a fixed random map of
-    the features. Gives the inception-style score something to consume."""
-    f = np.asarray(features, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((f.shape[1], classes)) / np.sqrt(f.shape[1])
-    logits = f @ w
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-EXTRACTORS = {
-    "pixels": PixelFeatures,
-    "randproj": RandomProjectionFeatures,
-}
-
-
-def make_extractor(name: str):
-    try:
-        return EXTRACTORS[name]()
-    except KeyError:
-        raise DomainError(
-            f"unknown feature extractor {name!r}; built-ins: {sorted(EXTRACTORS)}"
-        ) from None

@@ -170,6 +170,17 @@ def _load_images(config: TrainConfig) -> np.ndarray:
     return images
 
 
+def check_image_size(images: np.ndarray, spec: MD.ModelSpec, model: str) -> None:
+    """Raise :class:`ConfigError` unless (N, 3, H, W) ``images`` have the
+    size that ``spec``, the spec of preset ``model``, generates."""
+    size = spec.image_size
+    if images.shape[2:] != (size, size):
+        raise ConfigError(
+            f"dataset images are {images.shape[2]}x{images.shape[3]} but model "
+            f"{model!r} generates {size}x{size}"
+        )
+
+
 def _param_norms(model: MD.Model) -> dict[str, float]:
     return {k: float(np.linalg.norm(p.value.data)) for k, p in model.parameters().items()}
 
@@ -405,11 +416,7 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
     images = _load_images(config)
     spec = MD.preset_spec(config.model)
     spec.sn = config.sn_mode
-    if images.shape[2] != spec.image_size or images.shape[3] != spec.image_size:
-        raise ConfigError(
-            f"dataset images are {images.shape[2]}x{images.shape[3]} but model "
-            f"{config.model!r} generates {spec.image_size}x{spec.image_size}"
-        )
+    check_image_size(images, spec, config.model)
     images = images.astype(np.float32)
     n_images = images.shape[0]
 

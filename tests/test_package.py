@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quatgan
+from quatgan import cli
 
 MODULES = ["quatgan"] + [f"quatgan.{m.name}" for m in pkgutil.iter_modules(quatgan.__path__)]
 
@@ -29,3 +30,12 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "  total       :       18,472   twin total :       70,693" in done.stdout.splitlines()
+
+
+def test_cli_docstring_lists_every_subcommand():
+    """The ``Subcommands:`` line of ``quatgan --help`` names exactly the
+    parser's subcommands, in order."""
+    (line,) = [ln for ln in cli.__doc__.splitlines() if ln.startswith("Subcommands:")]
+    listed = line.removeprefix("Subcommands:").strip().rstrip(".").split(", ")
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert listed == list(action.choices)

@@ -141,6 +141,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             T.train(cfg)
 
+    def test_cli_eval_refuses_other_image_size(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, model="qdcgan_toy8", loss="qce", sn_mode="none",
+                         iterations=1, checkpoint_every=0, eval_every=0)
+        checkpoint = T.train(cfg)["checkpoints"][-1]
+        data = tmp_path / "images16.qimg"
+        D.save_packed(data, D.synth_dataset(4, 16))
+        assert cli.main(["eval", "--checkpoint", checkpoint, "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset images are 16x16 but model 'qdcgan_toy8'")
+
+    def test_cli_train_prints_the_largest_sigma(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(toy_config(tmp_path, iterations=2, checkpoint_every=0,
+                                       eval_every=1).to_json())
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        with open(tmp_path / "run" / "report.json") as fh:
+            trace = json.load(fh)["sigma_trace"]
+        assert [it for it, _ in trace] == [0, 1, 2]
+        worst = max(max(sigmas.values()) for _, sigmas in trace)
+        line = "max sigma over discriminator layers and eval points: "
+        assert f"{line}{worst:.4f}" in capsys.readouterr().out.splitlines()
+
 
 class TestTrainingLoop:
     def test_zero_iterations_reports_initial_state(self, tmp_path):
