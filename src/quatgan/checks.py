@@ -6,8 +6,13 @@ drawn from seeded generators. Every check retries up to three seeds (0, 1,
 2), so a draw that lands near a kink (ReLU, hinge margins, |.|) is resampled
 away -- a genuine gradient bug fails for every seed. Every check passes at
 seed 0, and only ``qsngan_discriminator_sn`` fails at one of the three (1).
-The conv, pooling, upsampling and real dense checks run on non-square maps,
-so a layout change that mixes up height and width fails them.
+
+The ``layers`` and ``norm`` suites hold one row per tape op: ``check_op``
+perturbs every input of the op (maps, kernels, biases, gains), each drawn
+by its own draw function. The conv, pooling, upsampling and real dense rows
+run on non-square maps, so a layout change that mixes up height and width
+fails them. The ``models`` suite perturbs every parameter of a block or a
+whole network.
 """
 
 from __future__ import annotations
@@ -29,10 +34,6 @@ TOL = 1e-4
 STEP = 1e-6
 
 
-def _qt(rng, shape, scale=1.0):
-    return QTensor(scale * rng.standard_normal((4, *shape)))
-
-
 def _try_seeds(fn, seeds=(0, 1, 2)) -> GradCheckReport:
     report = None
     for seed in seeds:
@@ -49,144 +50,49 @@ def _loss(node):
     return ad.inner_const(node, k)
 
 
-# -- layer checks ---------------------------------------------------------------
+# -- draws: each maps a generator to one input ------------------------------------
 
 
-def check_qdense(rng):
-    x = _qt(rng, (3, 2))
-    params = {"k": _qt(rng, (4, 2)), "b": _qt(rng, (4,))}
-
-    def build(tape, leaves):
-        return _loss(ad.qdense(tape.constant(x), leaves["k"], leaves["b"]))
-
-    return grad_check(build, params, TOL, STEP)
+def q(*shape, scale=1.0):
+    """A quaternion tensor of ``shape`` with normal components."""
+    return lambda rng: QTensor(scale * rng.standard_normal((4, *shape)))
 
 
-def check_qconv(cfg, shape):
-    """Kernel and bias gradients of a conv on an input of ``shape``."""
+def real(*shape, scale=1.0):
+    """A real tensor of ``shape`` carried in q0."""
+    return lambda rng: QTensor.from_real(scale * rng.standard_normal(shape))
+
+
+def margin(*shape):
+    """``q(*shape)`` moved 1e-2 away from zero when an entry lies within 1e-3
+    of it: the split ReLU's kink."""
+    def draw(rng):
+        x = rng.standard_normal((4, *shape))
+        return QTensor(x + np.sign(x) * 1e-2 if np.abs(x).min() <= 1e-3 else x)
+
+    return draw
+
+
+def gain(channels):
+    """QBN gains spread over [0.5, 1.5] rather than all at their starting value of 1."""
+    return lambda rng: QTensor.from_real(rng.uniform(0.5, 1.5, size=channels))
+
+
+# -- checks ------------------------------------------------------------------------
+
+
+def check_op(op, draws, *args):
+    """Gradients of every input of the tape op ``op(*inputs, *args)``; input i
+    is drawn by ``draws[i]``."""
     def run(rng):
-        x = _qt(rng, shape)
-        params = {"k": _qt(rng, (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel)),
-                  "b": _qt(rng, (cfg.out_q,))}
+        params = {f"in{i}": draw(rng) for i, draw in enumerate(draws)}
 
         def build(tape, leaves):
-            return _loss(ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg))
+            return _loss(op(*leaves.values(), *args))
 
         return grad_check(build, params, TOL, STEP)
 
     return run
-
-
-def check_qconv_input(cfg, shape):
-    """Input gradient of a conv on an input of ``shape``."""
-    def run(rng):
-        k = _qt(rng, (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel))
-        params = {"x": _qt(rng, shape)}
-
-        def build(tape, leaves):
-            return _loss(ad.qconv2d(leaves["x"], tape.constant(k), None, cfg))
-
-        return grad_check(build, params, TOL, STEP)
-
-    return run
-
-
-def check_qtconv(rng):
-    x = _qt(rng, (2, 2, 3, 4))
-    cfg = L.ConvConfig(4, 2, 1, 2, 2)
-    params = {"k": _qt(rng, (2, 2, 4, 4)), "b": _qt(rng, (2,)), "x": x}
-
-    def build(tape, leaves):
-        return _loss(ad.qtconv2d(leaves["x"], leaves["k"], leaves["b"], cfg))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_upconv_kernel(rng):
-    params = {"k": _qt(rng, (3, 2, 3, 3))}
-
-    def build(tape, leaves):
-        return _loss(ad.upconv_kernel(leaves["k"]))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def _margin(data, threshold=1e-3):
-    return np.abs(data).min() > threshold
-
-
-def check_activation(kind):
-    def run(rng):
-        x = _qt(rng, (3, 4))
-        if kind == "relu" and not _margin(x.data):
-            x = QTensor(x.data + np.sign(x.data) * 1e-2)
-        params = {"x": x}
-
-        def build(tape, leaves):
-            return _loss(ad.split_act(leaves["x"], kind))
-
-        return grad_check(build, params, TOL, STEP)
-
-    return run
-
-
-def check_pool(kind):
-    def run(rng):
-        params = {"x": _qt(rng, (2, 2, 4, 6))}
-
-        def build(tape, leaves):
-            if kind == "avg":
-                return _loss(ad.avg_pool(leaves["x"], 2))
-            return _loss(ad.global_sum_pool(leaves["x"]))
-
-        return grad_check(build, params, TOL, STEP)
-
-    return run
-
-
-def check_upsample(rng):
-    params = {"x": _qt(rng, (2, 2, 3, 4))}
-
-    def build(tape, leaves):
-        return _loss(ad.upsample2x(leaves["x"]))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-def check_real_dense(rng):
-    x = QTensor.from_real(rng.standard_normal((3, 4)))
-    params = {
-        "k": QTensor.from_real(rng.standard_normal((16, 4))),
-        "b": QTensor.from_real(rng.standard_normal(16)),
-    }
-
-    def build(tape, leaves):
-        return _loss(ad.real_dense(tape.constant(x), leaves["k"], leaves["b"], 2, 1, 2))
-
-    return grad_check(build, params, TOL, STEP)
-
-
-# -- norm checks -----------------------------------------------------------------
-
-
-def check_qbn(shape):
-    """Input, gain and shift gradients of QBN on an input of ``shape``, with
-    gains and shifts away from their starting values of 1 and 0."""
-    def run(rng):
-        channels = shape[1]
-        gamma = QTensor.from_real(rng.uniform(0.5, 1.5, size=channels))
-        beta = QTensor(0.3 * rng.standard_normal((4, channels)))
-        params = {"x": _qt(rng, shape), "gamma": gamma, "beta": beta}
-
-        def build(tape, leaves):
-            return _loss(qnorm.qbn(leaves["x"], leaves["gamma"], leaves["beta"]))
-
-        return grad_check(build, params, TOL, STEP)
-
-    return run
-
-
-# -- loss checks -----------------------------------------------------------------
 
 
 def _decisions(rng, b, clear_of=None):
@@ -234,16 +140,13 @@ def check_wgan(rng):
     return grad_check(build, params, TOL, STEP)
 
 
-# -- block / model checks -----------------------------------------------------------
-
-
 def check_block(make_block, shape):
     """Parameter gradients of the residual block ``make_block()`` on an input
     of ``shape``; each run builds and draws a fresh block."""
     def run(rng):
         block = make_block()
         block.init_params(rng, "glorot")
-        x = _qt(rng, shape)
+        x = q(*shape)(rng)
         params = {name: p.value for name, p in block.params()}
 
         def build(tape, leaves):
@@ -255,84 +158,66 @@ def check_block(make_block, shape):
     return run
 
 
-def check_qdcgan_g(rng):
-    spec = MD.preset_spec("qdcgan_toy8")
-    g, _ = MD.build_gan(spec)
-    g.init_params(rng, "glorot")
-    z = QTensor(0.5 * rng.standard_normal((4, 2, spec.noise_dim // 4)))
-    params = g.param_tensors()
+def check_net(preset, net, draw_inputs, loss, max_entries):
+    """Parameter gradients of ``loss`` over the outputs of the ``net`` ("g"
+    or "d") of ``preset`` on inputs drawn by ``draw_inputs``. Spectral-norm
+    sigma scales are warmed up, then stay frozen across the FD evaluations."""
+    def run(rng):
+        g, d = MD.build_gan(MD.preset_spec(preset))
+        model = d if net == "d" else g
+        model.init_params(rng, "glorot")
+        MD.sn_warmup(model, iters=10)  # a no-op without spectral norm
+        inputs = [draw(rng) for draw in draw_inputs]
 
-    def build(tape, leaves):
-        return _loss(g.forward(tape, tape.constant(z), leaves))
+        def build(tape, leaves):
+            return loss(*(model.forward(tape, tape.constant(x), leaves) for x in inputs))
 
-    return grad_check(build, params, TOL, STEP, max_entries=24)
+        return grad_check(build, model.param_tensors(), TOL, STEP, max_entries=max_entries)
 
-
-def check_qdcgan_d(rng):
-    spec = MD.preset_spec("qdcgan_toy8")
-    _, d = MD.build_gan(spec)
-    d.init_params(rng, "glorot")
-    x = _qt(rng, (2, 1, 8, 8), scale=0.5)
-    params = d.param_tensors()
-
-    def build(tape, leaves):
-        node = d.forward(tape, tape.constant(x), leaves)
-        return LS.qce_op(QTensor(np.ones((4, 2, 1))), node)
-
-    return grad_check(build, params, TOL, STEP, max_entries=24)
+    return run
 
 
-def check_qsngan_d_sn(rng):
-    spec = MD.preset_spec("qsngan_toy8")
-    _, d = MD.build_gan(spec)
-    d.init_params(rng, "glorot")
-    MD.sn_warmup(d, iters=10)  # sigma scales then stay frozen across FD evals
-    x = _qt(rng, (2, 1, 8, 8), scale=0.5)
-    fake = _qt(rng, (2, 1, 8, 8), scale=0.5)
-    params = d.param_tensors()
-
-    def build(tape, leaves):
-        dr = d.forward(tape, tape.constant(x), leaves)
-        df = d.forward(tape, tape.constant(fake), leaves)
-        return LS.hinge_discriminator_op(dr, df)
-
-    return grad_check(build, params, TOL, STEP, max_entries=24)
+def _conv(cfg, shape):
+    """A row for ``qconv2d`` with config ``cfg`` on a map of ``shape``."""
+    kernel = (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel)
+    return check_op(ad.qconv2d, [q(*shape), q(*kernel), q(cfg.out_q)], cfg)
 
 
-def check_qsngan_g(rng):
-    spec = MD.preset_spec("qsngan_toy8")
-    g, _ = MD.build_gan(spec)
-    g.init_params(rng, "glorot")
-    z = QTensor.from_real(0.5 * rng.standard_normal((2, spec.noise_dim)))
-    params = g.param_tensors()
+def _qce_ones(node):
+    return LS.qce_op(QTensor(np.ones((4, 2, 1))), node)
 
-    def build(tape, leaves):
-        return _loss(g.forward(tape, tape.constant(z), leaves))
 
-    return grad_check(build, params, TOL, STEP, max_entries=16)
-
+IMAGES = q(2, 1, 8, 8, scale=0.5)
 
 SUITES = {
     "layers": [
-        ("qdense", check_qdense),
-        ("qconv2d", check_qconv(L.ConvConfig(3, 1, 1, 2, 3), (2, 2, 4, 5))),
-        ("qconv2d_strided", check_qconv(L.ConvConfig(2, 2, 0, 2, 2), (2, 2, 6, 4))),
-        ("qconv2d_input", check_qconv_input(L.ConvConfig(3, 1, 1, 2, 2), (2, 2, 4, 5))),
+        ("qdense", check_op(ad.qdense, [q(3, 2), q(4, 2), q(4)])),
+        ("qconv2d", _conv(L.ConvConfig(3, 1, 1, 2, 3), (2, 2, 4, 5))),
+        ("qconv2d_strided", _conv(L.ConvConfig(2, 2, 0, 2, 2), (2, 2, 6, 4))),
+        # a (3, 1, 1) conv with as many output channels as input ones
+        ("qconv2d_input", _conv(L.ConvConfig(3, 1, 1, 2, 2), (2, 2, 4, 5))),
         # qdcgan's (4, 2, 1) conv on a non-square map whose padded sides are odd
-        ("qconv2d_strided_input", check_qconv_input(L.ConvConfig(4, 2, 1, 2, 2), (2, 2, 5, 7))),
-        ("qtransposed_conv2d", check_qtconv),
-        ("upconv_kernel", check_upconv_kernel),
-        ("split_relu", check_activation("relu")),
-        ("split_tanh", check_activation("tanh")),
-        ("split_sigmoid", check_activation("sigmoid")),
-        ("avg_pool", check_pool("avg")),
-        ("global_sum_pool", check_pool("global")),
-        ("upsample2x", check_upsample),
-        ("real_dense", check_real_dense),
+        ("qconv2d_strided_odd", _conv(L.ConvConfig(4, 2, 1, 2, 2), (2, 2, 5, 7))),
+        ("qtransposed_conv2d", check_op(ad.qtconv2d, [q(2, 2, 3, 4), q(2, 2, 4, 4), q(2)],
+                                        L.ConvConfig(4, 2, 1, 2, 2))),
+        ("upconv_kernel", check_op(ad.upconv_kernel, [q(3, 2, 3, 3)])),
+        ("split_relu", check_op(ad.split_act, [margin(3, 4)], "relu")),
+        ("split_tanh", check_op(ad.split_act, [q(3, 4)], "tanh")),
+        ("split_sigmoid", check_op(ad.split_act, [q(3, 4)], "sigmoid")),
+        ("avg_pool", check_op(ad.avg_pool, [q(2, 2, 4, 6)], 2)),
+        ("global_sum_pool", check_op(ad.global_sum_pool, [q(2, 2, 4, 6)])),
+        ("upsample2x", check_op(ad.upsample2x, [q(2, 2, 3, 4)])),
+        ("real_dense", check_op(ad.real_dense, [real(3, 4), real(16, 4), real(16)], 2, 1, 2)),
+        ("add", check_op(ad.add, [q(2, 2, 3, 4), q(2, 2, 3, 4)])),
+        # spectral norm's per-component 1/sigma scales
+        ("scale_components", check_op(ad.scale_components, [q(2, 2, 3, 4)],
+                                      (0.5, -1.5, 2.0, 0.25))),
+        # a dense layer's output onto a non-square map, as in the generators
+        ("reshape", check_op(ad.reshape, [q(2, 12)], (-1, 2, 2, 3))),
     ],
     "norm": [
-        ("qbn_train", check_qbn((5, 3))),
-        ("qbn_train_conv", check_qbn((3, 2, 2, 2))),
+        ("qbn_train", check_op(qnorm.qbn, [q(5, 3), gain(3), q(3, scale=0.3)])),
+        ("qbn_train_conv", check_op(qnorm.qbn, [q(3, 2, 2, 2), gain(2), q(2, scale=0.3)])),
     ],
     "losses": [
         ("hinge", check_hinge),
@@ -343,10 +228,11 @@ SUITES = {
         ("gen_res_block", check_block(lambda: MD.gen_block("b", 2, 2), (2, 2, 3, 3))),
         ("disc_res_block", check_block(lambda: MD.disc_block("b", 2, 3, True), (2, 2, 4, 4))),
         ("first_disc_block", check_block(lambda: MD.first_disc_block("b", 2), (2, 1, 8, 8))),
-        ("qdcgan_generator", check_qdcgan_g),
-        ("qdcgan_discriminator", check_qdcgan_d),
-        ("qsngan_generator", check_qsngan_g),
-        ("qsngan_discriminator_sn", check_qsngan_d_sn),
+        ("qdcgan_generator", check_net("qdcgan_toy8", "g", [q(2, 32, scale=0.5)], _loss, 24)),
+        ("qdcgan_discriminator", check_net("qdcgan_toy8", "d", [IMAGES], _qce_ones, 24)),
+        ("qsngan_generator", check_net("qsngan_toy8", "g", [real(2, 128, scale=0.5)], _loss, 16)),
+        ("qsngan_discriminator_sn", check_net("qsngan_toy8", "d", [IMAGES, IMAGES],
+                                              LS.hinge_discriminator_op, 24)),
     ],
 }
 

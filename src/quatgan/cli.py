@@ -57,10 +57,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _sample_rng(seed) -> np.random.Generator:
+    """The generator of ``sample`` and ``eval``, which draw noise from ``--seed``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_sample(args) -> int:
+    rng = _sample_rng(args.seed)
     config, g, d, *_ , rngs, iteration = T.load_checkpoint(args.checkpoint)
     spec = MD.preset_spec(config.model)
-    rng = np.random.default_rng(args.seed)
     paths = T.emit_samples(g, spec, args.n, args.out, rng)
     print(f"wrote {len(paths) - 1} samples under {args.out} and their grid to {paths[-1]} "
           f"(checkpoint iteration {iteration})")
@@ -70,12 +77,12 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     from . import data as D
 
+    rng = _sample_rng(args.seed)
     config, g, d, *_rest = T.load_checkpoint(args.checkpoint)
     spec = MD.preset_spec(config.model)
     images = D.load_dataset(args.data)
     T.check_image_size(images, spec, config.model)
     features = M.PixelFeatures()
-    rng = np.random.default_rng(args.seed)
     n = args.n or images.shape[0]
     fakes = T.generate_images(g, spec, n, rng)
     mu_g, cov_g = M.fit_gaussian(features(fakes))
@@ -144,7 +151,7 @@ def build_parser():
 
     gch = sub.add_parser("grad-check", help="finite-difference gradient checks")
     gch.add_argument("--module", default=None,
-                     help="restrict to one suite (layers, norm, losses, models)")
+                     help=f"restrict to one suite ({', '.join(checks.SUITES)})")
     gch.set_defaults(fn=cmd_grad_check)
 
     return p

@@ -124,6 +124,17 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_cli_negative_seed_exits_1(self, tmp_path, capsys, toy_checkpoint, command):
+        data = tmp_path / "images.qimg"
+        D.save_packed(data, D.synth_dataset(4, 8))
+        out = tmp_path / "s"
+        argv = ([command, "--checkpoint", toy_checkpoint, "--seed", "-1"]
+                + (["--data", str(data)] if command == "eval" else ["--out", str(out)]))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must be nonnegative")
+        assert not out.exists()
+
     def test_cli_samples_load_as_an_eval_dataset(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, model="qdcgan_toy8", loss="qce", sn_mode="none",
                          iterations=1, checkpoint_every=0, eval_every=0)
