@@ -1,15 +1,20 @@
 """Bit-exact checkpoint serialization.
 
-Format: magic ``QGN1``, u32 tensor count, then per tensor: u16 name length,
+Format: magic ``QGN2``, u32 tensor count, then per tensor: u16 name length,
 UTF-8 name, u8 rank, rank x u32 dims, 32-bit little-endian float payload.
 Everything a run needs to resume (parameters, spectral-norm vectors, optimizer
-moments, RNG streams, iteration counter, config) is framed as tensors;
-non-float state is packed losslessly into f32-representable integers.
+moments, RNG streams, iteration counter, config) is framed as tensors. A
+real-valued parameter, carried in memory in the q0 slot of a (4, ...) array,
+is stored with its Adam moments at its true shape, without the zero q1..q3
+planes (see ``quatgan.train``). Non-float state is packed losslessly into
+f32-representable integers: text as bytes, and counters and RNG streams as
+16-bit limbs, so a counter stays exact past 2**24.
 Tensors are written sorted by name so save -> load -> save is byte-identical.
 A save writes a sibling file and renames it onto the path, so a save that
 fails or is killed part way leaves the file it would replace as it was.
-Every malformed file raises :class:`CheckpointError`; the loader does not yet
-detect a flipped bit inside a float payload.
+Every malformed file raises :class:`CheckpointError`, and a ``QGN1`` file of
+an older build is refused by name (there is no converter). The loader does
+not yet detect a flipped bit inside a float payload.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ __all__ = [
     "load_tensors",
     "pack_text",
     "unpack_text",
+    "pack_count",
+    "unpack_count",
     "pack_rng_state",
     "unpack_rng_state",
 ]
 
-MAGIC = b"QGN1"
+MAGIC = b"QGN2"
+_COUNT_LIMBS = 4
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]):
@@ -68,6 +76,10 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 def load_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
+    if data[:4] == b"QGN1":
+        raise CheckpointError(
+            f"checkpoint format QGN1 is not supported: this build reads {MAGIC.decode()}",
+            offset=0)
     if data[:4] != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {data[:4]!r}", offset=0)
     pos = 4
@@ -144,6 +156,22 @@ def _int_to_limbs(value: int, limbs: int) -> list[float]:
 
 def _limbs_to_int(vals) -> int:
     return sum(int(round(v)) << (16 * i) for i, v in enumerate(vals))
+
+
+def pack_count(value: int) -> np.ndarray:
+    """A nonnegative integer below 2**64 as 16-bit limbs, least significant first."""
+    if not 0 <= value < 1 << (16 * _COUNT_LIMBS):
+        raise CheckpointError(f"counter {value} does not fit {_COUNT_LIMBS} 16-bit limbs")
+    return np.array(_int_to_limbs(value, _COUNT_LIMBS), dtype=np.float32)
+
+
+def unpack_count(arr: np.ndarray, name: str) -> int:
+    # Python floats, not _limb_values: numpy's per-call cost would make
+    # the three counters of a load several times slower
+    vals = arr.tolist() if np.shape(arr) == (_COUNT_LIMBS,) else []
+    if not vals or not all(0 <= v <= 0xFFFF and v == int(v) for v in vals):
+        raise CheckpointError(f"tensor {name!r} does not hold {_COUNT_LIMBS} 16-bit limbs")
+    return _limbs_to_int(vals)
 
 
 def pack_rng_state(gen: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import data as D
 from . import losses as LS
 from . import metrics as M
 from . import models as MD
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, DomainError, NumericError
 from .optim import AdamState, adam_step
 from .qtensor import QTensor
 
@@ -247,55 +247,75 @@ def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
 RNG_STREAMS = ("noise", "data", "aux")
 
 
+def _param_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState, d_adam: AdamState):
+    """(checkpoint name, live array, ``Param.kind``) of every parameter and,
+    for a net whose Adam step is above 0, of both moments of each."""
+    for net, model, adam in (("g", g, g_adam), ("d", d, d_adam)):
+        for k, p in model.parameters().items():
+            yield f"param.{net}.{k}", p.value.data, p.kind
+            if adam.step > 0:
+                yield f"adam.{net}.m.{k}", adam.m[k], p.kind
+                yield f"adam.{net}.v.{k}", adam.v[k], p.kind
+
+
 def _run_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState,
                 d_adam: AdamState) -> dict[str, np.ndarray]:
     """Every array of a run's state under its checkpoint name.
 
     These are the live arrays: parameters, module states (``Model.states``)
     and, for a net whose Adam step is above 0, both moments of each of its
-    parameters. ``save_checkpoint`` writes them and ``load_checkpoint``
+    parameters. A real-kind parameter and its moments are handed out as
+    their q0 plane, a C-contiguous view at the parameter's true shape; their
+    q1..q3 planes are zero (``save_checkpoint`` checks this) and are not
+    stored. ``save_checkpoint`` writes these arrays and ``load_checkpoint``
     copies the file's tensors into them.
     """
-    out = {}
-    for net, model, adam in (("g", g, g_adam), ("d", d, d_adam)):
-        params = model.parameters()
-        out.update((f"param.{net}.{k}", p.value.data) for k, p in params.items())
+    out = {name: arr[0] if kind == "real" else arr
+           for name, arr, kind in _param_arrays(g, d, g_adam, d_adam)}
+    for net, model in (("g", g), ("d", d)):
         out.update((f"state.{net}.{k}", arr) for k, arr in model.states().items())
-        if adam.step > 0:
-            out.update((f"adam.{net}.m.{k}", adam.m[k]) for k in params)
-            out.update((f"adam.{net}.v.{k}", adam.v[k]) for k in params)
     return out
 
 
 def save_checkpoint(path, config: TrainConfig, g: MD.Model, d: MD.Model,
                     g_adam: AdamState, d_adam: AdamState,
                     rngs: dict[str, np.random.Generator], iteration: int):
+    """Write the run state to ``path`` (see :func:`_run_arrays`).
+
+    Raises :class:`DomainError`, before any file is opened, if a real-kind
+    parameter or one of its moments has a nonzero bit in q1..q3, which the
+    file would drop.
+    """
+    for name, arr, kind in _param_arrays(g, d, g_adam, d_adam):
+        # the largest raw bit pattern is nonzero for any nonzero entry, -0.0
+        # included; numpy reduces uint32 max about 5x faster than any()
+        if kind == "real" and arr[1:].view(np.uint32).max():
+            raise DomainError(f"real-kind tensor {name!r} has a nonzero bit in q1..q3, "
+                              "which a checkpoint does not store")
     tensors = _run_arrays(g, d, g_adam, d_adam)
     for net, adam in (("g", g_adam), ("d", d_adam)):
-        tensors[f"adam.{net}.step"] = np.array([float(adam.step)], dtype=np.float32)
+        tensors[f"adam.{net}.step"] = ckpt.pack_count(adam.step)
     for stream, gen in rngs.items():
         tensors[f"rng.{stream}"] = ckpt.pack_rng_state(gen)
-    tensors["meta.iteration"] = np.array([float(iteration)], dtype=np.float32)
+    tensors["meta.iteration"] = ckpt.pack_count(iteration)
     tensors["meta.config"] = ckpt.pack_text(config.to_json())
     ckpt.save_tensors(path, tensors)
 
 
 def _count(tensors, name) -> int:
-    """A checkpoint counter: one nonnegative integer stored as f32."""
+    """A checkpoint counter, stored as 16-bit limbs (``ckpt.pack_count``)."""
     arr = tensors.get(name)
     if arr is None:
         raise CheckpointError(f"checkpoint lacks tensor {name!r}")
-    value = arr[0] if arr.shape == (1,) else np.nan
-    if not (np.isfinite(value) and value >= 0 and value == np.floor(value)):
-        raise CheckpointError(f"tensor {name!r} does not hold a nonnegative integer")
-    return int(value)
+    return ckpt.unpack_count(arr, name)
 
 
 def load_checkpoint(path):
     """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file.
 
     Builds a fresh run from the saved config and copies each tensor into the
-    array :func:`_run_arrays` names for it. A malformed file raises
+    array :func:`_run_arrays` names for it; for a real-kind parameter or
+    moment that is the q0 plane, and q1..q3 stay zero. A malformed file raises
     :class:`CheckpointError`: an undecodable config or counter, a missing or
     unknown tensor, or a tensor whose shape does not match its array. The
     file must hold exactly the arrays of ``_run_arrays`` (so Adam moments
@@ -321,6 +341,9 @@ def load_checkpoint(path):
             for k, p in model.parameters().items():
                 adam.m[k] = np.empty_like(p.value.data)
                 adam.v[k] = np.empty_like(p.value.data)
+                if p.kind == "real":
+                    adam.m[k][1:] = 0
+                    adam.v[k][1:] = 0
         adams.append(adam)
     arrays = _run_arrays(g, d, *adams)
     expected = arrays.keys() | {"meta.config", "meta.iteration", "adam.g.step", "adam.d.step"}

@@ -69,7 +69,15 @@ class TestTensorFormat:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.qgn"
         path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(CheckpointError) as exc:
+        with pytest.raises(CheckpointError, match="bad checkpoint magic") as exc:
+            C.load_tensors(path)
+        assert exc.value.offset == 0
+
+    def test_older_format_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.qgn"
+        path.write_bytes(b"QGN1" + b"\x00" * 8)
+        with pytest.raises(CheckpointError,
+                           match="format QGN1 is not supported: this build reads QGN2") as exc:
             C.load_tensors(path)
         assert exc.value.offset == 0
 
@@ -98,6 +106,16 @@ class TestStatePacking:
     def test_text_round_trip(self):
         cfg = '{"model": "qsngan_toy16", "seed": 3}'
         assert C.unpack_text(C.pack_text(cfg)) == cfg
+
+    def test_count_survives_f32_file(self, tmp_path):
+        counts = [0, 2**24 + 1, 2**64 - 1]
+        path = tmp_path / "c.qgn"
+        C.save_tensors(path, {f"c{i}": C.pack_count(n) for i, n in enumerate(counts)})
+        back = C.load_tensors(path)
+        assert [C.unpack_count(back[f"c{i}"], "c") for i in range(3)] == counts
+        for n in (-1, 2**64):
+            with pytest.raises(CheckpointError):
+                C.pack_count(n)
 
     def test_rng_state_round_trip_continues_stream(self):
         gen = np.random.default_rng(1234)

@@ -10,7 +10,7 @@ from quatgan import cli
 from quatgan import data as D
 from quatgan import models as MD
 from quatgan import train as T
-from quatgan.errors import CheckpointError, ConfigError, NumericError
+from quatgan.errors import CheckpointError, ConfigError, DomainError, NumericError
 
 
 def toy_config(tmp_path, **overrides):
@@ -399,6 +399,14 @@ def toy_checkpoint(tmp_path_factory):
     return os.path.join(cfg.out_dir, "checkpoint_000004.qgn")
 
 
+def _write_bytes_at(path, edits):
+    """Overwrite single bytes of ``path`` in place: ``edits`` maps offset to byte."""
+    with open(path, "r+b") as fh:
+        for pos, byte in edits.items():
+            fh.seek(pos)
+            fh.write(bytes([byte]))
+
+
 def _load_edited(tmp_path, source, edit):
     """Apply ``edit`` to the tensor dict of ``source``, save, and reload it."""
     tensors = {k: np.array(v) for k, v in C.load_tensors(source).items()}
@@ -414,22 +422,28 @@ class TestCheckpointLoader:
         CheckpointError; no other exception escapes the loader."""
         blob = open(toy_checkpoint, "rb").read()
         rng = np.random.default_rng(2104)
-        path = str(tmp_path / "fuzz.qgn")
+        # the whole file is written once; each flip case edits its bytes in
+        # place and puts them back, and each truncation writes its own prefix
+        flipped, cut = tmp_path / "flipped.qgn", tmp_path / "cut.qgn"
+        flipped.write_bytes(blob)
         outcomes = {"loaded": 0, "refused": 0}
         for case in range(300):
+            edits = {}
             if case % 3 == 0:
-                data = blob[: int(rng.integers(0, 2048))]
+                cut.write_bytes(blob[: int(rng.integers(0, 2048))])
+                path = cut
             else:
-                data = bytearray(blob)
                 for pos in rng.integers(0, 2048, size=int(rng.integers(1, 4))):
-                    data[pos] ^= int(rng.integers(1, 256))
-            with open(path, "wb") as fh:
-                fh.write(data)
+                    pos = int(pos)
+                    edits[pos] = edits.get(pos, blob[pos]) ^ int(rng.integers(1, 256))
+                _write_bytes_at(flipped, edits)
+                path = flipped
             try:
-                T.load_checkpoint(path)
+                T.load_checkpoint(str(path))
                 outcomes["loaded"] += 1
             except CheckpointError:
                 outcomes["refused"] += 1
+            _write_bytes_at(flipped, {pos: blob[pos] for pos in edits})
         assert outcomes["refused"] > 0 and sum(outcomes.values()) == 300
 
     def test_non_utf8_tensor_name(self, tmp_path, toy_checkpoint):
@@ -454,6 +468,7 @@ class TestCheckpointLoader:
         "missing_rng", "unknown_param", "unknown_kind", "unknown_net", "unknown_state",
         "unknown_adam_slot", "misshaped_param", "misshaped_state", "misshaped_sn_vector",
         "misshaped_moment", "misshaped_rng", "bad_adam_step", "stale_qbn_state",
+        "one_float_iteration", "adam_step_limb_overflow",
     ])
     def test_structural_faults(self, tmp_path, toy_checkpoint, case):
         def first(t, prefix):
@@ -465,7 +480,9 @@ class TestCheckpointLoader:
             elif case == "missing_iteration":
                 del t["meta.iteration"]
             elif case == "fractional_iteration":
-                t["meta.iteration"] = np.array([2.5], dtype=np.float32)
+                t["meta.iteration"] = np.array([2.5, 0, 0, 0], dtype=np.float32)
+            elif case == "one_float_iteration":
+                t["meta.iteration"] = np.array([4.0], dtype=np.float32)
             elif case == "missing_param":
                 del t[first(t, "param.g.")]
             elif case == "missing_rng":
@@ -495,7 +512,9 @@ class TestCheckpointLoader:
             elif case == "misshaped_rng":
                 t["rng.noise"] = t["rng.noise"][:-1]
             elif case == "bad_adam_step":
-                t["adam.g.step"] = np.array([-1.0], dtype=np.float32)
+                t["adam.g.step"] = np.array([-1.0, 0, 0, 0], dtype=np.float32)
+            elif case == "adam_step_limb_overflow":
+                t["adam.d.step"] = np.array([4.0, 65536.0, 0, 0], dtype=np.float32)
             elif case == "stale_qbn_state":
                 # QBN kept running statistics in checkpoints written before
                 # it became batch-statistics only
@@ -530,6 +549,29 @@ class TestCheckpointLoader:
                                                                lambda t: None)
         assert it == 4 and g_adam.step == 4 and set(rngs) == set(T.RNG_STREAMS)
 
+    @pytest.mark.parametrize("count", [2**24 + 1, 2**40 + 3])
+    def test_counters_past_f32_integers_round_trip(self, tmp_path, toy_checkpoint, count):
+        config, g, d, g_adam, d_adam, rngs, _ = T.load_checkpoint(toy_checkpoint)
+        g_adam.step, d_adam.step = count, count + 2
+        path = str(tmp_path / "big.qgn")
+        T.save_checkpoint(path, config, g, d, g_adam, d_adam, rngs, count + 4)
+        _, _, _, g_adam, d_adam, _, iteration = T.load_checkpoint(path)
+        assert (g_adam.step, d_adam.step, iteration) == (count, count + 2, count + 4)
+
+    @pytest.mark.parametrize("name", ["param.g.g.fc.kernel", "adam.g.m.g.fc.kernel",
+                                      "adam.g.v.g.fc.kernel"])
+    def test_save_refuses_nonzero_q1_of_real_kind_tensor(self, tmp_path, toy_checkpoint, name):
+        """The file keeps only q0 of real-kind state, so a nonzero q1 is refused
+        before any file is written."""
+        state = T.load_checkpoint(toy_checkpoint)
+        arrays = {n: arr for n, arr, _ in T._param_arrays(*state[1:5])}
+        arrays[name][1].flat[0] = 1e-3
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(DomainError, match=re.escape(name)):
+            T.save_checkpoint(str(out / "c.qgn"), *state)
+        assert list(out.iterdir()) == []
+
     def test_sample_on_corrupt_checkpoint_exits_3(self, tmp_path, toy_checkpoint):
         data = bytearray(open(toy_checkpoint, "rb").read())
         data[10] = 0xFF
@@ -555,3 +597,31 @@ def test_save_load_save_is_byte_identical(tmp_path, model, sn):
     resaved = str(tmp_path / "resaved.qgn")
     T.save_checkpoint(resaved, *T.load_checkpoint(path))
     assert open(path, "rb").read() == open(resaved, "rb").read()
+
+
+# qdcgan_toy8 has no real-kind parameter; qdcgan_toy16 has a QBN gain in G and D
+@pytest.mark.parametrize("model,loss,sn,size", [("qsngan_toy8", "hinge", "full", 8),
+                                                ("qdcgan_toy16", "qce", "none", 16)])
+def test_training_keeps_real_kind_state_real(tmp_path, monkeypatch, model, loss, sn, size):
+    """Checkpoints drop the q1..q3 planes of real-kind parameters and their
+    Adam moments, so training must leave those planes exactly zero."""
+    saved = []
+    save = T.save_checkpoint
+
+    def spy(path, config, g, d, g_adam, d_adam, rngs, iteration):
+        saved.append((g, d, g_adam, d_adam))
+        save(path, config, g, d, g_adam, d_adam, rngs, iteration)
+
+    monkeypatch.setattr(T, "save_checkpoint", spy)
+    T.train(toy_config(tmp_path, model=model, loss=loss, sn_mode=sn, iterations=3,
+                       synth={"n": 32, "size": size, "seed": 3}, checkpoint_every=0,
+                       eval_every=0))
+    (g, d, g_adam, d_adam), = saved
+    checked = []
+    for net, adam in ((g, g_adam), (d, d_adam)):
+        for k, p in net.parameters().items():
+            if p.kind == "real":
+                for arr in (p.value.data, adam.m[k], adam.v[k]):
+                    assert arr[1:].tobytes() == bytes(arr[1:].nbytes), k
+                checked.append(k)
+    assert any(k.endswith(".gamma") for k in checked)
