@@ -2,12 +2,14 @@
 training harness, verifiable at desk scale.
 
 The library is organized around a four-component tensor type (`QTensor`),
+with real-valued parameters and noise as plain arrays at their true shape,
 Hamilton-product layers whose four shared submatrices form one signed real
 block matrix (`layers.hamilton_block`), a minimal reverse-mode autodiff tape
-with per-component gradients, proper-signal quaternion batch normalization,
-two quaternion spectral-normalization schemes, and the QDCGAN / QSNGAN
-architectures, whose parameter counts are compared with those of real-valued
-twins read off the same models (`count_twin_parameters`).
+whose gradients are plain arrays of each parameter's stored shape,
+proper-signal quaternion batch normalization, two quaternion
+spectral-normalization schemes, and the QDCGAN / QSNGAN architectures, whose
+parameter counts are compared with those of real-valued twins read off the
+same models (`count_twin_parameters`).
 """
 
 from .qtensor import QTensor

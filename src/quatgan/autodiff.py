@@ -2,10 +2,11 @@
 
 A :class:`Tape` records each operation eagerly (op kind, input node ids, the
 forward value, and a backward closure). ``backward`` walks the record once in
-reverse order and returns the per-component gradient of every registered
-parameter: component c of a parameter gradient is the derivative of the loss
-with respect to submatrix c, i.e. plain real-valued reverse mode applied to
-the four component arrays.
+reverse order and returns the gradient of every registered parameter as a
+plain array of the parameter's stored shape: plain real-valued reverse mode
+applied to the arrays the values store. Component c of a quaternion
+parameter's gradient is the derivative of the loss with respect to
+submatrix c.
 
 Each differentiable operation is one function here that holds both its
 forward and its backward; there is no separate pure forward. A gradient-free
@@ -13,8 +14,11 @@ tape (``Tape(needs_grad=False)``) runs the same ops for inference. It keeps no
 backward closure, so what an op's forward saves for its backward is freed as
 soon as ``record`` returns; the ops save unconditionally.
 
-Losses are real scalars carried in the q0 slot of a scalar-shaped QTensor;
-q1..q3 of a loss must be zero.
+Real-valued parameters and the qsngan noise are plain ndarrays at their true
+shape, with no component axis (see :func:`real_dense` and
+:func:`quatgan.qnorm.qbn`); every other value is a :class:`QTensor`. Losses
+are real scalars carried in the q0 slot of a scalar-shaped QTensor; q1..q3 of
+a loss must be zero.
 
 Map values and map gradients follow one storage rule: a (4, B, C, H, W) map
 is stored channels-last, as the rows-outermost (H, B, W, 4, C) array that
@@ -51,7 +55,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ConfigError, DomainError, ShapeMismatchError
-from .qtensor import QTensor
+from .qtensor import QTensor, live_array
 
 __all__ = ["Tape", "Node", "grad_check", "GradCheckReport"]
 
@@ -140,10 +144,10 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def constant(self, value: QTensor) -> Node:
+    def constant(self, value: QTensor | np.ndarray) -> Node:
         return self.record("const", (), lambda: value)
 
-    def param(self, name: str, value: QTensor) -> Node:
+    def param(self, name: str, value: QTensor | np.ndarray) -> Node:
         """Register a leaf parameter."""
         if name in self.params:
             raise DomainError(f"parameter {name!r} already registered on this tape")
@@ -153,8 +157,9 @@ class Tape:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, loss: Node) -> dict[str, QTensor]:
-        """Gradients of a scalar loss for every registered parameter.
+    def backward(self, loss: Node) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss for every registered parameter, each a
+        plain array of the parameter's stored shape.
 
         Parameters not on any path to the loss get all-zero gradients.
         """
@@ -192,13 +197,9 @@ class Tape:
                 else:
                     grads[inp] = grads[inp] + contrib
 
-        out = {}
-        for name, nid in self.params.items():
-            g = grads[nid]
-            if g is None:
-                g = np.zeros_like(self.nodes[nid].value.data)
-            out[name] = QTensor(g)
-        return out
+        return {name: np.zeros_like(live_array(self.nodes[nid].value))
+                if grads[nid] is None else grads[nid]
+                for name, nid in self.params.items()}
 
 
 # -- elementwise / structural ops ---------------------------------------------
@@ -590,32 +591,26 @@ def upsample2x(x: Node) -> Node:
     return x.tape.record("upsample2x", (x,), fwd, bwd)
 
 
-# -- real-valued bridge (values carried in q0) ----------------------------------
+# -- real-valued bridge ----------------------------------------------------------
 
 
 def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int) -> Node:
-    """Real fully connected layer from q0-carried data to a quaternion map:
-    y0 = x0 W^T + b0, a (B, 4*channels*h*w) real vector, read as the
+    """Real fully connected layer from real (B, in_f) features to a quaternion
+    map: y = x W^T + b, a (B, 4*channels*h*w) real vector, read as the
     (B, channels, h, w) map whose channel c holds real channels 4c..4c+3 as
-    its components r = 0..3."""
+    its components r = 0..3. Its input, kernel and bias are plain arrays."""
     saved = {}
     b = x.value.shape[0]
 
     def fwd(xv, kv, bv):
-        saved["x0"], saved["k0"] = xv.q0, kv.q0
-        y0 = np.matmul(xv.q0, kv.q0.T) + bv.q0[None, :]
-        rows = y0.reshape(b, channels, 4, h, w).transpose(3, 0, 4, 2, 1)
+        saved["x"], saved["k"] = xv, kv
+        y = np.matmul(xv, kv.T) + bv[None, :]
+        rows = y.reshape(b, channels, 4, h, w).transpose(3, 0, 4, 2, 1)
         return QTensor(L.map_rows(np.ascontiguousarray(rows)))
 
     def bwd(g):
-        g0 = g.transpose(1, 2, 0, 3, 4).reshape(b, -1)
-        dx = np.zeros((4, *saved["x0"].shape), dtype=g.dtype)
-        dx[0] = np.matmul(g0, saved["k0"])
-        dk = np.zeros((4, *saved["k0"].shape), dtype=g.dtype)
-        dk[0] = g0.T @ saved["x0"]
-        db = np.zeros((4, saved["k0"].shape[0]), dtype=g.dtype)
-        db[0] = g0.sum(axis=0)
-        return dx, dk, db
+        g2 = g.transpose(1, 2, 0, 3, 4).reshape(b, -1)
+        return np.matmul(g2, saved["k"]), g2.T @ saved["x"], g2.sum(axis=0)
 
     return x.tape.record("real_dense", (x, kernel, bias), fwd, bwd)
 
@@ -643,19 +638,20 @@ class GradCheckReport:
         return f"grad_check {status} (tol {self.tolerance:g}): {worst}"
 
 
-def grad_check(build, params: dict[str, QTensor], tolerance: float = 1e-4,
+def grad_check(build, params: dict[str, QTensor | np.ndarray], tolerance: float = 1e-4,
                step: float = 1e-6, max_entries: int | None = None) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
     ``build(tape, leaves)`` must construct a scalar loss node from the dict of
     parameter leaf nodes; it is re-invoked for every perturbed evaluation, so
-    it has to be deterministic. Parameters are perturbed one real component
-    entry at a time; ``max_entries`` caps the perturbed entries per parameter
+    it has to be deterministic. Parameters are perturbed one stored real
+    entry at a time (every component of a quaternion parameter, every entry
+    of a real one); ``max_entries`` caps the perturbed entries per parameter
     (an evenly spaced deterministic subset) to keep large checks affordable.
     64-bit inputs are required for the comparison to mean anything.
     """
 
-    def loss_value(values: dict[str, QTensor]) -> float:
+    def loss_value(values: dict[str, QTensor | np.ndarray]) -> float:
         tape = Tape(needs_grad=False)
         leaves = {name: tape.param(name, v) for name, v in values.items()}
         node = build(tape, leaves)
@@ -668,16 +664,16 @@ def grad_check(build, params: dict[str, QTensor], tolerance: float = 1e-4,
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     for name, value in params.items():
-        base = value.data
+        base = live_array(value)
         worst = 0.0
-        flat_an = analytic[name].data.reshape(-1)
+        flat_an = analytic[name].reshape(-1)
         if max_entries is None or base.size <= max_entries:
             indices = range(base.size)
         else:
             indices = np.unique(np.linspace(0, base.size - 1, max_entries).astype(int))
         for idx in indices:
             perturbed = {k: (v.copy() if k == name else v) for k, v in params.items()}
-            pdata = perturbed[name].data.reshape(-1)
+            pdata = live_array(perturbed[name]).reshape(-1)
             pdata[idx] = base.reshape(-1)[idx] + step
             up = loss_value(perturbed)
             pdata[idx] = base.reshape(-1)[idx] - step

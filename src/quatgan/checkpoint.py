@@ -3,12 +3,12 @@
 Format: magic ``QGN2``, u32 tensor count, then per tensor: u16 name length,
 UTF-8 name, u8 rank, rank x u32 dims, 32-bit little-endian float payload.
 Everything a run needs to resume (parameters, spectral-norm vectors, optimizer
-moments, RNG streams, iteration counter, config) is framed as tensors. A
-real-valued parameter, carried in memory in the q0 slot of a (4, ...) array,
-is stored with its Adam moments at its true shape, without the zero q1..q3
-planes (see ``quatgan.train``). Non-float state is packed losslessly into
-f32-representable integers: text as bytes, and counters and RNG streams as
-16-bit limbs, so a counter stays exact past 2**24.
+moments, RNG streams, iteration counter, config) is framed as tensors, each
+at the shape it has in memory: (4, ...) for quaternion parameters and their
+Adam moments, the true shape for real-valued ones (see ``quatgan.train``).
+Non-float state is packed losslessly into f32-representable integers: text
+as bytes, and counters and RNG streams as 16-bit limbs, so a counter stays
+exact past 2**24.
 Tensors are written sorted by name so save -> load -> save is byte-identical.
 A save writes a sibling file and renames it onto the path, so a save that
 fails or is killed part way leaves the file it would replace as it was.

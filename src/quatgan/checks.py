@@ -59,8 +59,8 @@ def q(*shape, scale=1.0):
 
 
 def real(*shape, scale=1.0):
-    """A real tensor of ``shape`` carried in q0."""
-    return lambda rng: QTensor.from_real(scale * rng.standard_normal(shape))
+    """A plain real array of ``shape`` with normal entries."""
+    return lambda rng: scale * rng.standard_normal(shape)
 
 
 def margin(*shape):
@@ -75,7 +75,7 @@ def margin(*shape):
 
 def gain(channels):
     """QBN gains spread over [0.5, 1.5] rather than all at their starting value of 1."""
-    return lambda rng: QTensor.from_real(rng.uniform(0.5, 1.5, size=channels))
+    return lambda rng: rng.uniform(0.5, 1.5, size=channels)
 
 
 # -- checks ------------------------------------------------------------------------

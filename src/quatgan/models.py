@@ -9,9 +9,10 @@ of modules) whose outputs are added. :func:`gen_block`, :func:`disc_block` and
 they take quaternion channel counts, while :class:`ModelSpec` widths count
 real channels.
 
-The qsngan G maps real noise (in q0) by a real dense layer to its first
-quaternion map; the qsngan D returns (B, 1) quaternion decisions, which the
-hinge and Wasserstein losses score by their component sums.
+The qsngan G maps real noise, a plain (B, noise_dim) array, by a real dense
+layer to its first quaternion map; the qsngan D returns (B, 1) quaternion
+decisions, which the hinge and Wasserstein losses score by their component
+sums.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from . import layers as L
 from . import qnorm
 from .errors import ConfigError, DomainError
-from .qtensor import QTensor
+from .qtensor import QTensor, live_array
 
 __all__ = [
     "ModelSpec",
@@ -41,8 +42,17 @@ __all__ = [
 
 @dataclass
 class Param:
-    value: QTensor
-    kind: str = "quat"  # 'quat' or 'real' (real values carried in q0)
+    """A trainable value: a :class:`QTensor` for a quaternion parameter, or a
+    plain ndarray at its true shape for a real one. Optimizers update the
+    stored array in place and never rebind ``value``."""
+
+    value: QTensor | np.ndarray
+
+    @property
+    def kind(self) -> str:
+        """'quat' or 'real', by the value's type. The library does not read
+        it; the benchmark harness does."""
+        return "quat" if isinstance(self.value, QTensor) else "real"
 
 
 # -- module machinery -----------------------------------------------------------
@@ -192,21 +202,22 @@ class QTConv(_WeightedModule):
 
 
 class RealDense(Module):
-    """Real fully connected layer (parameters in q0) from q0-carried features
-    to a (channels, h, w) quaternion map: :func:`quatgan.autodiff.real_dense`."""
+    """Real fully connected layer (a plain (out_f, in_f) kernel and (out_f,)
+    bias) from real features to a (channels, h, w) quaternion map:
+    :func:`quatgan.autodiff.real_dense`."""
 
     def __init__(self, name, in_f, channels, h, w, dtype=np.float64):
         super().__init__(name)
         self.in_f, self.out_f, self.map = in_f, 4 * channels * h * w, (channels, h, w)
-        self.kernel = Param(QTensor.zeros((self.out_f, in_f), dtype=dtype), kind="real")
-        self.bias = Param(QTensor.zeros((self.out_f,), dtype=dtype), kind="real")
+        self.kernel = Param(np.zeros((self.out_f, in_f), dtype=dtype))
+        self.bias = Param(np.zeros(self.out_f, dtype=dtype))
 
     def params(self):
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.bias", self.bias)]
 
     def init_params(self, rng, criterion):
         a = np.sqrt(6.0 / (self.in_f + self.out_f))
-        self.kernel.value.data[0] = rng.uniform(-a, a, size=(self.out_f, self.in_f))
+        self.kernel.value[...] = rng.uniform(-a, a, size=(self.out_f, self.in_f))
 
     def forward(self, leaves, x):
         return ad.real_dense(x, leaves[f"{self.name}.kernel"], leaves[f"{self.name}.bias"],
@@ -215,13 +226,13 @@ class RealDense(Module):
 
 class QBN(Module):
     """Quaternion batch normalization (:func:`quatgan.qnorm.qbn`) with a real
-    gain ``gamma`` (in q0, starting at 1) and a quaternion shift ``beta``
-    (starting at 0) per channel. It has no state."""
+    gain ``gamma`` (a plain array, starting at 1) and a quaternion shift
+    ``beta`` (starting at 0) per channel. It has no state."""
 
     def __init__(self, name, channels, dtype=np.float64):
         super().__init__(name)
         self.channels = channels
-        self.gamma = Param(QTensor.from_real(np.ones(channels, dtype=dtype)), kind="real")
+        self.gamma = Param(np.ones(channels, dtype=dtype))
         self.beta = Param(QTensor.zeros((channels,), dtype=dtype))
 
     def params(self):
@@ -361,7 +372,7 @@ class Model:
                 out[pname] = p
         return out
 
-    def param_tensors(self) -> dict[str, QTensor]:
+    def param_tensors(self) -> dict[str, QTensor | np.ndarray]:
         return {k: p.value for k, p in self.parameters().items()}
 
     def states(self) -> dict[str, np.ndarray]:
@@ -392,7 +403,7 @@ class Model:
             h = m.forward(leaves, h)
         return h
 
-    def forward_array(self, x: QTensor, *, training: bool = True,
+    def forward_array(self, x: QTensor | np.ndarray, *, training: bool = True,
                       update_stats: bool | None = None) -> QTensor:
         """Pure forward (no gradients recorded) as a C-contiguous array; see
         :meth:`forward`."""
@@ -408,14 +419,15 @@ class Model:
         return (m for m in self.leaf_modules() if isinstance(m, _WeightedModule))
 
 
-def _scalars(p: Param) -> int:
-    return p.value.data.size if p.kind == "quat" else p.value.q0.size
+def _scalars(params) -> int:
+    """Real scalars the parameters store: all four components of a
+    quaternion parameter, every entry of a real one."""
+    return sum(live_array(p.value).size for p in params)
 
 
 def count_parameters(model) -> int:
-    """Exact count of trainable real scalars (quaternion parameters count all
-    four components; real-kind parameters count the q0 payload only)."""
-    return sum(_scalars(p) for p in model.parameters().values())
+    """Exact count of trainable real scalars."""
+    return _scalars(model.parameters().values())
 
 
 def apply_spectral_norm(model: Model):
@@ -588,7 +600,7 @@ def _twin_parameters(m: Module, in_ch: int | None = None, out_ch: int | None = N
     if isinstance(m, QBN):
         return 8 * m.channels
     if isinstance(m, RealDense):
-        return sum(_scalars(p) for _, p in m.params())
+        return _scalars(p for _, p in m.params())
     if not isinstance(m, _WeightedModule):
         return 0
     taps = m.kernel.value.data.size // (4 * m.in_q * m.out_q)

@@ -59,10 +59,11 @@ def _from_rows(m: np.ndarray, shape, order) -> np.ndarray:
 def qbn(x, gamma, beta):
     """QBN of a (4, B, C, ...) tape node by the statistics of its batch.
 
-    ``gamma`` holds one real gain per channel (carried in q0) and ``beta``
-    one quaternion shift per channel. The batch statistics are part of the
-    recorded gradient. Both passes run on the :func:`_sample_rows` matrix,
-    a view of a channels-last map, and write their results in its layout.
+    ``gamma`` holds one real gain per channel, a plain (C,) array, and
+    ``beta`` one quaternion shift per channel. The batch statistics are part
+    of the recorded gradient. Both passes run on the :func:`_sample_rows`
+    matrix, a view of a channels-last map, and write their results in its
+    layout.
     """
     saved = {}
     channels = x.value.shape[1]
@@ -75,7 +76,7 @@ def qbn(x, gamma, beta):
         """A (4, C) or (C,) per-channel array as one row of the matrix."""
         return np.tile(np.broadcast_to(v, (4, channels)).reshape(-1), r)
 
-    def fwd(xv: QTensor, gv: QTensor, bv: QTensor) -> QTensor:
+    def fwd(xv: QTensor, gv: np.ndarray, bv: QTensor) -> QTensor:
         m, order = _sample_rows(xv.data)
         r = m.shape[1] // (4 * channels)
         n = m.shape[0] * r
@@ -84,15 +85,14 @@ def qbn(x, gamma, beta):
         xc = m - tile(col_sum(m) / n, r)
         s = np.sqrt((col_sum(xc * xc) / n).sum(axis=0) + EPSILON)
         xhat = xc / tile(s, r)
-        saved.update(xc=xc, s=s, n=n, r=r, xhat=xhat, gamma=gv.q0)
-        out = xhat * tile(gv.q0, r) + tile(bv.data, r)
+        saved.update(xc=xc, s=s, n=n, r=r, xhat=xhat, gamma=gv)
+        out = xhat * tile(gv, r) + tile(bv.data, r)
         return QTensor(_from_rows(out, xv.data.shape, order))
 
     def bwd(g):
         xhat, gamma, s, xc, n, r = (saved[k] for k in ("xhat", "gamma", "s", "xc", "n", "r"))
         gm, order = _sample_rows(g)
-        dgamma = np.zeros((4, channels), dtype=g.dtype)
-        dgamma[0] = col_sum(gm * xhat).sum(axis=0)
+        dgamma = col_sum(gm * xhat).sum(axis=0)
         dbeta = col_sum(gm)
         dxhat = gm * tile(gamma, r)
         dv = col_sum(dxhat * xc).sum(axis=0) * (-0.5) / (s ** 3)

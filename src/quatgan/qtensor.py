@@ -6,6 +6,10 @@ component axis. The index order need not be the memory order: a map on the
 tape, (4, B, C, H, W), is stored channels-last (see :mod:`quatgan.autodiff`),
 so its ``.data`` may be a non-contiguous view. Use ``np.ascontiguousarray``
 where C order matters.
+
+Real-valued data (real parameters, their gradients and Adam moments, and
+the qsngan noise) is a plain ndarray at its true shape, with no component
+axis; :func:`live_array` maps either kind of value to the array it stores.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-__all__ = ["QTensor"]
+__all__ = ["QTensor", "live_array"]
 
 
 class QTensor:
@@ -35,14 +39,6 @@ class QTensor:
     @classmethod
     def zeros(cls, shape, dtype=np.float64) -> "QTensor":
         return cls(np.zeros((4, *shape), dtype=dtype))
-
-    @classmethod
-    def from_real(cls, values, dtype=None) -> "QTensor":
-        """Carry a real array in the q0 component; q1..q3 are zero."""
-        v = np.asarray(values, dtype=dtype)
-        data = np.zeros((4, *v.shape), dtype=v.dtype if dtype is None else dtype)
-        data[0] = v
-        return cls(data)
 
     # -- views -------------------------------------------------------------
 
@@ -83,3 +79,9 @@ class QTensor:
 
     def __repr__(self):
         return f"QTensor(shape={self.shape}, dtype={self.dtype})"
+
+
+def live_array(value: QTensor | np.ndarray) -> np.ndarray:
+    """The array a value stores: a :class:`QTensor`'s ``(4, ...)`` data, or a
+    real ndarray itself."""
+    return value.data if isinstance(value, QTensor) else value

@@ -22,9 +22,9 @@ from . import data as D
 from . import losses as LS
 from . import metrics as M
 from . import models as MD
-from .errors import CheckpointError, ConfigError, DomainError, NumericError
+from .errors import CheckpointError, ConfigError, NumericError
 from .optim import AdamState, adam_step
-from .qtensor import QTensor
+from .qtensor import QTensor, live_array
 
 __all__ = ["TrainConfig", "train", "save_checkpoint", "load_checkpoint",
            "emit_samples", "make_noise", "generate_images"]
@@ -152,11 +152,12 @@ def _check_synth(synth):
         raise ConfigError(f"synth seed must be nonnegative, got {synth['seed']}")
 
 
-def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator, dtype=np.float32) -> QTensor:
-    """Standard normal noise: real-valued for qsngan (q0-carried), a full
-    quaternion tensor for qdcgan."""
+def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator,
+               dtype=np.float32) -> QTensor | np.ndarray:
+    """Standard normal noise: a plain real (n, noise_dim) array for qsngan, a
+    full quaternion tensor for qdcgan."""
     if spec.family == "qsngan":
-        return QTensor.from_real(rng.standard_normal((n, spec.noise_dim)).astype(dtype))
+        return rng.standard_normal((n, spec.noise_dim)).astype(dtype)
     return QTensor(rng.standard_normal((4, n, spec.noise_dim // 4)).astype(dtype))
 
 
@@ -182,7 +183,7 @@ def check_image_size(images: np.ndarray, spec: MD.ModelSpec, model: str) -> None
 
 
 def _param_norms(model: MD.Model) -> dict[str, float]:
-    return {k: float(np.linalg.norm(p.value.data)) for k, p in model.parameters().items()}
+    return {k: float(np.linalg.norm(live_array(p.value))) for k, p in model.parameters().items()}
 
 
 def _check_finite(label: str, value: float, iteration: int, g, d):
@@ -247,32 +248,22 @@ def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
 RNG_STREAMS = ("noise", "data", "aux")
 
 
-def _param_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState, d_adam: AdamState):
-    """(checkpoint name, live array, ``Param.kind``) of every parameter and,
-    for a net whose Adam step is above 0, of both moments of each."""
-    for net, model, adam in (("g", g, g_adam), ("d", d, d_adam)):
-        for k, p in model.parameters().items():
-            yield f"param.{net}.{k}", p.value.data, p.kind
-            if adam.step > 0:
-                yield f"adam.{net}.m.{k}", adam.m[k], p.kind
-                yield f"adam.{net}.v.{k}", adam.v[k], p.kind
-
-
 def _run_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState,
                 d_adam: AdamState) -> dict[str, np.ndarray]:
     """Every array of a run's state under its checkpoint name.
 
-    These are the live arrays: parameters, module states (``Model.states``)
-    and, for a net whose Adam step is above 0, both moments of each of its
-    parameters. A real-kind parameter and its moments are handed out as
-    their q0 plane, a C-contiguous view at the parameter's true shape; their
-    q1..q3 planes are zero (``save_checkpoint`` checks this) and are not
-    stored. ``save_checkpoint`` writes these arrays and ``load_checkpoint``
-    copies the file's tensors into them.
+    These are the live arrays, each at the shape it is stored in: parameters
+    (a quaternion parameter's (4, ...) data, a real parameter's own array),
+    module states (``Model.states``) and, for a net whose Adam step is above
+    0, both moments of each of its parameters. ``save_checkpoint`` writes
+    these arrays and ``load_checkpoint`` copies the file's tensors into them.
     """
-    out = {name: arr[0] if kind == "real" else arr
-           for name, arr, kind in _param_arrays(g, d, g_adam, d_adam)}
-    for net, model in (("g", g), ("d", d)):
+    out = {}
+    for net, model, adam in (("g", g, g_adam), ("d", d, d_adam)):
+        for k, p in model.parameters().items():
+            out[f"param.{net}.{k}"] = live_array(p.value)
+            if adam.step > 0:
+                out[f"adam.{net}.m.{k}"], out[f"adam.{net}.v.{k}"] = adam.m[k], adam.v[k]
         out.update((f"state.{net}.{k}", arr) for k, arr in model.states().items())
     return out
 
@@ -280,18 +271,7 @@ def _run_arrays(g: MD.Model, d: MD.Model, g_adam: AdamState,
 def save_checkpoint(path, config: TrainConfig, g: MD.Model, d: MD.Model,
                     g_adam: AdamState, d_adam: AdamState,
                     rngs: dict[str, np.random.Generator], iteration: int):
-    """Write the run state to ``path`` (see :func:`_run_arrays`).
-
-    Raises :class:`DomainError`, before any file is opened, if a real-kind
-    parameter or one of its moments has a nonzero bit in q1..q3, which the
-    file would drop.
-    """
-    for name, arr, kind in _param_arrays(g, d, g_adam, d_adam):
-        # the largest raw bit pattern is nonzero for any nonzero entry, -0.0
-        # included; numpy reduces uint32 max about 5x faster than any()
-        if kind == "real" and arr[1:].view(np.uint32).max():
-            raise DomainError(f"real-kind tensor {name!r} has a nonzero bit in q1..q3, "
-                              "which a checkpoint does not store")
+    """Write the run state to ``path`` (see :func:`_run_arrays`)."""
     tensors = _run_arrays(g, d, g_adam, d_adam)
     for net, adam in (("g", g_adam), ("d", d_adam)):
         tensors[f"adam.{net}.step"] = ckpt.pack_count(adam.step)
@@ -314,8 +294,7 @@ def load_checkpoint(path):
     """Rebuild (config, g, d, g_adam, d_adam, rngs, iteration) from a file.
 
     Builds a fresh run from the saved config and copies each tensor into the
-    array :func:`_run_arrays` names for it; for a real-kind parameter or
-    moment that is the q0 plane, and q1..q3 stay zero. A malformed file raises
+    array :func:`_run_arrays` names for it. A malformed file raises
     :class:`CheckpointError`: an undecodable config or counter, a missing or
     unknown tensor, or a tensor whose shape does not match its array. The
     file must hold exactly the arrays of ``_run_arrays`` (so Adam moments
@@ -339,11 +318,8 @@ def load_checkpoint(path):
                          step=_count(tensors, f"adam.{net}.step"))
         if adam.step > 0:
             for k, p in model.parameters().items():
-                adam.m[k] = np.empty_like(p.value.data)
-                adam.v[k] = np.empty_like(p.value.data)
-                if p.kind == "real":
-                    adam.m[k][1:] = 0
-                    adam.v[k][1:] = 0
+                arr = live_array(p.value)
+                adam.m[k], adam.v[k] = np.empty_like(arr), np.empty_like(arr)
         adams.append(adam)
     arrays = _run_arrays(g, d, *adams)
     expected = arrays.keys() | {"meta.config", "meta.iteration", "adam.g.step", "adam.d.step"}

@@ -81,11 +81,12 @@ def tensor_conjugate(a):
 
 
 def run_op(op, *args):
-    """Value of a tape op applied to plain values: each QTensor argument
-    becomes a constant of a gradient-free tape, the rest pass through."""
+    """Value of a tape op applied to plain values: each QTensor or real
+    ndarray argument becomes a constant of a gradient-free tape, the rest
+    pass through."""
     from quatgan.autodiff import Tape
     from quatgan.qtensor import QTensor
 
     tape = Tape(needs_grad=False)
-    nodes = [tape.constant(a) if isinstance(a, QTensor) else a for a in args]
+    nodes = [tape.constant(a) if isinstance(a, (QTensor, np.ndarray)) else a for a in args]
     return op(*nodes).value

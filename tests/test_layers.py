@@ -155,8 +155,7 @@ class TestRealDense:
         x = rng.standard_normal((b, n_in))
         k = rng.standard_normal((4 * c * h * w, n_in))
         bias = rng.standard_normal(4 * c * h * w)
-        got = run_op(lambda *a: ad.real_dense(*a, c, h, w), QTensor.from_real(x),
-                     QTensor.from_real(k), QTensor.from_real(bias))
+        got = run_op(lambda *a: ad.real_dense(*a, c, h, w), x, k, bias)
         assert got.shape == (b, c, h, w)
         for n, ch, r, i, j in np.ndindex(b, c, 4, h, w):
             row = ((4 * ch + r) * h + i) * w + j

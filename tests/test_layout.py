@@ -93,7 +93,7 @@ def _conv_case(transposed, stride):
         kshape = (4, c, 2, k, k) if transposed else (4, 2, c, k, k)
         op = ad.qtconv2d if transposed else ad.qconv2d
         return ([rng.standard_normal((4, b, c, h, w))],
-                [rng.standard_normal(kshape), rng.standard_normal((4, 2))],
+                [QTensor(rng.standard_normal(kshape)), QTensor(rng.standard_normal((4, 2)))],
                 lambda x, kern, bias: op(x, kern, bias, cfg))
     return make
 
@@ -105,9 +105,8 @@ def _unary_case(fn):
 
 
 def _qbn_case(rng, b, c, h, w):
-    gamma = np.zeros((4, c))
-    gamma[0] = rng.standard_normal(c)
-    return ([rng.standard_normal((4, b, c, h, w))], [gamma, rng.standard_normal((4, c))],
+    gamma = rng.standard_normal(c)
+    return ([rng.standard_normal((4, b, c, h, w))], [gamma, QTensor(rng.standard_normal((4, c)))],
             qnorm.qbn)
 
 
@@ -116,11 +115,10 @@ def _add_case(rng, b, c, h, w):
 
 
 def _real_dense_case(rng, b, c, h, w):
-    """The map is the output; only its upstream gradient changes layout."""
-    x = np.zeros((4, b, 3))
-    x[0] = rng.standard_normal((b, 3))
-    kern, bias = np.zeros((4, 4 * c * h * w, 3)), np.zeros((4, 4 * c * h * w))
-    kern[0], bias[0] = rng.standard_normal(kern.shape[1:]), rng.standard_normal(bias.shape[1])
+    """The map is the output; only its upstream gradient changes layout. The
+    input, kernel and bias are plain real arrays."""
+    x = rng.standard_normal((b, 3))
+    kern, bias = rng.standard_normal((4 * c * h * w, 3)), rng.standard_normal(4 * c * h * w)
     return [], [x, kern, bias], lambda x, k, bi: ad.real_dense(x, k, bi, c, h, w)
 
 
@@ -159,7 +157,7 @@ class TestLayoutIndependence:
         for store in (np.ascontiguousarray, channels_last):
             tape = ad.Tape()
             nodes = [tape.param(f"m{i}", QTensor(store(m))) for i, m in enumerate(maps)]
-            nodes += [tape.param(f"o{i}", QTensor(o)) for i, o in enumerate(others)]
+            nodes += [tape.param(f"o{i}", o) for i, o in enumerate(others)]
             node = op(*nodes)
             upstream = np.random.default_rng(seed + 1).standard_normal(node.value.data.shape)
             if upstream.ndim == 5:

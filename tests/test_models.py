@@ -9,8 +9,22 @@ from quatgan import cli
 from quatgan import models as MD
 from quatgan.errors import ConfigError, DomainError
 from quatgan.layers import ConvConfig
-from quatgan.qtensor import QTensor
+from quatgan.qtensor import QTensor, live_array
 from quatgan.train import make_noise
+
+
+def assert_float32_pass(model, x):
+    """A forward and backward of ``model`` on the f32 input ``x`` records no
+    f64 tape value, and every gradient is f32 and has the shape of its
+    parameter's stored array."""
+    tape = ad.Tape()
+    y = model.forward(tape, tape.constant(x))
+    loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
+    assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
+    grads = tape.backward(loss)
+    for name, value in model.param_tensors().items():
+        assert grads[name].dtype == np.float32, name
+        assert grads[name].shape == live_array(value).shape, name
 
 
 class TestModelSpecValidation:
@@ -290,13 +304,21 @@ class TestSpectralNormIntegration:
         _, d = MD.build_gan(spec, dtype=np.float32)
         d.init_params(rng)
         MD.sn_warmup(d, iters=2)
-        tape = ad.Tape()
         x = QTensor(rng.standard_normal((4, 2, 1, 16, 16)).astype(np.float32))
-        y = d.forward(tape, tape.constant(x))
-        loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
-        assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
-        grads = tape.backward(loss)
-        assert all(g.dtype == np.float32 for g in grads.values())
+        assert_float32_pass(d, x)
+
+    @pytest.mark.parametrize("preset", ["qsngan_toy16", "qdcgan_toy16"])
+    def test_float32_nets_record_no_float64(self, rng, preset):
+        """Both nets of each family, at f32: the qsngan G reads plain f32
+        noise through ``real_dense``, and the qdcgan nets hold QBN gains."""
+        spec = MD.preset_spec(preset)
+        g, d = MD.build_gan(spec, dtype=np.float32)
+        g.init_params(rng)
+        d.init_params(rng)
+        MD.sn_warmup(d, iters=2)  # a no-op without spectral norm
+        z = make_noise(spec, 2, rng)
+        assert_float32_pass(g, z)
+        assert_float32_pass(d, g.forward_array(z))
 
     def test_effective_weights_are_scaled_in_forward(self, rng):
         spec = MD.preset_spec("qsngan_toy8")

@@ -19,7 +19,7 @@ def qbn_forward(x: QTensor, gamma=None, beta=None) -> QTensor:
     """Value of the QBN tape op; ``gamma`` (real, per channel) defaults to 1
     and ``beta`` (quaternion, per channel) to 0."""
     channels = x.shape[1]
-    gamma = QTensor.from_real(np.ones(channels) if gamma is None else gamma)
+    gamma = np.ones(channels) if gamma is None else np.asarray(gamma)
     beta = QTensor.zeros((channels,)) if beta is None else QTensor(beta)
     return run_op(qbn, x, gamma, beta)
 

@@ -10,7 +10,8 @@ from quatgan import cli
 from quatgan import data as D
 from quatgan import models as MD
 from quatgan import train as T
-from quatgan.errors import CheckpointError, ConfigError, DomainError, NumericError
+from quatgan.errors import CheckpointError, ConfigError, NumericError
+from quatgan.qtensor import QTensor
 
 
 def toy_config(tmp_path, **overrides):
@@ -213,16 +214,17 @@ class TestTrainingLoop:
         r2 = T.train(toy_config(tmp_path, seed=12, out_dir=str(tmp_path / "b")))
         assert r1["g_losses"] != r2["g_losses"]
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
-        full_cfg = toy_config(tmp_path, iterations=16, checkpoint_every=8,
-                              eval_every=8, out_dir=str(tmp_path / "full"))
-        full = T.train(full_cfg)
+    # qdcgan_toy16 has QBN gains, real-kind parameters, in G and in D
+    @pytest.mark.parametrize("model,loss,sn,size", [("qsngan_toy8", "hinge", "full", 8),
+                                                    ("qdcgan_toy16", "qce", "none", 16)])
+    def test_resume_matches_uninterrupted(self, tmp_path, model, loss, sn, size):
+        run = dict(model=model, loss=loss, sn_mode=sn, synth={"n": 32, "size": size, "seed": 3},
+                   checkpoint_every=8, eval_every=8)
+        full = T.train(toy_config(tmp_path, iterations=16, out_dir=str(tmp_path / "full"), **run))
 
-        part_cfg = toy_config(tmp_path, iterations=16, checkpoint_every=8,
-                              eval_every=8, out_dir=str(tmp_path / "part"))
+        part_cfg = toy_config(tmp_path, iterations=16, out_dir=str(tmp_path / "part"), **run)
         # run the first half by training with the same config but stopping at 8
-        half_cfg = toy_config(tmp_path, iterations=8, checkpoint_every=8,
-                              eval_every=8, out_dir=str(tmp_path / "part"))
+        half_cfg = toy_config(tmp_path, iterations=8, out_dir=str(tmp_path / "part"), **run)
         T.train(half_cfg)
         mid = os.path.join(tmp_path, "part", "checkpoint_000008.qgn")
         resumed = T.train(part_cfg, resume_from=mid)
@@ -558,20 +560,6 @@ class TestCheckpointLoader:
         _, _, _, g_adam, d_adam, _, iteration = T.load_checkpoint(path)
         assert (g_adam.step, d_adam.step, iteration) == (count, count + 2, count + 4)
 
-    @pytest.mark.parametrize("name", ["param.g.g.fc.kernel", "adam.g.m.g.fc.kernel",
-                                      "adam.g.v.g.fc.kernel"])
-    def test_save_refuses_nonzero_q1_of_real_kind_tensor(self, tmp_path, toy_checkpoint, name):
-        """The file keeps only q0 of real-kind state, so a nonzero q1 is refused
-        before any file is written."""
-        state = T.load_checkpoint(toy_checkpoint)
-        arrays = {n: arr for n, arr, _ in T._param_arrays(*state[1:5])}
-        arrays[name][1].flat[0] = 1e-3
-        out = tmp_path / "out"
-        out.mkdir()
-        with pytest.raises(DomainError, match=re.escape(name)):
-            T.save_checkpoint(str(out / "c.qgn"), *state)
-        assert list(out.iterdir()) == []
-
     def test_sample_on_corrupt_checkpoint_exits_3(self, tmp_path, toy_checkpoint):
         data = bytearray(open(toy_checkpoint, "rb").read())
         data[10] = 0xFF
@@ -603,8 +591,10 @@ def test_save_load_save_is_byte_identical(tmp_path, model, sn):
 @pytest.mark.parametrize("model,loss,sn,size", [("qsngan_toy8", "hinge", "full", 8),
                                                 ("qdcgan_toy16", "qce", "none", 16)])
 def test_training_keeps_real_kind_state_real(tmp_path, monkeypatch, model, loss, sn, size):
-    """Checkpoints drop the q1..q3 planes of real-kind parameters and their
-    Adam moments, so training must leave those planes exactly zero."""
+    """After training, every real-kind parameter (a ``RealDense`` kernel and
+    bias, a QBN gain) and both its Adam moments are plain arrays at the
+    parameter's true shape, with no component axis, and the checkpoint
+    stores each at that shape."""
     saved = []
     save = T.save_checkpoint
 
@@ -613,15 +603,27 @@ def test_training_keeps_real_kind_state_real(tmp_path, monkeypatch, model, loss,
         save(path, config, g, d, g_adam, d_adam, rngs, iteration)
 
     monkeypatch.setattr(T, "save_checkpoint", spy)
-    T.train(toy_config(tmp_path, model=model, loss=loss, sn_mode=sn, iterations=3,
-                       synth={"n": 32, "size": size, "seed": 3}, checkpoint_every=0,
-                       eval_every=0))
+    report = T.train(toy_config(tmp_path, model=model, loss=loss, sn_mode=sn, iterations=3,
+                                synth={"n": 32, "size": size, "seed": 3}, checkpoint_every=0,
+                                eval_every=0))
     (g, d, g_adam, d_adam), = saved
+    tensors = C.load_tensors(report["checkpoints"][-1])
     checked = []
-    for net, adam in ((g, g_adam), (d, d_adam)):
-        for k, p in net.parameters().items():
-            if p.kind == "real":
-                for arr in (p.value.data, adam.m[k], adam.v[k]):
-                    assert arr[1:].tobytes() == bytes(arr[1:].nbytes), k
-                checked.append(k)
+    for net, net_model, adam in (("g", g, g_adam), ("d", d, d_adam)):
+        true_shapes = {}
+        for m in net_model.leaf_modules():
+            if isinstance(m, MD.RealDense):
+                true_shapes[f"{m.name}.kernel"] = (m.out_f, m.in_f)
+                true_shapes[f"{m.name}.bias"] = (m.out_f,)
+            elif isinstance(m, MD.QBN):
+                true_shapes[f"{m.name}.gamma"] = (m.channels,)
+        params = net_model.parameters()
+        real = {k for k, p in params.items() if not isinstance(p.value, QTensor)}
+        assert real == true_shapes.keys()
+        for k, shape in true_shapes.items():
+            for name, arr in ((f"param.{net}.{k}", params[k].value),
+                              (f"adam.{net}.m.{k}", adam.m[k]), (f"adam.{net}.v.{k}", adam.v[k])):
+                assert type(arr) is np.ndarray and arr.shape == shape, name
+                assert tensors[name].shape == shape, name
+            checked.append(k)
     assert any(k.endswith(".gamma") for k in checked)
