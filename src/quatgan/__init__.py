@@ -13,7 +13,7 @@ same models (`count_twin_parameters`).
 """
 
 from .qtensor import QTensor
-from .layers import ConvConfig, fold_block, hamilton_block
+from .layers import fold_block, hamilton_block
 from .autodiff import Tape, grad_check
 from .optim import AdamState, adam_step
 from .models import (
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QTensor",
-    "ConvConfig",
     "hamilton_block",
     "fold_block",
     "Tape",

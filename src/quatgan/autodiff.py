@@ -14,6 +14,10 @@ tape (``Tape(needs_grad=False)``) runs the same ops for inference. It keeps no
 backward closure, so what an op's forward saves for its backward is freed as
 soon as ``record`` returns; the ops save unconditionally.
 
+The layer ops take their widths from their kernel's shape. A conv op is
+called with only its stride and padding besides (see :mod:`quatgan.layers`)
+and refuses a map whose channels are not the kernel's.
+
 Real-valued parameters and the qsngan noise are plain ndarrays at their true
 shape, with no component axis (see :func:`real_dense` and
 :func:`quatgan.qnorm.qbn`); every other value is a :class:`QTensor`. Losses
@@ -276,21 +280,19 @@ def inner_const(a: Node, k: QTensor) -> Node:
 # -- layers --------------------------------------------------------------------
 
 
-def _check_conv_input(x: QTensor, cfg: L.ConvConfig):
+def _check_conv_input(x: QTensor, kernel: QTensor, in_axis: int):
+    """The map's (batch, in_q, H, W) shape, once it is a map whose channels
+    are those of axis ``in_axis`` of a square (., ., k, k) kernel."""
     if len(x.shape) != 4:
         raise ShapeMismatchError(f"conv expects (batch, channels, H, W), got {x.shape}")
-    if x.shape[1] != cfg.in_q:
+    if len(kernel.shape) != 4 or kernel.shape[2] != kernel.shape[3]:
+        raise ShapeMismatchError(f"conv kernel must be (., ., k, k), got {kernel.shape}")
+    if x.shape[1] != kernel.shape[in_axis]:
         raise ShapeMismatchError(
-            f"input has {x.shape[1]} quaternion channels, config expects {cfg.in_q}"
+            f"input has {x.shape[1]} quaternion channels, kernel expects "
+            f"{kernel.shape[in_axis]}"
         )
     return x.shape
-
-
-def _check_kernel(kernel: QTensor, want, what: str):
-    if kernel.shape != want:
-        raise ShapeMismatchError(
-            f"{what} weight shape {kernel.shape} does not match config {want}"
-        )
 
 
 def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
@@ -395,8 +397,9 @@ def _row_weights_grad(patches: np.ndarray, g2: np.ndarray, k: int) -> np.ndarray
                            for ki in range(k)])
 
 
-def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
-    """Quaternion 2-D convolution (cross-correlation convention).
+def qconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int) -> Node:
+    """Quaternion 2-D convolution (cross-correlation convention) by an
+    (out_q, in_q, k, k) kernel.
 
     Every stride runs the lowering of :mod:`quatgan.layers`: row patches of
     the input's phases against the :func:`_row_weights` of the kernel's
@@ -407,26 +410,23 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    k, s, p, o = cfg.kernel, cfg.stride, cfg.padding, cfg.out_q
+    b, i, h, w = _check_conv_input(x.value, kernel.value, 1)
+    o, _, k, _ = kernel.value.shape
+    s, p = stride, padding
+    ho, wo = L.conv_out_size(h, k, s, p), L.conv_out_size(w, k, s, p)
     kk = -(-k // s)
 
     def fwd(xv, kv, *rest):
-        b, i, h, w = _check_conv_input(xv, cfg)
-        _check_kernel(kv, (o, i, k, k), "conv")
-        ho = L.conv_out_size(h, k, s, p)
-        wo = L.conv_out_size(w, k, s, p)
         w_rows = _row_weights(L.hamilton_block(kv.data), k, s)
         x_ph = L.to_phases(L.map_rows(xv.data), s, p, ho + kk - 1, wo + kk - 1)
         cols = L.row_patches(x_ph, kk)
         y = _row_gemms(cols, w_rows)
-        saved.update(cols=cols, w_rows=w_rows, hwi=(h, w, i))
+        saved.update(cols=cols, w_rows=w_rows)
         if rest:
             y += rest[0].data.reshape(-1)
         return QTensor(L.map_rows(y.reshape(ho, b, wo, 4, o)))
 
     def bwd(g):
-        _, b, _, ho, wo = g.shape
-        h, w, i = saved["hwi"]
         g_rows = np.ascontiguousarray(L.map_rows(g)).reshape(ho, b, wo, 4 * o)
         cols = saved.pop("cols")  # released below; a tape backpropagates once
         dw = _row_weights_grad(cols, g_rows.reshape(-1, 4 * o), kk)
@@ -441,8 +441,8 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node
     return x.tape.record("qconv2d", inputs, fwd, bwd)
 
 
-def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Node:
-    """Quaternion transposed convolution; the kernel is (in_q, out_q, k, k).
+def qtconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int) -> Node:
+    """Quaternion transposed convolution by an (in_q, out_q, k, k) kernel.
 
     The adjoint of the :func:`qconv2d` lowering whose block is the transpose
     of that of the per-component transposed kernel (out_q*k*k, in_q):
@@ -452,28 +452,26 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, cfg: L.ConvConfig) -> Nod
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    k, s, p, i, o = cfg.kernel, cfg.stride, cfg.padding, cfg.in_q, cfg.out_q
+    b, _, h, w = _check_conv_input(x.value, kernel.value, 0)
+    i, o, k, _ = kernel.value.shape
+    s, p = stride, padding
+    ho, wo = L.tconv_out_size(h, k, s, p), L.tconv_out_size(w, k, s, p)
     kk = -(-k // s)
 
     def fwd(xv, kv, *rest):
-        b, _, h, w = _check_conv_input(xv, cfg)
-        _check_kernel(kv, (i, o, k, k), "transposed conv")
-        ho = L.tconv_out_size(h, k, s, p)
-        wo = L.tconv_out_size(w, k, s, p)
         block = L.hamilton_block(kv.data.reshape(4, i, -1).transpose(0, 2, 1))
         w_rows = _row_weights(block.T, k, s)
         x_rows = np.ascontiguousarray(L.map_rows(xv.data)).reshape(h, b, w, 4 * i)
         y = _row_gemms_t(x_rows, w_rows, s, p, ho, wo)
-        saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows, hw=(h, w))
+        saved.update(x2=x_rows.reshape(-1, 4 * i), w_rows=w_rows)
         if rest:
             y += rest[0].data.reshape(-1)
         return QTensor(L.map_rows(y.reshape(ho, b, wo, 4, o)))
 
     def bwd(g):
-        h, w = saved["hw"]
         g_rows = L.map_rows(g)
         g_cols = L.row_patches(L.to_phases(g_rows, s, p, h + kk - 1, w + kk - 1), kk)
-        dx = _row_gemms(g_cols, saved["w_rows"]).reshape(h, g.shape[1], w, 4, i)
+        dx = _row_gemms(g_cols, saved["w_rows"]).reshape(h, b, w, 4, i)
         dw = _row_weights_grad(g_cols, saved["x2"], kk)
         dk = L.fold_block(_block_grad(dw, k, s).T).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import layers as L
 from . import losses as LS
 from . import models as MD
 from . import qnorm
@@ -177,10 +176,11 @@ def check_net(preset, net, draw_inputs, loss, max_entries):
     return run
 
 
-def _conv(cfg, shape):
-    """A row for ``qconv2d`` with config ``cfg`` on a map of ``shape``."""
-    kernel = (cfg.out_q, cfg.in_q, cfg.kernel, cfg.kernel)
-    return check_op(ad.qconv2d, [q(*shape), q(*kernel), q(cfg.out_q)], cfg)
+def _conv(shape, out_q, k, stride, padding):
+    """A row for ``qconv2d`` of a map of ``shape`` by a ``k``x``k`` kernel
+    to ``out_q`` channels."""
+    kernel = (out_q, shape[1], k, k)
+    return check_op(ad.qconv2d, [q(*shape), q(*kernel), q(out_q)], stride, padding)
 
 
 def _qce_ones(node):
@@ -192,14 +192,15 @@ IMAGES = q(2, 1, 8, 8, scale=0.5)
 SUITES = {
     "layers": [
         ("qdense", check_op(ad.qdense, [q(3, 2), q(4, 2), q(4)])),
-        ("qconv2d", _conv(L.ConvConfig(3, 1, 1, 2, 3), (2, 2, 4, 5))),
-        ("qconv2d_strided", _conv(L.ConvConfig(2, 2, 0, 2, 2), (2, 2, 6, 4))),
-        # a (3, 1, 1) conv with as many output channels as input ones
-        ("qconv2d_input", _conv(L.ConvConfig(3, 1, 1, 2, 2), (2, 2, 4, 5))),
-        # qdcgan's (4, 2, 1) conv on a non-square map whose padded sides are odd
-        ("qconv2d_strided_odd", _conv(L.ConvConfig(4, 2, 1, 2, 2), (2, 2, 5, 7))),
+        ("qconv2d", _conv((2, 2, 4, 5), 3, 3, 1, 1)),
+        ("qconv2d_strided", _conv((2, 2, 6, 4), 2, 2, 2, 0)),
+        # a 3x3, stride-1, padding-1 conv with as many output channels as input ones
+        ("qconv2d_input", _conv((2, 2, 4, 5), 2, 3, 1, 1)),
+        # qdcgan's 4x4, stride-2, padding-1 conv on a non-square map whose
+        # padded sides are odd
+        ("qconv2d_strided_odd", _conv((2, 2, 5, 7), 2, 4, 2, 1)),
         ("qtransposed_conv2d", check_op(ad.qtconv2d, [q(2, 2, 3, 4), q(2, 2, 4, 4), q(2)],
-                                        L.ConvConfig(4, 2, 1, 2, 2))),
+                                        2, 1)),
         ("upconv_kernel", check_op(ad.upconv_kernel, [q(3, 2, 3, 3)])),
         ("split_relu", check_op(ad.split_act, [margin(3, 4)], "relu")),
         ("split_tanh", check_op(ad.split_act, [q(3, 4)], "tanh")),

@@ -1,9 +1,14 @@
 """Primitives behind the quaternion layers: the Hamilton block form of a
-quaternion weight, the conv geometry and the channels-last spatial
+quaternion weight, the conv output sizes and the channels-last spatial
 primitives (:func:`to_phases`, :func:`from_phases`, :func:`row_patches`,
 :func:`window_sum`), and the polar-form weight initializer. The
 differentiable layer operations themselves, forward and backward, are the
 tape ops of :mod:`quatgan.autodiff`.
+
+A conv's geometry is its kernel's shape, (out_q, in_q, k, k) for a conv and
+(in_q, out_q, k, k) for a transposed conv, plus a stride and a padding.
+:func:`conv_out_size` and :func:`tconv_out_size` refuse a stride below 1 or
+a negative padding with :class:`ConfigError`.
 
 Weight sharing follows the four-submatrix structure of the quaternion
 product: output component c is a signed sum of the four real submatrices
@@ -43,8 +48,6 @@ against the 4x4 kernel that combines the 3x3 taps per axis as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -52,7 +55,6 @@ from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
-    "ConvConfig",
     "hamilton_block",
     "fold_block",
     "map_rows",
@@ -109,25 +111,13 @@ def fold_block(g: np.ndarray) -> np.ndarray:
     return signed.sum(axis=1)
 
 
-@dataclass
-class ConvConfig:
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-    in_q: int = 1
-    out_q: int = 1
-
-    def __post_init__(self):
-        if self.kernel < 1 or self.stride < 1 or self.padding < 0:
-            raise ConfigError(
-                f"invalid conv config: kernel={self.kernel} stride={self.stride} "
-                f"padding={self.padding}"
-            )
-        if self.in_q < 1 or self.out_q < 1:
-            raise ConfigError(f"channel counts must be positive: {self.in_q}, {self.out_q}")
+def _check_geometry(stride: int, padding: int) -> None:
+    if stride < 1 or padding < 0:
+        raise ConfigError(f"invalid conv geometry: stride={stride} padding={padding}")
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    _check_geometry(stride, padding)
     out = (size + 2 * padding - kernel) // stride + 1
     if size + 2 * padding < kernel:
         raise ShapeMismatchError(
@@ -137,6 +127,7 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def tconv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    _check_geometry(stride, padding)
     out = (size - 1) * stride - 2 * padding + kernel
     if out < 1:
         raise ShapeMismatchError(

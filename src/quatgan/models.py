@@ -93,6 +93,8 @@ class _WeightedModule(Module):
 
     def __init__(self, name, kernel_shape, in_q, out_q, bias, dtype):
         super().__init__(name)
+        if in_q < 1 or out_q < 1:
+            raise ConfigError(f"channel counts must be positive: {in_q}, {out_q}")
         self.in_q, self.out_q = in_q, out_q
         self.kernel = Param(QTensor.zeros(kernel_shape, dtype=dtype))
         self.bias = Param(QTensor.zeros((out_q,), dtype=dtype)) if bias else None
@@ -167,38 +169,46 @@ class QDense(_WeightedModule):
 
 
 class QConv(_WeightedModule):
-    def __init__(self, name, cfg: L.ConvConfig, bias=True, dtype=np.float64):
-        k = cfg.kernel
-        super().__init__(name, (cfg.out_q, cfg.in_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
-        self.cfg = cfg
+    """A ``k``x``k`` conv from ``in_q`` to ``out_q`` quaternion channels; its
+    geometry is its kernel's shape, (out_q, in_q, k, k), plus ``stride`` and
+    ``padding``."""
+
+    def __init__(self, name, in_q, out_q, k, stride, padding, bias=True, dtype=np.float64):
+        super().__init__(name, (out_q, in_q, k, k), in_q, out_q, bias, dtype)
+        self.stride, self.padding = stride, padding
 
     def forward(self, leaves, x):
-        return ad.qconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
+        return ad.qconv2d(x, self._kernel_node(leaves), self._bias_node(leaves),
+                          self.stride, self.padding)
 
 
-class QUpConv(QConv):
+class QUpConv(_WeightedModule):
     """A nearest 2x upsample followed by a 3x3, stride-1, padding-1 conv from
-    ``in_q`` to ``out_q`` channels, run as one stride-2 transposed conv of the
-    low-resolution input against :func:`quatgan.autodiff.upconv_kernel` of
-    the conv's kernel. The parameters are the 3x3 conv's."""
+    ``in_q`` to ``out_q`` channels, run as one stride-2, padding-1 transposed
+    conv of the low-resolution input against
+    :func:`quatgan.autodiff.upconv_kernel` of the conv's (out_q, in_q, 3, 3)
+    kernel. The parameters are the 3x3 conv's."""
 
     def __init__(self, name, in_q, out_q, dtype=np.float64):
-        super().__init__(name, L.ConvConfig(3, 1, 1, in_q, out_q), dtype=dtype)
-        self.up_cfg = L.ConvConfig(4, 2, 1, in_q, out_q)
+        super().__init__(name, (out_q, in_q, 3, 3), in_q, out_q, True, dtype)
 
     def forward(self, leaves, x):
         kernel = ad.upconv_kernel(self._kernel_node(leaves))
-        return ad.qtconv2d(x, kernel, self._bias_node(leaves), self.up_cfg)
+        return ad.qtconv2d(x, kernel, self._bias_node(leaves), 2, 1)
 
 
 class QTConv(_WeightedModule):
-    def __init__(self, name, cfg: L.ConvConfig, bias=True, dtype=np.float64):
-        k = cfg.kernel
-        super().__init__(name, (cfg.in_q, cfg.out_q, k, k), cfg.in_q, cfg.out_q, bias, dtype)
-        self.cfg = cfg
+    """A ``k``x``k`` transposed conv from ``in_q`` to ``out_q`` quaternion
+    channels; its geometry is its kernel's shape, (in_q, out_q, k, k), plus
+    ``stride`` and ``padding``."""
+
+    def __init__(self, name, in_q, out_q, k, stride, padding, bias=True, dtype=np.float64):
+        super().__init__(name, (in_q, out_q, k, k), in_q, out_q, bias, dtype)
+        self.stride, self.padding = stride, padding
 
     def forward(self, leaves, x):
-        return ad.qtconv2d(x, self._kernel_node(leaves), self._bias_node(leaves), self.cfg)
+        return ad.qtconv2d(x, self._kernel_node(leaves), self._bias_node(leaves),
+                           self.stride, self.padding)
 
 
 class RealDense(Module):
@@ -289,7 +299,7 @@ class Residual(Module):
 def _conv(name, k, i, o, dtype):
     """A stride-1 ``k``x``k`` conv from ``i`` to ``o`` quaternion channels
     that keeps the map size (padding ``k // 2``)."""
-    return QConv(name, L.ConvConfig(k, 1, k // 2, i, o), dtype=dtype)
+    return QConv(name, i, o, k, 1, k // 2, dtype=dtype)
 
 
 def gen_block(name, i, o, dtype=np.float64) -> Residual:
@@ -483,8 +493,8 @@ class ModelSpec:
         if self.sn not in ("none", "split", "full"):
             raise ConfigError(f"unknown sn mode {self.sn!r}")
         for w in self.g_widths + self.d_widths:
-            if w % 4:
-                raise ConfigError(f"filter width {w} not divisible by 4")
+            if w <= 0 or w % 4:
+                raise ConfigError(f"filter width {w} is not a positive multiple of 4")
         if self.family == "qsngan":
             ups = len(self.g_widths) - 1
             if self.d_downsample is None:
@@ -530,7 +540,7 @@ def _build_sngan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     g_modules += [
         QBN("g.out_bn", prev // 4, dtype=dtype),
         Op("g.out_act", ad.split_act, "relu"),
-        QConv("g.out_conv", L.ConvConfig(3, 1, 1, prev // 4, 1), dtype=dtype),
+        _conv("g.out_conv", 3, prev // 4, 1, dtype),
         Op("g.out_tanh", ad.split_act, "tanh"),
     ]
 
@@ -557,8 +567,8 @@ def _build_dcgan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     ]
     chain = widths + [4]
     for i in range(len(chain) - 1):
-        cfg = L.ConvConfig(4, 2, 1, chain[i] // 4, chain[i + 1] // 4)
-        g_modules.append(QTConv(f"g.t{i}", cfg, dtype=dtype))
+        g_modules.append(QTConv(f"g.t{i}", chain[i] // 4, chain[i + 1] // 4, 4, 2, 1,
+                                dtype=dtype))
         if i < len(chain) - 2:
             g_modules.append(QBN(f"g.bn{i}", chain[i + 1] // 4, dtype=dtype))
             g_modules.append(Op(f"g.act{i}", ad.split_act, "relu"))
@@ -569,8 +579,8 @@ def _build_dcgan(spec: ModelSpec, dtype) -> tuple[Model, Model]:
     d_modules: list[Module] = []
     size = spec.image_size
     for i in range(len(d_chain) - 1):
-        cfg = L.ConvConfig(4, 2, 1, d_chain[i] // 4, d_chain[i + 1] // 4)
-        d_modules.append(QConv(f"d.c{i}", cfg, dtype=dtype))
+        d_modules.append(QConv(f"d.c{i}", d_chain[i] // 4, d_chain[i + 1] // 4, 4, 2, 1,
+                               dtype=dtype))
         if i > 0:
             d_modules.append(QBN(f"d.bn{i}", d_chain[i + 1] // 4, dtype=dtype))
         d_modules.append(Op(f"d.act{i}", ad.split_act, "relu"))
@@ -616,15 +626,18 @@ def count_twin_parameters(spec: ModelSpec) -> tuple[int, int]:
     says. There are two exceptions. The image carries ``img_ch`` real
     channels: 3 for qsngan, whose twin models RGB, and 4 for qdcgan. So G's
     last weighted layer writes ``img_ch`` channels, and the layers of D's
-    input module that take one quaternion channel read ``img_ch``. And D's
-    last weighted layer, the decision head, has one real output.
+    input module that read the image, the first weighted layer on each of its
+    paths, read ``img_ch``. And D's last weighted layer, the decision head,
+    has one real output.
     """
     img_ch = 3 if spec.family == "qsngan" else 4
     g, d = build_gan(spec)
     g_image = list(g.weighted_modules())[-1]
     d_head = list(d.weighted_modules())[-1]
-    d_image = {m for m in _leaves(d.modules[0])
-               if isinstance(m, _WeightedModule) and m.in_q == 1}
+    first = d.modules[0]
+    paths = (first.main, first.shortcut) if isinstance(first, Residual) else ([first],)
+    d_image = {next((w for m in path for w in _leaves(m) if isinstance(w, _WeightedModule)),
+                    None) for path in paths}
     g_twin = sum(_twin_parameters(m, out_ch=img_ch if m is g_image else None)
                  for m in g.leaf_modules())
     d_twin = sum(_twin_parameters(m, in_ch=img_ch if m in d_image else None,

@@ -47,18 +47,6 @@ class QTensor:
         return self.data[0]
 
     @property
-    def q1(self) -> np.ndarray:
-        return self.data[1]
-
-    @property
-    def q2(self) -> np.ndarray:
-        return self.data[2]
-
-    @property
-    def q3(self) -> np.ndarray:
-        return self.data[3]
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape[1:]
 
@@ -66,16 +54,8 @@ class QTensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        """Element count per component."""
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-
     def copy(self) -> "QTensor":
         return QTensor(self.data.copy())
-
-    def reshape(self, shape) -> "QTensor":
-        return QTensor(self.data.reshape((4, *shape)))
 
     def __repr__(self):
         return f"QTensor(shape={self.shape}, dtype={self.dtype})"

@@ -199,18 +199,22 @@ def _check_finite(label: str, value: float, iteration: int, g, d):
     raise NumericError(f"{label} became non-finite at iteration {iteration}", diagnostic=diag)
 
 
-def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Generator,
-                    batch: int = 64, dtype=np.float32) -> np.ndarray:
-    """Sample n images as (n, 3, H, W) floats, in batches of at most
-    ``batch``. QBN normalizes each batch by its own statistics, and sampling
-    never mutates the model."""
+# QBN normalizes each batch by its own statistics, so the batch size is part
+# of what a sample is: the same noise in another batching is another image.
+_SAMPLE_BATCH = 64
+
+
+def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Sample n images as (n, 3, H, W) floats from float32 noise, in batches
+    of at most 64. Sampling never mutates the model."""
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     out = []
     remaining = n
     while remaining > 0:
-        take = min(batch, remaining)
-        z = make_noise(spec, take, rng, dtype)
+        take = min(_SAMPLE_BATCH, remaining)
+        z = make_noise(spec, take, rng)
         imgs = g.forward_array(z)
         out.append(D.decapsulate_batch(imgs))
         remaining -= take
@@ -218,11 +222,11 @@ def generate_images(g: MD.Model, spec: MD.ModelSpec, n: int, rng: np.random.Gene
 
 
 def emit_samples(g: MD.Model, spec: MD.ModelSpec, n: int, out_dir,
-                 rng: np.random.Generator, dtype=np.float32) -> list[str]:
+                 rng: np.random.Generator) -> list[str]:
     """Write n PPM samples into ``out_dir`` and their n-up grid image beside
     it, as ``<out_dir>_grid.ppm``, so the directory holds only same-sized
     images and loads as a dataset; returns the paths, the grid's last."""
-    images = generate_images(g, spec, n, rng, dtype=dtype)
+    images = generate_images(g, spec, n, rng)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, img in enumerate(images):

@@ -9,7 +9,6 @@ from quatgan import autodiff as ad
 from quatgan import models as MD
 from quatgan.errors import ConfigError, DomainError, ShapeMismatchError
 from quatgan.layers import (
-    ConvConfig,
     conv_out_size,
     fold_block,
     from_phases,
@@ -53,24 +52,25 @@ def dense_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None = None) -> QT
     return out
 
 
-def conv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, cfg: ConvConfig) -> QTensor:
+def conv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, s: int, p: int) -> QTensor:
+    """Scalar-loop reference for the conv by an (out_q, in_q, k, k) kernel."""
     b, i_q, h, wd = x.shape
-    ho = conv_out_size(h, cfg.kernel, cfg.stride, cfg.padding)
-    wo = conv_out_size(wd, cfg.kernel, cfg.stride, cfg.padding)
-    p = cfg.padding
+    o_q, k = kernel.shape[0], kernel.shape[2]
+    ho = conv_out_size(h, k, s, p)
+    wo = conv_out_size(wd, k, s, p)
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (p, p), (p, p)))
-    out = QTensor.zeros((b, cfg.out_q, ho, wo))
+    out = QTensor.zeros((b, o_q, ho, wo))
     for bb in range(b):
-        for o in range(cfg.out_q):
+        for o in range(o_q):
             for oh in range(ho):
                 for ow in range(wo):
                     acc = Quaternion(0.0, 0.0, 0.0, 0.0)
                     for i in range(i_q):
-                        for ki in range(cfg.kernel):
-                            for kj in range(cfg.kernel):
+                        for ki in range(k):
+                            for kj in range(k):
                                 wq = _at(kernel, o, i, ki, kj)
                                 xq = Quaternion(*(
-                                    xp[c, bb, i, oh * cfg.stride + ki, ow * cfg.stride + kj]
+                                    xp[c, bb, i, oh * s + ki, ow * s + kj]
                                     for c in range(4)
                                 ))
                                 acc = acc.add(hamilton_product(wq, xq))
@@ -80,31 +80,32 @@ def conv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, cfg: ConvConf
     return out
 
 
-def tconv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, cfg: ConvConfig) -> QTensor:
-    """Scalar-loop reference for the transposed conv: input pixel (h, w)
-    adds W[i, o, ki, kj] * x[b, i, h, w] at output (h*s - p + ki, w*s - p + kj)."""
+def tconv_oracle(x: QTensor, kernel: QTensor, bias: QTensor | None, s: int, p: int) -> QTensor:
+    """Scalar-loop reference for the transposed conv by an (in_q, out_q, k, k)
+    kernel: input pixel (h, w) adds W[i, o, ki, kj] * x[b, i, h, w] at output
+    (h*s - p + ki, w*s - p + kj)."""
     b, i_q, h, wd = x.shape
-    s, p = cfg.stride, cfg.padding
-    ho = tconv_out_size(h, cfg.kernel, s, p)
-    wo = tconv_out_size(wd, cfg.kernel, s, p)
+    o_q, k = kernel.shape[1], kernel.shape[2]
+    ho = tconv_out_size(h, k, s, p)
+    wo = tconv_out_size(wd, k, s, p)
     acc = [[[[Quaternion(0.0, 0.0, 0.0, 0.0) if bias is None else _at(bias, o)
-              for _ in range(wo)] for _ in range(ho)] for o in range(cfg.out_q)]
+              for _ in range(wo)] for _ in range(ho)] for o in range(o_q)]
            for _ in range(b)]
     for bb in range(b):
         for i in range(i_q):
             for ih in range(h):
                 for iw in range(wd):
                     xq = _at(x, bb, i, ih, iw)
-                    for o in range(cfg.out_q):
-                        for ki in range(cfg.kernel):
-                            for kj in range(cfg.kernel):
+                    for o in range(o_q):
+                        for ki in range(k):
+                            for kj in range(k):
                                 oh, ow = ih * s - p + ki, iw * s - p + kj
                                 if 0 <= oh < ho and 0 <= ow < wo:
                                     term = hamilton_product(_at(kernel, i, o, ki, kj), xq)
                                     acc[bb][o][oh][ow] = acc[bb][o][oh][ow].add(term)
-    out = QTensor.zeros((b, cfg.out_q, ho, wo))
+    out = QTensor.zeros((b, o_q, ho, wo))
     for bb in range(b):
-        for o in range(cfg.out_q):
+        for o in range(o_q):
             for oh in range(ho):
                 for ow in range(wo):
                     out.data[:, bb, o, oh, ow] = acc[bb][o][oh][ow]
@@ -122,7 +123,7 @@ class TestQDense:
     def test_single_channel_matches_hamilton(self, rng):
         # weight = pure i unit: output must be i * x
         kernel = QTensor.zeros((1, 1))
-        kernel.q1[...] = 1.0
+        kernel.data[1] = 1.0
         x = _qt(rng, (4, 1))
         y = run_op(ad.qdense, x, kernel)
         for bb in range(4):
@@ -137,7 +138,7 @@ class TestQDense:
 
     def test_parameter_ratio_quarter(self):
         w = quaternion_init((16, 16), 16, 16, "glorot", 0)
-        assert 4 * w.size == 1024  # vs 64*64 = 4096 for the real layer
+        assert w.data.size == 1024  # vs 64*64 = 4096 for the real layer
         layer = MD.Model("m", [MD.QDense("fc", 16, 16)])
         assert MD.count_parameters(layer) == 1024 + 64
 
@@ -168,15 +169,13 @@ class TestQConv2d:
         x = _qt(rng, (2, 3, 4, 4))
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
-        cfg = ConvConfig(1, 1, 0, 3, 3)
-        assert_qclose(run_op(ad.qconv2d, x, kernel, None, cfg), x)
+        assert_qclose(run_op(ad.qconv2d, x, kernel, None, 1, 0), x)
 
     def test_one_by_one_equals_dense_per_pixel(self, rng):
         x = _qt(rng, (2, 3, 3, 3))
         kernel = _qt(rng, (2, 3, 1, 1))
         bias = _qt(rng, (2,))
-        cfg = ConvConfig(1, 1, 0, 3, 2)
-        y = run_op(ad.qconv2d, x, kernel, bias, cfg)
+        y = run_op(ad.qconv2d, x, kernel, bias, 1, 0)
         wd = QTensor(kernel.data[:, :, :, 0, 0])
         for ph in range(3):
             for pw in range(3):
@@ -186,7 +185,7 @@ class TestQConv2d:
 
     def test_shape_arithmetic(self, rng):
         x = _qt(rng, (1, 2, 8, 8))
-        y = run_op(ad.qconv2d, x, _qt(rng, (2, 2, 3, 3)), None, ConvConfig(3, 1, 1, 2, 2))
+        y = run_op(ad.qconv2d, x, _qt(rng, (2, 2, 3, 3)), None, 1, 1)
         assert y.shape == (1, 2, 8, 8)
 
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1), (2, 2, 0), (1, 1, 0),
@@ -194,9 +193,8 @@ class TestQConv2d:
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
         x = _qt(rng, (2, 2, 6, 8))
         kernel, bias = _qt(rng, (2, 2, k, k)), _qt(rng, (2,))
-        cfg = ConvConfig(k, stride, pad, 2, 2)
-        got = run_op(ad.qconv2d, x, kernel, bias, cfg)
-        want = conv_oracle(x, kernel, bias, cfg)
+        got = run_op(ad.qconv2d, x, kernel, bias, stride, pad)
+        want = conv_oracle(x, kernel, bias, stride, pad)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
     @pytest.mark.parametrize("k,stride,pad", [
@@ -209,10 +207,9 @@ class TestQConv2d:
         symmetric pad of the phase map by p // s would cut."""
         x = _qt(rng, (2, 2, 5, 7))
         kernel, bias = _qt(rng, (3, 2, k, k)), _qt(rng, (3,))
-        cfg = ConvConfig(k, stride, pad, 2, 3)
         assert np.allclose(
-            run_op(ad.qconv2d, x, kernel, bias, cfg).data,
-            conv_oracle(x, kernel, bias, cfg).data,
+            run_op(ad.qconv2d, x, kernel, bias, stride, pad).data,
+            conv_oracle(x, kernel, bias, stride, pad).data,
             atol=1e-12,
         )
 
@@ -222,11 +219,10 @@ class TestQConv2d:
         patch GEMMs, against central differences (the grad-check suite
         covers (3, 1))."""
         x = _qt(rng, (2, 2, 4, 5))
-        cfg = ConvConfig(k, 1, pad, 2, 3)
         probe = _qt(rng, (2, 3, conv_out_size(4, k, 1, pad), conv_out_size(5, k, 1, pad)))
 
         def build(tape, leaves):
-            y = ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], cfg)
+            y = ad.qconv2d(tape.constant(x), leaves["k"], leaves["b"], 1, pad)
             return ad.inner_const(y, probe)
 
         params = {"k": _qt(rng, (3, 2, k, k)), "b": _qt(rng, (3,))}
@@ -236,7 +232,7 @@ class TestQConv2d:
     def test_kernel_larger_than_padded_input(self, rng):
         x = _qt(rng, (1, 1, 2, 2))
         with pytest.raises(ShapeMismatchError):
-            run_op(ad.qconv2d, x, _qt(rng, (1, 1, 5, 5)), None, ConvConfig(5, 1, 0, 1, 1))
+            run_op(ad.qconv2d, x, _qt(rng, (1, 1, 5, 5)), None, 1, 0)
 
 
 _ADJOINT_CASES = [(1, 0, 1), (1, 1, 1), (3, 0, 1), (3, 1, 1), (3, 3, 1), (5, 2, 1),
@@ -247,14 +243,14 @@ class TestTransposedConv:
     def test_shape_formula(self, rng):
         assert tconv_out_size(8, 4, 2, 1) == 16
         x = _qt(rng, (1, 2, 8, 8))
-        y = run_op(ad.qtconv2d, x, _qt(rng, (2, 2, 4, 4)), None, ConvConfig(4, 2, 1, 2, 2))
+        y = run_op(ad.qtconv2d, x, _qt(rng, (2, 2, 4, 4)), None, 2, 1)
         assert y.shape == (1, 2, 16, 16)
 
     def test_identity_one_by_one(self, rng):
         x = _qt(rng, (2, 3, 4, 4))
         kernel = QTensor.zeros((3, 3, 1, 1))
         kernel.q0[:, :, 0, 0] = np.eye(3)
-        y = run_op(ad.qtconv2d, x, kernel, None, ConvConfig(1, 1, 0, 3, 3))
+        y = run_op(ad.qtconv2d, x, kernel, None, 1, 0)
         assert_qclose(y, x)
 
     @pytest.mark.parametrize("k,stride,pad", [
@@ -263,9 +259,8 @@ class TestTransposedConv:
     def test_matches_scalar_loop_oracle(self, rng, k, stride, pad):
         x = _qt(rng, (2, 2, 3, 5))
         kernel, bias = _qt(rng, (2, 3, k, k)), _qt(rng, (3,))
-        cfg = ConvConfig(k, stride, pad, 2, 3)
-        got = run_op(ad.qtconv2d, x, kernel, bias, cfg)
-        want = tconv_oracle(x, kernel, bias, cfg)
+        got = run_op(ad.qtconv2d, x, kernel, bias, stride, pad)
+        want = tconv_oracle(x, kernel, bias, stride, pad)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
     @pytest.mark.parametrize("k,pad,stride", _ADJOINT_CASES,
@@ -281,22 +276,49 @@ class TestTransposedConv:
         h, w = (n - (n + 2 * pad - k) % stride for n in (5, 7))
         x = _qt(rng, (2, 2, h, w))
         kernel = _qt(rng, (3, 2, k, k))
-        cfg = ConvConfig(k, stride, pad, 2, 3)
         ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
         g = _qt(rng, (2, 3, ho, wo))
 
         tape = ad.Tape()
         xn = tape.param("x", x)
-        y = ad.qconv2d(xn, tape.constant(kernel), None, cfg)
+        y = ad.qconv2d(xn, tape.constant(kernel), None, stride, pad)
         loss = ad.inner_const(y, g)
         dx = tape.backward(loss)["x"]
 
         adapted = kernel.data.copy()
         adapted[1:] = -adapted[1:]
         tw = QTensor(adapted)  # (out,in,k,k) already matches the (in,out) slot
-        got = run_op(ad.qtconv2d, g, tw, None, ConvConfig(k, stride, pad, 3, 2))
+        got = run_op(ad.qtconv2d, g, tw, None, stride, pad)
         assert got.shape == x.shape
         assert np.allclose(got.data, dx.data, atol=1e-10)
+
+
+_CONV_OPS = pytest.mark.parametrize("op,kernel", [(ad.qconv2d, (3, 2, 3, 3)),
+                                                  (ad.qtconv2d, (2, 3, 3, 3))],
+                                     ids=["qconv2d", "qtconv2d"])
+
+
+class TestConvChecks:
+    """A conv's widths come from its kernel, which takes 2 quaternion channels
+    here; its stride and padding are checked where the output size is."""
+
+    @_CONV_OPS
+    def test_channel_mismatch_names_both_counts(self, rng, op, kernel):
+        with pytest.raises(ShapeMismatchError) as exc:
+            run_op(op, _qt(rng, (1, 5, 4, 4)), _qt(rng, kernel), None, 1, 1)
+        assert "has 5 quaternion channels" in str(exc.value)
+        assert "expects 2" in str(exc.value)
+
+    @_CONV_OPS
+    def test_non_square_kernel_is_refused(self, rng, op, kernel):
+        with pytest.raises(ShapeMismatchError):
+            run_op(op, _qt(rng, (1, 2, 4, 4)), _qt(rng, (*kernel[:3], 2)), None, 1, 1)
+
+    @_CONV_OPS
+    @pytest.mark.parametrize("stride,padding", [(0, 1), (1, -1)])
+    def test_bad_stride_or_padding_is_a_config_error(self, rng, op, kernel, stride, padding):
+        with pytest.raises(ConfigError):
+            run_op(op, _qt(rng, (1, 2, 4, 4)), _qt(rng, kernel), None, stride, padding)
 
 
 class TestUpConv:
@@ -318,8 +340,7 @@ class TestUpConv:
             if fused:
                 y = conv.forward(leaves, xn)
             else:
-                y = ad.qconv2d(ad.upsample2x(xn), leaves["c.kernel"], leaves["c.bias"],
-                               conv.cfg)
+                y = ad.qconv2d(ad.upsample2x(xn), leaves["c.kernel"], leaves["c.bias"], 1, 1)
             return y.value, tape.backward(ad.inner_const(y, probe))
 
         (y, grads), (want, want_grads) = run(True), run(False)
@@ -392,7 +413,7 @@ class TestRightMultiplication:
                 assume((min(h, w) - 1) * s - 2 * p + k >= 1)
                 kernel = (in_q, out_q, k, k)
             x, weight = _qt(rng, (2, in_q, h, w)), _qt(rng, kernel)
-            args = (None, ConvConfig(k, s, p, in_q, out_q))
+            args = (None, s, p)
 
         def f(v):
             return run_op(getattr(ad, layer), v, weight, *args)

@@ -10,7 +10,6 @@ from quatgan import autodiff as ad
 from quatgan import models as MD
 from quatgan import qnorm
 from quatgan import train as T
-from quatgan.layers import ConvConfig
 from quatgan.qtensor import QTensor
 
 # ops whose rank-5 values must be stored channels-last
@@ -89,12 +88,11 @@ class TestStorageRule:
 def _conv_case(transposed, stride):
     def make(rng, b, c, h, w):
         k, p = (3, 1) if stride == 1 else (4, 1)
-        cfg = ConvConfig(k, stride, p, c, 2)
         kshape = (4, c, 2, k, k) if transposed else (4, 2, c, k, k)
         op = ad.qtconv2d if transposed else ad.qconv2d
         return ([rng.standard_normal((4, b, c, h, w))],
                 [QTensor(rng.standard_normal(kshape)), QTensor(rng.standard_normal((4, 2)))],
-                lambda x, kern, bias: op(x, kern, bias, cfg))
+                lambda x, kern, bias: op(x, kern, bias, stride, p))
     return make
 
 

@@ -8,7 +8,6 @@ from quatgan import autodiff as ad
 from quatgan import cli
 from quatgan import models as MD
 from quatgan.errors import ConfigError, DomainError
-from quatgan.layers import ConvConfig
 from quatgan.qtensor import QTensor, live_array
 from quatgan.train import make_noise
 
@@ -32,6 +31,22 @@ class TestModelSpecValidation:
         with pytest.raises(ConfigError):
             MD.ModelSpec(family="qsngan", image_size=16, g_widths=[30, 16],
                          d_widths=[16, 16], base_spatial=8)
+
+    @pytest.mark.parametrize("width", [0, -4])
+    def test_width_must_be_positive(self, width):
+        """0 and -4 are multiples of 4 that give no quaternion channels."""
+        with pytest.raises(ConfigError):
+            MD.ModelSpec(family="qsngan", image_size=16, g_widths=[16, 16],
+                         d_widths=[width, 16], base_spatial=8)
+
+    @pytest.mark.parametrize("make", [lambda: MD.QDense("d", 0, 2),
+                                      lambda: MD.QConv("c", 2, 0, 3, 1, 1),
+                                      lambda: MD.QTConv("t", 0, 2, 4, 2, 1),
+                                      lambda: MD.QUpConv("u", 2, 0)],
+                             ids=["qdense", "qconv", "qtconv", "qupconv"])
+    def test_weighted_module_refuses_zero_channels(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
     def test_image_reachability(self):
         with pytest.raises(ConfigError):
@@ -72,8 +87,7 @@ class TestParameterAccounting:
 
     @pytest.mark.parametrize("width", [8, 16, 64, 256])
     def test_quarter_law_conv(self, width):
-        cfg = ConvConfig(3, 1, 1, width // 4, width // 4)
-        q = MD.QConv("c", cfg)
+        q = MD.QConv("c", width // 4, width // 4, 3, 1, 1)
         quat_w = q.kernel.value.data.size
         real_w = width * width * 9
         assert quat_w * 4 == real_w
@@ -113,6 +127,16 @@ class TestParameterAccounting:
         g, d = MD.build_gan(spec)
         got = (MD.count_parameters(g), MD.count_parameters(d), *MD.count_twin_parameters(spec))
         assert got == counts
+
+    def test_twin_reads_the_image_only_in_the_first_layer_of_each_path(self):
+        """With a one-channel first block, D's input block has three convs
+        that take one quaternion channel, but its conv2 reads conv1's map,
+        not the image: conv2's twin is 4 -> 4 real channels (148 scalars),
+        not 3 -> 4 (112)."""
+        spec = MD.ModelSpec(family="qsngan", image_size=16, base_spatial=4,
+                            g_widths=[64, 64, 32], d_widths=[4, 64, 64],
+                            d_downsample=[True, False])
+        assert MD.count_twin_parameters(spec)[1] == 77_033
 
     def test_count_params_cli(self, capsys):
         assert cli.main(["count-params", "--spec", "qsngan_toy16"]) == 0
@@ -235,7 +259,7 @@ class TestShapes:
 
         sc = _named(block, "b.sc")
         pooled = run_op(ad.avg_pool, x, 2)
-        want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.cfg)
+        want = run_op(ad.qconv2d, pooled, sc.kernel.value, sc.bias.value, sc.stride, sc.padding)
         assert np.allclose(y.value.data, want.data, atol=1e-12)
 
     def test_first_block_sums_residual_and_shortcut(self, rng):
@@ -248,11 +272,11 @@ class TestShapes:
         y = block.forward(leaves, tape.constant(x))
 
         c1, c2, sc = (_named(block, f"b.{k}") for k in ("conv1", "conv2", "sc"))
-        h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.cfg)
+        h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.stride, c1.padding)
         h = run_op(ad.split_act, h, "relu")
-        h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.cfg)
+        h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.stride, c2.padding)
         h = run_op(ad.avg_pool, h, 2)
-        s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.cfg)
+        s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.stride, sc.padding)
         s = run_op(ad.avg_pool, s, 2)
         assert np.allclose(y.value.data, h.data + s.data, atol=1e-12)
 

@@ -10,10 +10,9 @@ from quatgan.qtensor import QTensor
 class TestQTensor:
     def test_component_views_share_storage(self, rng):
         t = QTensor(rng.standard_normal((4, 2, 3)))
-        t.q1[0, 0] = 7.0
-        assert t.data[1, 0, 0] == 7.0
+        t.q0[0, 0] = 7.0
+        assert t.data[0, 0, 0] == 7.0
         assert t.shape == (2, 3)
-        assert t.size == 6
 
     def test_requires_leading_axis_of_four(self):
         with pytest.raises(ShapeMismatchError):
