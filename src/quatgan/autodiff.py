@@ -9,10 +9,17 @@ parameter's gradient is the derivative of the loss with respect to
 submatrix c.
 
 Each differentiable operation is one function here that holds both its
-forward and its backward; there is no separate pure forward. A gradient-free
-tape (``Tape(needs_grad=False)``) runs the same ops for inference. It keeps no
-backward closure, so what an op's forward saves for its backward is freed as
-soon as ``record`` returns; the ops save unconditionally.
+forward and its backward; there is no separate pure forward.
+
+Gradients are computed only where one is needed. A node needs a gradient
+if it is a parameter of a gradient tape or has an input that needs one;
+constants, and everything computed only from constants, do not. ``record``
+keeps no backward closure for a node that needs no gradient, so what its
+forward saved is freed as soon as ``record`` returns (the ops save
+unconditionally). A gradient-free tape (``Tape(needs_grad=False)``), which
+runs the same ops for inference, is the case where no node needs one. The
+layer ops read their input's flag when they record and skip the
+input-gradient product of an input that needs none.
 
 The layer ops take their widths from their kernel's shape. A conv op is
 called with only its stride and padding besides (see :mod:`quatgan.layers`)
@@ -85,22 +92,25 @@ _keep_freed_heap()
 
 
 class Node:
-    """One recorded operation; ``value`` is its eagerly evaluated result.
+    """One recorded operation; ``value`` is its eagerly evaluated result, and
+    ``needs_grad`` whether backward computes a gradient for it (see the
+    module docstring).
 
     A node refers to its tape weakly, so a tape and its nodes are freed as
     soon as the last reference to the tape is dropped, without waiting for
     the cyclic garbage collector.
     """
 
-    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd")
+    __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "needs_grad")
 
-    def __init__(self, tape, nid, op, inputs, value, bwd=None):
+    def __init__(self, tape, nid, op, inputs, value, bwd=None, needs_grad=False):
         self._tape = weakref.ref(tape)
         self.nid = nid
         self.op = op
         self.inputs = inputs
         self.value = value
         self.bwd = bwd
+        self.needs_grad = needs_grad
 
     @property
     def tape(self) -> "Tape":
@@ -134,8 +144,9 @@ class Tape:
         """Append a node: validates input ids, evaluates ``forward`` eagerly.
 
         ``forward`` receives the input values; ``backward`` (kept only when
-        the tape needs gradients) maps the upstream gradient array to a tuple
-        of gradient arrays aligned with ``inputs``.
+        the node needs a gradient, that is when one of ``inputs`` does) maps
+        the upstream gradient array to a tuple aligned with ``inputs`` of
+        gradient arrays, or ``None`` for an input that needs no gradient.
         """
         ids = []
         for node in inputs:
@@ -143,8 +154,9 @@ class Tape:
                 raise DomainError(f"input {node!r} does not belong to this tape")
             ids.append(node.nid)
         value = forward(*(self.nodes[i].value for i in ids))
+        needs_grad = any(self.nodes[i].needs_grad for i in ids)
         node = Node(self, len(self.nodes), op, tuple(ids), value,
-                    bwd=backward if self.needs_grad else None)
+                    bwd=backward if needs_grad else None, needs_grad=needs_grad)
         self.nodes.append(node)
         return node
 
@@ -152,10 +164,11 @@ class Tape:
         return self.record("const", (), lambda: value)
 
     def param(self, name: str, value: QTensor | np.ndarray) -> Node:
-        """Register a leaf parameter."""
+        """Register a leaf parameter; it needs a gradient on a gradient tape."""
         if name in self.params:
             raise DomainError(f"parameter {name!r} already registered on this tape")
         node = self.record("param", (), lambda: value)
+        node.needs_grad = self.needs_grad
         self.params[name] = node.nid
         return node
 
@@ -165,7 +178,10 @@ class Tape:
         """Gradients of a scalar loss for every registered parameter, each a
         plain array of the parameter's stored shape.
 
-        Parameters not on any path to the loss get all-zero gradients.
+        Parameters not on any path to the loss get all-zero gradients. The
+        walk visits only nodes that need a gradient: a contribution to an
+        input that needs none (a constant, or a value computed only from
+        constants) is dropped, and such a node has no backward to run.
         """
         if loss.tape is not self:
             raise DomainError("loss node belongs to a different tape")
@@ -192,7 +208,7 @@ class Tape:
                 continue
             contribs = node.bwd(g)
             for inp, contrib in zip(node.inputs, contribs):
-                if contrib is None:
+                if contrib is None or not self.nodes[inp].needs_grad:
                     continue
                 if grads[inp] is None:
                     # a view of part of a larger buffer would pin all of it
@@ -303,6 +319,7 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    x_grad = x.needs_grad
 
     def fwd(xv, kv, *rest):
         if len(xv.shape) != 2:
@@ -326,7 +343,7 @@ def qdense(x: Node, kernel: Node, bias: Node | None = None) -> Node:
     def bwd(g):
         b, out_q = g.shape[1], g.shape[2]
         g2 = g.transpose(1, 0, 2).reshape(b, 4 * out_q)
-        dx = (g2 @ saved["block"]).reshape(b, 4, -1).transpose(1, 0, 2)
+        dx = (g2 @ saved["block"]).reshape(b, 4, -1).transpose(1, 0, 2) if x_grad else None
         dk = L.fold_block(g2.T @ saved["x2"])
         if bias is None:
             return dx, dk
@@ -405,11 +422,13 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int)
     the input's phases against the :func:`_row_weights` of the kernel's
     Hamilton block. The kernel gradient pairs the same patches with the
     output gradient, which backward then drops; the input gradient is
-    :func:`_row_gemms_t` of the output gradient. The output and the input
-    gradient are channels-last views of the GEMM results.
+    :func:`_row_gemms_t` of the output gradient, skipped for an input that
+    needs no gradient. The output and the input gradient are channels-last
+    views of the GEMM results.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    x_grad = x.needs_grad
     b, i, h, w = _check_conv_input(x.value, kernel.value, 1)
     o, _, k, _ = kernel.value.shape
     s, p = stride, padding
@@ -431,8 +450,10 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int)
         cols = saved.pop("cols")  # released below; a tape backpropagates once
         dw = _row_weights_grad(cols, g_rows.reshape(-1, 4 * o), kk)
         del cols
-        dx = _row_gemms_t(g_rows, saved["w_rows"], s, p, h, w)
-        dx = L.map_rows(dx.reshape(h, b, w, 4, i))
+        dx = None
+        if x_grad:
+            dx = _row_gemms_t(g_rows, saved["w_rows"], s, p, h, w)
+            dx = L.map_rows(dx.reshape(h, b, w, 4, i))
         dk = L.fold_block(_block_grad(dw, k, s)).reshape(4, o, i, k, k)
         if bias is None:
             return dx, dk
@@ -448,10 +469,12 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int
     of that of the per-component transposed kernel (out_q*k*k, in_q):
     forward is :func:`_row_gemms_t` of the input, and backward's row patches
     of the gradient's phases give the input gradient and, paired with the
-    saved input, the kernel gradient.
+    saved input, the kernel gradient. The input gradient is skipped for an
+    input that needs none.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    x_grad = x.needs_grad
     b, _, h, w = _check_conv_input(x.value, kernel.value, 0)
     i, o, k, _ = kernel.value.shape
     s, p = stride, padding
@@ -471,12 +494,14 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int
     def bwd(g):
         g_rows = L.map_rows(g)
         g_cols = L.row_patches(L.to_phases(g_rows, s, p, h + kk - 1, w + kk - 1), kk)
-        dx = _row_gemms(g_cols, saved["w_rows"]).reshape(h, b, w, 4, i)
+        dx = None
+        if x_grad:
+            dx = L.map_rows(_row_gemms(g_cols, saved["w_rows"]).reshape(h, b, w, 4, i))
         dw = _row_weights_grad(g_cols, saved["x2"], kk)
         dk = L.fold_block(_block_grad(dw, k, s).T).transpose(0, 2, 1).reshape(4, i, o, k, k)
         if bias is None:
-            return L.map_rows(dx), dk
-        return L.map_rows(dx), dk, L.channel_sum(g_rows, 4 * o).reshape(4, o)
+            return dx, dk
+        return dx, dk, L.channel_sum(g_rows, 4 * o).reshape(4, o)
 
     return x.tape.record("qtconv2d", inputs, fwd, bwd)
 
@@ -599,6 +624,7 @@ def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int)
     its components r = 0..3. Its input, kernel and bias are plain arrays."""
     saved = {}
     b = x.value.shape[0]
+    x_grad = x.needs_grad
 
     def fwd(xv, kv, bv):
         saved["x"], saved["k"] = xv, kv
@@ -608,7 +634,8 @@ def real_dense(x: Node, kernel: Node, bias: Node, channels: int, h: int, w: int)
 
     def bwd(g):
         g2 = g.transpose(1, 2, 0, 3, 4).reshape(b, -1)
-        return np.matmul(g2, saved["k"]), g2.T @ saved["x"], g2.sum(axis=0)
+        dx = np.matmul(g2, saved["k"]) if x_grad else None
+        return dx, g2.T @ saved["x"], g2.sum(axis=0)
 
     return x.tape.record("real_dense", (x, kernel, bias), fwd, bwd)
 

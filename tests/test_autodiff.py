@@ -13,7 +13,7 @@ import quatgan
 from quatgan import autodiff as ad
 from quatgan.errors import DomainError, ShapeMismatchError
 from quatgan.optim import AdamState, adam_step
-from quatgan.qtensor import QTensor
+from quatgan.qtensor import QTensor, live_array
 
 
 def scalar_qt(value: float) -> QTensor:
@@ -174,6 +174,66 @@ class TestBackward:
         y = ad.add(x, x)
         grads = tape.backward(y)
         assert grads["x"][0] == 2.0
+
+
+class TestGradientPruning:
+    """Only nodes that need a gradient keep a backward: parameters of a
+    gradient tape and what is computed from them."""
+
+    def test_needs_grad_propagates(self, rng):
+        tape = ad.Tape()
+        c = tape.constant(QTensor(rng.standard_normal((4, 3))))
+        w = tape.param("w", QTensor(rng.standard_normal((4, 3))))
+        from_const = ad.scale_components(ad.split_act(c, "relu"), [2.0] * 4)
+        mixed = ad.add(from_const, w)
+        assert not c.needs_grad and w.needs_grad
+        assert not from_const.needs_grad and from_const.bwd is None
+        assert mixed.needs_grad and mixed.bwd is not None
+        assert ad.split_act(mixed, "tanh").needs_grad
+
+    def test_gradient_free_tape_needs_none(self, rng):
+        tape = ad.Tape(needs_grad=False)
+        w = tape.param("w", QTensor(rng.standard_normal((4, 3))))
+        y = ad.split_act(w, "tanh")
+        assert not w.needs_grad and not y.needs_grad and y.bwd is None
+
+    @staticmethod
+    def _layer_case(name, rng):
+        """(input, kernel, bias, op) for one of the four layer ops that skip
+        their input gradient."""
+        if name == "real_dense":
+            return (rng.standard_normal((3, 5)), rng.standard_normal((4 * 2 * 2 * 2, 5)),
+                    rng.standard_normal(4 * 2 * 2 * 2),
+                    lambda x, k, b: ad.real_dense(x, k, b, 2, 2, 2))
+        if name == "qdense":
+            return (QTensor(rng.standard_normal((4, 3, 5))),
+                    QTensor(rng.standard_normal((4, 2, 5))), QTensor(rng.standard_normal((4, 2))),
+                    ad.qdense)
+        x = QTensor(rng.standard_normal((4, 2, 3, 6, 6)))
+        if name == "qconv2d":
+            kern = QTensor(rng.standard_normal((4, 2, 3, 4, 4)))
+            return x, kern, QTensor(rng.standard_normal((4, 2))), \
+                lambda x, k, b: ad.qconv2d(x, k, b, 2, 1)
+        kern = QTensor(rng.standard_normal((4, 3, 2, 4, 4)))
+        return x, kern, QTensor(rng.standard_normal((4, 2))), \
+            lambda x, k, b: ad.qtconv2d(x, k, b, 2, 1)
+
+    @pytest.mark.parametrize("name", ["qconv2d", "qtconv2d", "qdense", "real_dense"])
+    def test_constant_input_skips_only_the_input_gradient(self, rng, name):
+        """With a constant input the op returns no input gradient, and its
+        kernel and bias gradients are bitwise those it computes for a
+        parameter input."""
+        x, kern, bias, op = self._layer_case(name, rng)
+        runs = []
+        for leaf in ("constant", "param"):
+            tape = ad.Tape()
+            xn = tape.constant(x) if leaf == "constant" else tape.param("x", x)
+            node = op(xn, tape.param("k", kern), tape.param("b", bias))
+            upstream = np.random.default_rng(1).standard_normal(node.value.data.shape)
+            runs.append(node.bwd(upstream))
+        (dx_c, *rest_c), (dx_p, *rest_p) = runs
+        assert dx_c is None and dx_p.shape == live_array(x).shape
+        assert all(np.array_equal(a, b) for a, b in zip(rest_c, rest_p))
 
 
 class TestViewContributions:
