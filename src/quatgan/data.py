@@ -170,7 +170,8 @@ def load_packed(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != PACKED_MAGIC:
-            raise DomainError(f"{path}: bad magic {magic!r}")
+            raise DomainError(f"{path}: bad magic {magic!r}; a dataset file is read as a "
+                              "packed dataset, and images must be passed as a directory")
         header = fh.read(8)
         if len(header) != 8:
             raise DomainError(f"{path}: truncated packed dataset header")

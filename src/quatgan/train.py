@@ -152,13 +152,12 @@ def _check_synth(synth):
         raise ConfigError(f"synth seed must be nonnegative, got {synth['seed']}")
 
 
-def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator,
-               dtype=np.float32) -> QTensor | np.ndarray:
-    """Standard normal noise: a plain real (n, noise_dim) array for qsngan, a
-    full quaternion tensor for qdcgan."""
+def make_noise(spec: MD.ModelSpec, n: int, rng: np.random.Generator) -> QTensor | np.ndarray:
+    """Float32 standard normal noise: a plain real (n, noise_dim) array for
+    qsngan, a full quaternion tensor for qdcgan."""
     if spec.family == "qsngan":
-        return rng.standard_normal((n, spec.noise_dim)).astype(dtype)
-    return QTensor(rng.standard_normal((4, n, spec.noise_dim // 4)).astype(dtype))
+        return rng.standard_normal((n, spec.noise_dim)).astype(np.float32)
+    return QTensor(rng.standard_normal((4, n, spec.noise_dim // 4)).astype(np.float32))
 
 
 def _load_images(config: TrainConfig) -> np.ndarray:

@@ -197,7 +197,7 @@ class TestShapes:
         g, d = MD.build_gan(spec)
         g.init_params(rng)
         d.init_params(rng)
-        z = make_noise(spec, 3, rng, dtype=np.float64)
+        z = make_noise(spec, 3, rng).astype(np.float64)
         img = g.forward_array(z)
         assert img.shape == (3, 1, 16, 16)  # one quaternion channel = 4 reals
         out = d.forward_array(img)
@@ -209,7 +209,7 @@ class TestShapes:
         g, d = MD.build_gan(spec)
         g.init_params(rng)
         d.init_params(rng)
-        z = make_noise(spec, 2, rng, dtype=np.float64)
+        z = QTensor(make_noise(spec, 2, rng).data.astype(np.float64))
         img = g.forward_array(z)
         assert img.shape == (2, 1, 16, 16)
         assert np.all(img.data >= -1.0) and np.all(img.data <= 1.0)  # split tanh
@@ -286,7 +286,7 @@ def test_eval_mode_is_refused(rng):
     for an eval mode is refused rather than run in train mode."""
     spec = MD.preset_spec("qdcgan_toy16")
     g, _ = MD.build_gan(spec)
-    z = make_noise(spec, 2, rng, dtype=np.float64)
+    z = QTensor(make_noise(spec, 2, rng).data.astype(np.float64))
     tape = ad.Tape(needs_grad=False)
     with pytest.raises(DomainError, match="eval"):
         g.forward(tape, tape.constant(z), training=False)

@@ -148,6 +148,21 @@ class TestConfig:
         assert cli.main(["eval", "--checkpoint", checkpoint, "--data", str(out)]) == 0
         assert "frechet distance (pixels features, 5 samples)" in capsys.readouterr().out
 
+    def test_cli_eval_names_the_packed_format_for_an_image_file(self, tmp_path, capsys,
+                                                                toy_checkpoint):
+        """A sample grid passed to ``eval --data`` is refused with a message
+        that says a file is read as a packed dataset and images go in a
+        directory."""
+        out = tmp_path / "s"
+        assert cli.main(["sample", "--checkpoint", toy_checkpoint, "--out", str(out),
+                         "--n", "4"]) == 0
+        capsys.readouterr()
+        grid = str(tmp_path / "s_grid.ppm")
+        assert cli.main(["eval", "--checkpoint", toy_checkpoint, "--data", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid}: bad magic")
+        assert "read as a packed dataset" in err and "as a directory" in err
+
     def test_dataset_size_mismatch(self, tmp_path):
         cfg = toy_config(tmp_path, synth={"n": 8, "size": 16, "seed": 0})
         with pytest.raises(ConfigError):
