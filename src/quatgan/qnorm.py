@@ -64,6 +64,14 @@ def qbn(x, gamma, beta):
     of the recorded gradient. Both passes run on the :func:`_sample_rows`
     matrix, a view of a channels-last map, and write their results in its
     layout.
+
+    Forward saves only the centred input ``xc`` and the per-channel scale
+    ``s``, and writes ``out = xc * (gamma / s) + beta``. Backward is the
+    closed form of batch normalization's gradient (Ioffe & Szegedy,
+    arXiv:1502.03167) for the pooled variance: with upstream ``g``, ``n``
+    samples and per-channel ``S = sum(g * xc)`` over samples and components,
+    ``dx = g * gamma / s - xc * gamma * S / (n s^3) - gamma * sum(g) / (n s)``,
+    ``dgamma = S / s`` and ``dbeta = sum(g)``.
     """
     saved = {}
     channels = x.value.shape[1]
@@ -71,6 +79,10 @@ def qbn(x, gamma, beta):
     def col_sum(m):
         """Per (component, channel) sum over all samples: (4, C)."""
         return L.channel_sum(m, 4 * channels).reshape(4, channels)
+
+    def chan_dot(a, b):
+        """Per-channel sum of ``a * b`` over samples and components: (C,)."""
+        return np.einsum("ij,ij->j", a, b).reshape(-1, channels).sum(axis=0)
 
     def tile(v, r):
         """A (4, C) or (C,) per-channel array as one row of the matrix."""
@@ -83,22 +95,21 @@ def qbn(x, gamma, beta):
         if n < 2:
             raise DomainError("QBN needs at least two samples per channel for variance")
         xc = m - tile(col_sum(m) / n, r)
-        s = np.sqrt((col_sum(xc * xc) / n).sum(axis=0) + EPSILON)
-        xhat = xc / tile(s, r)
-        saved.update(xc=xc, s=s, n=n, r=r, xhat=xhat, gamma=gv)
-        out = xhat * tile(gv, r) + tile(bv.data, r)
+        s = np.sqrt(chan_dot(xc, xc) / n + EPSILON)
+        saved.update(xc=xc, s=s, n=n, r=r, gamma=gv)
+        out = xc * tile(gv / s, r)
+        out += tile(bv.data, r)
         return QTensor(_from_rows(out, xv.data.shape, order))
 
     def bwd(g):
-        xhat, gamma, s, xc, n, r = (saved[k] for k in ("xhat", "gamma", "s", "xc", "n", "r"))
+        gamma, s, xc, n, r = (saved[k] for k in ("gamma", "s", "xc", "n", "r"))
         gm, order = _sample_rows(g)
-        dgamma = col_sum(gm * xhat).sum(axis=0)
         dbeta = col_sum(gm)
-        dxhat = gm * tile(gamma, r)
-        dv = col_sum(dxhat * xc).sum(axis=0) * (-0.5) / (s ** 3)
-        dmu = col_sum(dxhat) * (-1.0 / s)
-        dx = dxhat / tile(s, r) + tile(dv * (2.0 / n), r) * xc + tile(dmu / n, r)
-        return _from_rows(dx, g.shape, order), dgamma, dbeta
+        dot = chan_dot(gm, xc)
+        dx = gm * tile(gamma / s, r)
+        dx -= xc * tile(gamma * dot / (n * s ** 3), r)
+        dx -= tile(gamma * dbeta / (n * s), r)
+        return _from_rows(dx, g.shape, order), dot / s, dbeta
 
     return x.tape.record("qbn", (x, gamma, beta), fwd, bwd)
 
