@@ -9,17 +9,14 @@ parameter's gradient is the derivative of the loss with respect to
 submatrix c.
 
 Each differentiable operation is one function here that holds both its
-forward and its backward; there is no separate pure forward.
-
-Gradients are computed only where one is needed. A node needs a gradient
-if it is a parameter of a gradient tape or has an input that needs one;
-constants, and everything computed only from constants, do not. ``record``
-keeps no backward closure for a node that needs no gradient, so what its
-forward saved is freed as soon as ``record`` returns (the ops save
-unconditionally). A gradient-free tape (``Tape(needs_grad=False)``), which
-runs the same ops for inference, is the case where no node needs one. The
-layer ops read their input's flag when they record and skip the
-input-gradient product of an input that needs none.
+forward and its backward; there is no separate pure forward. A node needs
+a gradient if it is a parameter of a gradient tape or has an input that
+needs one; constants, and what is computed only from them, do not.
+``record`` keeps no backward closure for a node that needs no gradient, so
+what its forward saved is freed as soon as ``record`` returns, and the layer
+ops skip the input-gradient product of an input that needs none. On a
+gradient-free tape (``Tape(needs_grad=False)``), which runs the same ops for
+inference, no node needs one.
 
 The layer ops take their widths from their kernel's shape. A conv op is
 called with only its stride and padding besides (see :mod:`quatgan.layers`)
@@ -93,8 +90,7 @@ _keep_freed_heap()
 
 class Node:
     """One recorded operation; ``value`` is its eagerly evaluated result, and
-    ``needs_grad`` whether backward computes a gradient for it (see the
-    module docstring).
+    ``needs_grad`` whether backward computes a gradient for it.
 
     A node refers to its tape weakly, so a tape and its nodes are freed as
     soon as the last reference to the tape is dropped, without waiting for
@@ -178,10 +174,8 @@ class Tape:
         """Gradients of a scalar loss for every registered parameter, each a
         plain array of the parameter's stored shape.
 
-        Parameters not on any path to the loss get all-zero gradients. The
-        walk visits only nodes that need a gradient: a contribution to an
-        input that needs none (a constant, or a value computed only from
-        constants) is dropped, and such a node has no backward to run.
+        Parameters not on any path to the loss get all-zero gradients. A
+        contribution to an input that needs no gradient is dropped.
         """
         if loss.tape is not self:
             raise DomainError("loss node belongs to a different tape")
@@ -422,9 +416,8 @@ def qconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int)
     the input's phases against the :func:`_row_weights` of the kernel's
     Hamilton block. The kernel gradient pairs the same patches with the
     output gradient, which backward then drops; the input gradient is
-    :func:`_row_gemms_t` of the output gradient, skipped for an input that
-    needs no gradient. The output and the input gradient are channels-last
-    views of the GEMM results.
+    :func:`_row_gemms_t` of the output gradient. The output and the input
+    gradient are channels-last views of the GEMM results.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -469,8 +462,7 @@ def qtconv2d(x: Node, kernel: Node, bias: Node | None, stride: int, padding: int
     of that of the per-component transposed kernel (out_q*k*k, in_q):
     forward is :func:`_row_gemms_t` of the input, and backward's row patches
     of the gradient's phases give the input gradient and, paired with the
-    saved input, the kernel gradient. The input gradient is skipped for an
-    input that needs none.
+    saved input, the kernel gradient.
     """
     saved = {}
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
