@@ -1,10 +1,10 @@
 """GAN objectives in the quaternion framework, as fused tape operations.
 
 Each ``*_op`` records one node whose value is a scalar loss carried in q0.
-The hinge and Wasserstein ops read (B, 1) quaternion decisions and score
-each by its component sum q0+q1+q2+q3, so a loss depends on a decision only
-through that sum and passes every component the same gradient. The
-quaternion cross-entropy scores a quaternion estimate in (0, 1) against a
+The hinge ops read (B, 1) quaternion decisions and score each by its
+component sum q0+q1+q2+q3, so a loss depends on a decision only through
+that sum and passes every component the same gradient. The quaternion
+cross-entropy scores a quaternion estimate in (0, 1) against a
 constant target; estimates are clamped to [eps, 1-eps] with eps = 1e-7, and
 clamped entries get zero gradient.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Node
-from .errors import DomainError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .qtensor import QTensor
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "qce_op",
     "hinge_discriminator_op",
     "hinge_generator_op",
-    "wgan_discriminator_op",
-    "wgan_generator_op",
 ]
 
 EPS = 1e-7
@@ -106,36 +104,3 @@ def hinge_generator_op(d_fake: Node) -> Node:
 
     return _scalar_node(d_fake, "hinge_g", (d_fake,), value, bwd)
 
-
-wgan_generator_op = hinge_generator_op  # both minimize -mean(D(G(z)))
-
-
-def wgan_discriminator_op(d_real: Node, d_fake: Node, d_up: Node, d_down: Node,
-                          lam: float, delta: float) -> Node:
-    """Critic loss -mean(D(real)) + mean(D(fake)) + lam * mean((n - 1)^2).
-
-    ``d_up``/``d_down`` are D at interpolates x +- delta * u, u the unit
-    direction (real - fake). n = |D(up) - D(down)| / (2 delta) is a central
-    difference along u, so n ~ |grad D . u| <= ||grad D||: a lower bound, not
-    the gradient penalty of Gulrajani et al. (arXiv:1704.00028).
-    """
-    if lam < 0.0:
-        raise DomainError(f"penalty weight must be nonnegative, got {lam}")
-    c = 1.0 / (2.0 * delta)
-    saved = {}
-
-    def value(rv, fv, uv, dv):
-        r, f = _scores(rv), _scores(fv)
-        diff = (_scores(uv) - _scores(dv)) * c
-        n = np.abs(diff)
-        saved.update(b=r.shape[0], n=n, sign=np.sign(diff))
-        return -np.mean(r) + np.mean(f) + lam * np.mean((n - 1.0) ** 2)
-
-    def bwd(g):
-        g0 = g.reshape(4, -1)[0, 0]
-        b, n = saved["b"], saved["n"]
-        dn = (g0 * 2.0 * lam * (n - 1.0) / n.shape[0]) * saved["sign"] * c
-        return (_spread(-g0 / b, b, g.dtype), _spread(g0 / b, b, g.dtype),
-                _spread(dn, len(n), g.dtype), _spread(-dn, len(n), g.dtype))
-
-    return _scalar_node(d_real, "wgan_d", (d_real, d_fake, d_up, d_down), value, bwd)

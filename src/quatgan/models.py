@@ -11,8 +11,7 @@ real channels.
 
 The qsngan G maps real noise, a plain (B, noise_dim) array, by a real dense
 layer to its first quaternion map; the qsngan D returns (B, 1) quaternion
-decisions, which the hinge and Wasserstein losses score by their component
-sums.
+decisions, which the hinge loss scores by their component sums.
 """
 
 from __future__ import annotations

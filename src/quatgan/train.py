@@ -29,7 +29,7 @@ from .qtensor import QTensor, live_array
 __all__ = ["TrainConfig", "train", "save_checkpoint", "load_checkpoint",
            "emit_samples", "make_noise", "generate_images"]
 
-LOSS_FAMILIES = {"qce": "qdcgan", "hinge": "qsngan", "wgan_gp": "qsngan"}
+LOSS_FAMILIES = {"qce": "qdcgan", "hinge": "qsngan"}
 
 # Config fields a resume may change: none of them touches the state that a
 # checkpoint holds before it is written. Every other field must match.
@@ -37,7 +37,7 @@ RESUME_FREE_FIELDS = frozenset({"iterations", "out_dir", "checkpoint_every", "sa
 
 INT_FIELDS = ("batch_size", "iterations", "critic_iters", "seed", "checkpoint_every",
               "eval_every", "eval_samples", "sample_count")
-FLOAT_FIELDS = ("lr", "beta1", "beta2", "lambda_gp")
+FLOAT_FIELDS = ("lr", "beta1", "beta2")
 
 
 def _is_int(value) -> bool:
@@ -65,7 +65,6 @@ class TrainConfig:
     dataset: str | None = None
     synth: dict | None = None
     out_dir: str = "runs/out"
-    lambda_gp: float = 10.0
     eval_samples: int = 128
     sample_count: int = 16
     init_criterion: str = "glorot"
@@ -82,8 +81,6 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.lambda_gp < 0:
-            raise ConfigError(f"lambda_gp must be nonnegative, got {self.lambda_gp}")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
         if self.dataset is not None and not isinstance(self.dataset, str):
@@ -347,44 +344,23 @@ def load_checkpoint(path):
 # -- the loop ------------------------------------------------------------------------
 
 
-def _d_loss_node(config, tape, d, d_leaves, real_node, fake_node, aux):
+def _d_loss_node(config, tape, d, d_leaves, real_node, fake_node):
     d_real = d.forward(tape, real_node, d_leaves)
     d_fake = d.forward(tape, fake_node, d_leaves)
     if config.loss == "hinge":
         return LS.hinge_discriminator_op(d_real, d_fake)
-    if config.loss == "qce":
-        b = d_real.value.shape[0]
-        ones = QTensor(np.ones((4, b, 1), dtype=np.float32))
-        zeros = QTensor.zeros((b, 1), dtype=np.float32)
-        return ad.add(LS.qce_op(ones, d_real), LS.qce_op(zeros, d_fake))
-    # wgan_gp: D at interpolates moved by +-delta along the unit direction
-    # (real - fake), whose central difference the loss takes as the gradient
-    # norm. That is |grad D . u| <= ||grad D||, a lower bound of the
-    # Gulrajani et al. penalty that needs no double backward.
-    real, fake = real_node.value.data, fake_node.value.data
-    b = real.shape[1]
-    eps = aux["noise_rng"].uniform(size=b).astype(real.dtype)
-    e = eps.reshape(1, b, 1, 1, 1)
-    interp = e * real + (1.0 - e) * fake
-    direction = real - fake
-    dnorm = np.sqrt((direction.reshape(4, b, -1) ** 2).sum(axis=(0, 2)))
-    dnorm = np.maximum(dnorm, 1e-8).reshape(1, b, 1, 1, 1)
-    direction = direction / dnorm
-    delta = 1e-2
-    up = tape.constant(QTensor(interp + delta * direction))
-    dn = tape.constant(QTensor(interp - delta * direction))
-    return LS.wgan_discriminator_op(d_real, d_fake, d.forward(tape, up, d_leaves),
-                                    d.forward(tape, dn, d_leaves), config.lambda_gp, delta)
+    b = d_real.value.shape[0]
+    ones = QTensor(np.ones((4, b, 1), dtype=np.float32))
+    zeros = QTensor.zeros((b, 1), dtype=np.float32)
+    return ad.add(LS.qce_op(ones, d_real), LS.qce_op(zeros, d_fake))
 
 
 def _g_loss_node(config, d_fake):
     if config.loss == "hinge":
         return LS.hinge_generator_op(d_fake)
-    if config.loss == "qce":
-        b = d_fake.value.shape[0]
-        ones = QTensor(np.ones((4, b, 1), dtype=np.float32))
-        return LS.qce_op(ones, d_fake)
-    return LS.wgan_generator_op(d_fake)
+    b = d_fake.value.shape[0]
+    ones = QTensor(np.ones((4, b, 1), dtype=np.float32))
+    return LS.qce_op(ones, d_fake)
 
 
 def train(config: TrainConfig, resume_from: str | None = None) -> dict:
@@ -495,11 +471,8 @@ def train(config: TrainConfig, resume_from: str | None = None) -> dict:
                 MD.apply_spectral_norm(d)
             tape = ad.Tape()
             d_leaves = d.bind(tape)
-            loss_node = _d_loss_node(
-                config, tape, d, d_leaves,
-                tape.constant(real), tape.constant(fake),
-                {"noise_rng": rngs["noise"]},
-            )
+            loss_node = _d_loss_node(config, tape, d, d_leaves,
+                                     tape.constant(real), tape.constant(fake))
             loss_val = float(loss_node.value.q0.reshape(-1)[0])
             _check_finite("d_loss", loss_val, iteration, g, d)
             grads = tape.backward(loss_node)

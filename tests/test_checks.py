@@ -9,7 +9,7 @@ CASES = [(f"{suite}/{name}", fn) for suite, entries in checks.SUITES.items()
 
 
 def test_every_suite_entry_is_collected():
-    assert len(CASES) == 29
+    assert len(CASES) == 28
 
 
 @pytest.mark.parametrize("fn", [fn for _, fn in CASES], ids=[name for name, _ in CASES])
@@ -78,7 +78,6 @@ def checked_ops():
 
 @pytest.mark.parametrize("model, loss, sn_mode", [
     ("qsngan_toy8", "hinge", "full"),
-    ("qsngan_toy8", "wgan_gp", "full"),
     ("qdcgan_toy8", "qce", "none"),
 ])
 def test_training_step_ops_are_grad_checked(tmp_path, checked_ops, model, loss, sn_mode):
