@@ -187,6 +187,7 @@ SUITES = {
         ("qconv2d_strided_odd", _conv((2, 2, 5, 7), 2, 4, 2, 1)),
         ("qtransposed_conv2d", check_op(ad.qtconv2d, [q(2, 2, 3, 4), q(2, 2, 4, 4), q(2)],
                                         2, 1)),
+        ("downconv_kernel", check_op(ad.downconv_kernel, [q(3, 2, 3, 3)])),
         ("upconv_kernel", check_op(ad.upconv_kernel, [q(3, 2, 3, 3)])),
         ("split_relu", check_op(ad.split_act, [margin(3, 4)], "relu")),
         ("split_tanh", check_op(ad.split_act, [q(3, 4)], "tanh")),

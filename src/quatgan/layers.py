@@ -39,10 +39,13 @@ k' GEMMs, one per kernel row, over the contiguous slices
 correlation is a correlation, so a conv's input gradient, and a transposed
 conv's forward, is the same lowering of the gradient against the kernel
 reversed on both tap axes with in and out swapped, followed by
-:func:`from_phases` (Dumoulin & Visin, arXiv:1603.07285). A nearest 2x
-upsample followed by a 3x3, padding-1 conv is likewise not run at the high
-resolution: it is the stride-2, padding-1 transposed conv of the low-res map
-against the 4x4 kernel that combines the 3x3 taps per axis as
+:func:`from_phases` (Dumoulin & Visin, arXiv:1603.07285). A 3x3, padding-1
+conv next to a 2x resampling is likewise not run at the high resolution.
+Followed by a 2x2 average pool, it is the stride-2, padding-1 conv of the
+map against the 4x4 kernel that combines the 3x3 taps per axis as
+[w0, w0+w1, w1+w2, w2] / 2 (:func:`quatgan.autodiff.downconv_kernel`).
+After a nearest 2x upsample, it is the stride-2, padding-1 transposed conv
+of the low-res map against the 4x4 kernel with the taps
 [w2, w1+w2, w0+w1, w0] (:func:`quatgan.autodiff.upconv_kernel`).
 """
 

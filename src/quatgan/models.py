@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as L
 from . import qnorm
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeMismatchError
 from .qtensor import QTensor, live_array
 
 __all__ = [
@@ -196,6 +196,25 @@ class QUpConv(_WeightedModule):
         return ad.qtconv2d(x, kernel, self._bias_node(leaves), 2, 1)
 
 
+class QDownConv(_WeightedModule):
+    """A 3x3, stride-1, padding-1 conv from ``in_q`` to ``out_q`` channels
+    followed by a 2x2 average pool, run as one stride-2, padding-1 conv of
+    the input against :func:`quatgan.autodiff.downconv_kernel` of the conv's
+    (out_q, in_q, 3, 3) kernel. The parameters are the 3x3 conv's. Like the
+    pool, it refuses a map with an odd side."""
+
+    def __init__(self, name, in_q, out_q, dtype=np.float64):
+        super().__init__(name, (out_q, in_q, 3, 3), in_q, out_q, True, dtype)
+
+    def forward(self, leaves, x):
+        h, w = x.value.shape[-2:]
+        if h % 2 or w % 2:
+            raise ShapeMismatchError(f"{self.name} pools by 2 and needs even spatial dims, "
+                                     f"got {(h, w)}")
+        kernel = ad.downconv_kernel(self._kernel_node(leaves))
+        return ad.qconv2d(x, kernel, self._bias_node(leaves), 2, 1)
+
+
 class QTConv(_WeightedModule):
     """A ``k``x``k`` transposed conv from ``in_q`` to ``out_q`` quaternion
     channels; its geometry is its kernel's shape, (in_q, out_q, k, k), plus
@@ -323,17 +342,18 @@ def disc_block(name, i, o, downsample, dtype=np.float64) -> Residual:
     """Discriminator block, ``i`` to ``o`` quaternion channels, with spectral
     norm in place of QBN: conv1 ``i -> i``, conv2 ``i -> o``. The shortcut has
     a learnable 1x1 conv only when the block pools or changes width; the
-    refiner, which does neither, keeps the identity."""
+    refiner, which does neither, keeps the identity. A downsampling block's
+    conv2 is a :class:`QDownConv`, which runs at the pooled resolution, and
+    its shortcut pools before the 1x1 conv, with which the pool and the
+    conv's bias commute."""
     main = [
         Op(f"{name}.act1", ad.split_act, "relu"),
         _conv(f"{name}.conv1", 3, i, i, dtype),
         Op(f"{name}.act2", ad.split_act, "relu"),
-        _conv(f"{name}.conv2", 3, i, o, dtype),
+        QDownConv(f"{name}.conv2", i, o, dtype=dtype) if downsample
+        else _conv(f"{name}.conv2", 3, i, o, dtype),
     ]
-    shortcut = []
-    if downsample:
-        main.append(Op(f"{name}.pool", ad.avg_pool, 2))
-        shortcut.append(Op(f"{name}.sc_pool", ad.avg_pool, 2))
+    shortcut = [Op(f"{name}.sc_pool", ad.avg_pool, 2)] if downsample else []
     if downsample or i != o:
         shortcut.append(_conv(f"{name}.sc", 1, i, o, dtype))
     return Residual(name, main, shortcut)
@@ -341,14 +361,14 @@ def disc_block(name, i, o, downsample, dtype=np.float64) -> Residual:
 
 def first_disc_block(name, o, dtype=np.float64) -> Residual:
     """Input block of the discriminator, the image's one quaternion channel
-    to ``o``: no leading ReLU, and the 1x1 shortcut conv runs before the pool."""
+    to ``o``: no leading ReLU, conv2 a :class:`QDownConv`, and the shortcut
+    pools before its 1x1 conv, as in :func:`disc_block`."""
     main = [
         _conv(f"{name}.conv1", 3, 1, o, dtype),
         Op(f"{name}.act", ad.split_act, "relu"),
-        _conv(f"{name}.conv2", 3, o, o, dtype),
-        Op(f"{name}.pool", ad.avg_pool, 2),
+        QDownConv(f"{name}.conv2", o, o, dtype=dtype),
     ]
-    shortcut = [_conv(f"{name}.sc", 1, 1, o, dtype), Op(f"{name}.sc_pool", ad.avg_pool, 2)]
+    shortcut = [Op(f"{name}.sc_pool", ad.avg_pool, 2), _conv(f"{name}.sc", 1, 1, o, dtype)]
     return Residual(name, main, shortcut)
 
 

@@ -260,6 +260,22 @@ class TestViewContributions:
         assert np.array_equal(grad, buf.transpose(1, 0, 2))
 
 
+class TestFlattenMap:
+    @pytest.mark.parametrize("channels_last", [True, False])
+    @pytest.mark.parametrize("b,c,h,w", [(32, 16, 4, 4), (3, 2, 1, 5), (1, 1, 2, 3)])
+    def test_bitwise_equal_to_one_pass_copy(self, channels_last, b, c, h, w):
+        """Flattening a map per sample, as the qdcgan D head does, writes the
+        same bits and the same batch-major storage as the one strided copy."""
+        data = np.random.default_rng(0).standard_normal((4, b, c, h, w)).astype(np.float32)
+        if channels_last:
+            data = np.ascontiguousarray(data.transpose(3, 1, 4, 0, 2)).transpose(3, 1, 4, 0, 2)
+        tape = ad.Tape(needs_grad=False)
+        got = ad.reshape(tape.constant(QTensor(data)), (-1, c * h * w)).value.data
+        want = ad._copy_reshaped(ad._tape_empty((b, c * h * w), data.dtype), data)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+
+
 HEAP_REUSE_SCRIPT = """
 import resource, sys
 from quatgan import train as T

@@ -9,7 +9,7 @@ CASES = [(f"{suite}/{name}", fn) for suite, entries in checks.SUITES.items()
 
 
 def test_every_suite_entry_is_collected():
-    assert len(CASES) == 28
+    assert len(CASES) == 29
 
 
 @pytest.mark.parametrize("fn", [fn for _, fn in CASES], ids=[name for name, _ in CASES])

@@ -353,6 +353,48 @@ class TestUpConv:
             run_op(ad.upconv_kernel, _qt(rng, (2, 2, 4, 4)))
 
 
+class TestDownConv:
+    @pytest.mark.parametrize("b,i,o,h,w", [(1, 2, 3, 4, 6), (2, 1, 2, 2, 4), (1, 1, 1, 6, 2)])
+    def test_matches_pool_of_conv(self, rng, b, i, o, h, w):
+        """The module's output and its input, kernel and bias gradients equal
+        those of the 2x2 average pool of the 3x3 conv."""
+        conv = MD.QDownConv("c", i, o)
+        conv.init_params(rng, "glorot")
+        conv.bias.value.data[...] = rng.standard_normal((4, o))
+        x = _qt(rng, (b, i, h, w))
+        probe = _qt(rng, (b, o, h // 2, w // 2))
+
+        def run(fused):
+            tape = ad.Tape()
+            xn = tape.param("x", x)
+            leaves = {"c.kernel": tape.param("k", conv.kernel.value),
+                      "c.bias": tape.param("b", conv.bias.value)}
+            if fused:
+                y = conv.forward(leaves, xn)
+            else:
+                y = ad.avg_pool(ad.qconv2d(xn, leaves["c.kernel"], leaves["c.bias"], 1, 1), 2)
+            return y.value, tape.backward(ad.inner_const(y, probe))
+
+        (y, grads), (want, want_grads) = run(True), run(False)
+        assert np.allclose(y.data, want.data, rtol=0, atol=1e-12)
+        for name in ("x", "k", "b"):
+            assert np.allclose(grads[name].data, want_grads[name].data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h,w", [(5, 4), (4, 3)])
+    def test_odd_map_is_refused(self, rng, h, w):
+        """The pool refuses an odd side; the stride-2 conv would silently
+        return a floor-sized map."""
+        conv = MD.QDownConv("c", 2, 2)
+        tape = ad.Tape(needs_grad=False)
+        leaves = {n: tape.param(n, p.value) for n, p in conv.params()}
+        with pytest.raises(ShapeMismatchError):
+            conv.forward(leaves, tape.constant(_qt(rng, (1, 2, h, w))))
+
+    def test_kernel_must_be_three_by_three(self, rng):
+        with pytest.raises(ShapeMismatchError):
+            run_op(ad.downconv_kernel, _qt(rng, (2, 2, 4, 4)))
+
+
 class TestPhasesAdjoint:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), s=st.integers(1, 3), pad=st.integers(-2, 2),

@@ -18,7 +18,7 @@ MAP_OPS = ("qconv2d", "qtconv2d", "qbn", "add", "avg_pool", "upsample2x", "real_
 # ops whose (B, n) values must be stored batch-major, (B, 4, n)
 DENSE_OPS = ("qdense", "reshape")
 # ops whose rank-5 values are kernels, not maps
-KERNEL_OPS = ("param", "scale_components", "upconv_kernel")
+KERNEL_OPS = ("param", "scale_components", "downconv_kernel", "upconv_kernel")
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -42,8 +42,9 @@ class TestModelSpecValidation:
     @pytest.mark.parametrize("make", [lambda: MD.QDense("d", 0, 2),
                                       lambda: MD.QConv("c", 2, 0, 3, 1, 1),
                                       lambda: MD.QTConv("t", 0, 2, 4, 2, 1),
-                                      lambda: MD.QUpConv("u", 2, 0)],
-                             ids=["qdense", "qconv", "qtconv", "qupconv"])
+                                      lambda: MD.QUpConv("u", 2, 0),
+                                      lambda: MD.QDownConv("v", 0, 2)],
+                             ids=["qdense", "qconv", "qtconv", "qupconv", "qdownconv"])
     def test_weighted_module_refuses_zero_channels(self, make):
         with pytest.raises(ConfigError):
             make()
@@ -163,7 +164,7 @@ class TestParameterAccounting:
 
 class TestTapeOps:
     @pytest.mark.parametrize("name,ops", [
-        ("qsngan_toy16", {"add": 5, "avg_pool": 4, "const": 1,
+        ("qsngan_toy16", {"add": 5, "avg_pool": 2, "const": 1, "downconv_kernel": 2,
                           "global_sum_pool": 1, "param": 44, "qbn": 5, "qconv2d": 13,
                           "qdense": 1, "qtconv2d": 2, "real_dense": 1, "reshape": 1,
                           "scale_components": 9, "split_relu": 11, "split_tanh": 1,
@@ -274,7 +275,7 @@ class TestShapes:
         c1, c2, sc = (_named(block, f"b.{k}") for k in ("conv1", "conv2", "sc"))
         h = run_op(ad.qconv2d, x, c1.kernel.value, c1.bias.value, c1.stride, c1.padding)
         h = run_op(ad.split_act, h, "relu")
-        h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, c2.stride, c2.padding)
+        h = run_op(ad.qconv2d, h, c2.kernel.value, c2.bias.value, 1, 1)
         h = run_op(ad.avg_pool, h, 2)
         s = run_op(ad.qconv2d, x, sc.kernel.value, sc.bias.value, sc.stride, sc.padding)
         s = run_op(ad.avg_pool, s, 2)
