@@ -1,12 +1,21 @@
 """Minimal reverse-mode automatic differentiation over QTensor operations.
 
-A :class:`Tape` records each operation eagerly (op kind, input node ids, the
-forward value, and a backward closure). ``backward`` walks the record once in
+A :class:`Tape` records each operation eagerly and hands the caller a
+:class:`Node` holding its value. ``backward`` walks the record once in
 reverse order and returns the gradient of every registered parameter as a
 plain array of the parameter's stored shape: plain real-valued reverse mode
 applied to the arrays the values store. Component c of a quaternion
 parameter's gradient is the derivative of the loss with respect to
 submatrix c.
+
+A value is owned by the caller that holds its node, or by a backward
+closure that saved it. The tape keeps, per op, only what ``backward``
+reads: the closure, the input ids and the needs-grad flag, plus each
+registered parameter's value. So a forward value that no closure saved (a
+QBN output once the ReLU after it has run) is freed as soon as the caller
+drops its node, as in any eager forward without a tape. ``backward``
+releases each closure once it has run, and each gradient once its closure
+has consumed it; that is why a second ``backward`` is refused.
 
 Each differentiable operation is one function here that holds both its
 forward and its backward; there is no separate pure forward. A node needs
@@ -89,12 +98,16 @@ _keep_freed_heap()
 
 
 class Node:
-    """One recorded operation; ``value`` is its eagerly evaluated result, and
-    ``needs_grad`` whether backward computes a gradient for it.
+    """One recorded operation, as the caller that recorded it sees it:
+    ``value`` is its eagerly evaluated result, ``needs_grad`` whether
+    backward computes a gradient for it, and ``bwd`` its backward closure
+    (``None`` when it needs no gradient).
 
-    A node refers to its tape weakly, so a tape and its nodes are freed as
-    soon as the last reference to the tape is dropped, without waiting for
-    the cyclic garbage collector.
+    The node owns its value: the tape keeps no node, so a value lives only
+    while some caller holds its node or a backward closure saved it. A node
+    refers to its tape weakly, so a tape is freed as soon as the last
+    reference to it is dropped, without waiting for the cyclic garbage
+    collector.
     """
 
     __slots__ = ("_tape", "nid", "op", "inputs", "value", "bwd", "needs_grad")
@@ -123,38 +136,48 @@ class Tape:
     """Single-writer operation record; recording and backward must not be
     interleaved from multiple threads. Distinct tapes are independent.
 
-    A tape is backpropagated at most once: backward closures may release
-    what their forward saved (the conv patch matrices), so a second
-    ``backward`` is refused.
+    Per recorded op the tape keeps only what :meth:`backward` reads: the
+    backward closure (when the op needs a gradient), the input ids and the
+    needs-grad flag; and per registered parameter its value, for the zero
+    gradient of a parameter the loss does not reach. It keeps no node and no
+    forward value.
+
+    A tape is backpropagated at most once: ``backward`` releases each
+    closure once it has run, and with it what its forward saved, so a
+    second ``backward`` is refused.
     """
 
     def __init__(self, needs_grad: bool = True):
-        self.nodes: list[Node] = []
         self.params: dict[str, int] = {}
         self.needs_grad = needs_grad
+        self._bwds: list = []
+        self._inputs: list[tuple[int, ...]] = []
+        self._needs: list[bool] = []
+        self._param_values: dict[str, QTensor | np.ndarray] = {}
         self._backpropagated = False
 
     # -- recording ---------------------------------------------------------
 
     def record(self, op: str, inputs, forward, backward=None) -> Node:
-        """Append a node: validates input ids, evaluates ``forward`` eagerly.
+        """Append an op: validates the input nodes, evaluates ``forward``
+        eagerly and returns the op's node.
 
         ``forward`` receives the input values; ``backward`` (kept only when
         the node needs a gradient, that is when one of ``inputs`` does) maps
         the upstream gradient array to a tuple aligned with ``inputs`` of
         gradient arrays, or ``None`` for an input that needs no gradient.
         """
-        ids = []
         for node in inputs:
-            if not isinstance(node, Node) or node.tape is not self or node.nid >= len(self.nodes):
+            if not isinstance(node, Node) or node.tape is not self or node.nid >= len(self._needs):
                 raise DomainError(f"input {node!r} does not belong to this tape")
-            ids.append(node.nid)
-        value = forward(*(self.nodes[i].value for i in ids))
-        needs_grad = any(self.nodes[i].needs_grad for i in ids)
-        node = Node(self, len(self.nodes), op, tuple(ids), value,
-                    bwd=backward if needs_grad else None, needs_grad=needs_grad)
-        self.nodes.append(node)
-        return node
+        value = forward(*(node.value for node in inputs))
+        needs_grad = any(node.needs_grad for node in inputs)
+        ids = tuple(node.nid for node in inputs)
+        bwd = backward if needs_grad else None
+        self._bwds.append(bwd)
+        self._inputs.append(ids)
+        self._needs.append(needs_grad)
+        return Node(self, len(self._needs) - 1, op, ids, value, bwd=bwd, needs_grad=needs_grad)
 
     def constant(self, value: QTensor | np.ndarray) -> Node:
         return self.record("const", (), lambda: value)
@@ -164,8 +187,9 @@ class Tape:
         if name in self.params:
             raise DomainError(f"parameter {name!r} already registered on this tape")
         node = self.record("param", (), lambda: value)
-        node.needs_grad = self.needs_grad
+        node.needs_grad = self._needs[node.nid] = self.needs_grad
         self.params[name] = node.nid
+        self._param_values[name] = value
         return node
 
     # -- backward ----------------------------------------------------------
@@ -175,7 +199,10 @@ class Tape:
         plain array of the parameter's stored shape.
 
         Parameters not on any path to the loss get all-zero gradients. A
-        contribution to an input that needs no gradient is dropped.
+        contribution to an input that needs no gradient is dropped. Each
+        closure is released once it has run, and each gradient but a
+        parameter's once its closure has consumed it; after backward the
+        tape holds no closure.
         """
         if loss.tape is not self:
             raise DomainError("loss node belongs to a different tape")
@@ -188,32 +215,36 @@ class Tape:
             raise DomainError("this tape was already backpropagated; record a new tape")
         self._backpropagated = True
 
-        grads: list[np.ndarray | None] = [None] * len(self.nodes)
+        bwds, self._bwds = self._bwds, [None] * len(self._bwds)
+        grads: list[np.ndarray | None] = [None] * len(bwds)
         seed = np.zeros_like(lv.data)
         seed.reshape(4, -1)[0] = 1.0
         grads[loss.nid] = seed
 
         for nid in range(loss.nid, -1, -1):
-            g = grads[nid]
-            if g is None:
+            bwd, bwds[nid] = bwds[nid], None
+            if bwd is None or grads[nid] is None:
                 continue
-            node = self.nodes[nid]
-            if node.bwd is None or not node.inputs:
-                continue
-            contribs = node.bwd(g)
-            for inp, contrib in zip(node.inputs, contribs):
-                if contrib is None or not self.nodes[inp].needs_grad:
-                    continue
-                if grads[inp] is None:
-                    # a view of part of a larger buffer would pin all of it
-                    partial = contrib.base is not None and contrib.nbytes < contrib.base.nbytes
-                    grads[inp] = contrib.copy(order="K") if partial else contrib
-                else:
-                    grads[inp] = grads[inp] + contrib
+            g, grads[nid] = grads[nid], None
+            self._accumulate(grads, self._inputs[nid], bwd(g))
 
-        return {name: np.zeros_like(live_array(self.nodes[nid].value))
+        return {name: np.zeros_like(live_array(self._param_values[name]))
                 if grads[nid] is None else grads[nid]
                 for name, nid in self.params.items()}
+
+    def _accumulate(self, grads: list, ids: tuple[int, ...], contribs) -> None:
+        """Add one closure's gradient contributions to those of its inputs. It
+        is a call of its own so that the contributions it is handed, some
+        of them summed away, are freed before the next closure runs."""
+        for inp, contrib in zip(ids, contribs):
+            if contrib is None or not self._needs[inp]:
+                continue
+            if grads[inp] is None:
+                # a view of part of a larger buffer would pin all of it
+                partial = contrib.base is not None and contrib.nbytes < contrib.base.nbytes
+                grads[inp] = contrib.copy(order="K") if partial else contrib
+            else:
+                grads[inp] = grads[inp] + contrib
 
 
 # -- elementwise / structural ops ---------------------------------------------
@@ -584,27 +615,29 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# kind -> (f, input gradient g * f'(x) given the upstream g, input x and output y)
+# kind -> (f, input gradient g * f'(x) given the upstream g and the output y).
+# ReLU's mask y > 0 is bitwise x > 0: max(x, 0) is positive exactly where x
+# is, and -0.0 and NaN fail both tests.
 _ACTIVATIONS = {
-    "relu": (lambda v: np.maximum(v, 0.0), lambda g, x, y: g * (x > 0.0)),
-    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
-    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "relu": (lambda v: np.maximum(v, 0.0), lambda g, y: g * (y > 0.0)),
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
 }
 
 
 def split_act(x: Node, kind: str) -> Node:
-    """Apply a real scalar nonlinearity independently to each component."""
+    """Apply a real scalar nonlinearity independently to each component.
+    Backward reads only the output, so the input is not saved."""
     if kind not in _ACTIVATIONS:
         raise ConfigError(f"unknown activation {kind!r}, expected one of {tuple(_ACTIVATIONS)}")
     f, df = _ACTIVATIONS[kind]
     saved = {}
 
     def fwd(xv):
-        saved["x"], saved["y"] = xv.data, f(xv.data)
+        saved["y"] = f(xv.data)
         return QTensor(saved["y"])
 
-    return x.tape.record(f"split_{kind}", (x,), fwd,
-                         lambda g: (df(g, saved["x"], saved["y"]),))
+    return x.tape.record(f"split_{kind}", (x,), fwd, lambda g: (df(g, saved["y"]),))
 
 
 def avg_pool(x: Node, window: int) -> Node:

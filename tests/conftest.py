@@ -1,7 +1,20 @@
+import contextlib
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+
+# When a test fails, hypothesis's pytest plugin imports this module to
+# suggest a patch; it pulls in libcst and mypy_extensions, which warns
+# DeprecationWarning at import. Under the suite's error::DeprecationWarning
+# filter that warning is raised inside a pytest hook, and the run aborts
+# with INTERNALERROR before any later test. Importing it here, once, with
+# that one warning ignored, keeps a failing property test an ordinary
+# failure. Without libcst the module does not import, and nothing warns.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture
@@ -90,3 +103,25 @@ def run_op(op, *args):
     tape = Tape(needs_grad=False)
     nodes = [tape.constant(a) if isinstance(a, (QTensor, np.ndarray)) else a for a in args]
     return op(*nodes).value
+
+
+@contextlib.contextmanager
+def recorded_nodes():
+    """The node of every op any tape records inside the block, in order. A
+    tape keeps no nodes, so this wraps ``Tape.record``, as the benchmark's
+    span instrumentation does; the list keeps every value alive."""
+    from quatgan.autodiff import Tape
+
+    nodes = []
+    record = Tape.record
+
+    def recording(tape, *args, **kwargs):
+        node = record(tape, *args, **kwargs)
+        nodes.append(node)
+        return node
+
+    Tape.record = recording
+    try:
+        yield nodes
+    finally:
+        Tape.record = record

@@ -100,6 +100,83 @@ class TestTapeLifetime:
             ad.scale_components(loss, [2.0] * 4)
 
 
+def _array_refs(value):
+    """Weak references to a value's array and to the buffer it views."""
+    data = live_array(value)
+    return [weakref.ref(a) for a in (data, data.base) if isinstance(a, np.ndarray)]
+
+
+class TestValueOwnership:
+    """A value lives only while a caller holds its node or a backward closure
+    saved it; the tape keeps neither nodes nor values."""
+
+    def test_gradient_free_values_die_with_their_nodes(self, rng, monkeypatch):
+        """During a ``qsngan_toy8`` G ``forward_array`` the tape is kept
+        alive, yet once the forward has dropped their nodes no op output
+        outlives it."""
+        from quatgan import models as MD
+        from quatgan.train import make_noise
+
+        spec = MD.preset_spec("qsngan_toy8")
+        g, _ = MD.build_gan(spec, dtype=np.float32)
+        g.init_params(rng)
+        tapes, refs = [], []
+        record = ad.Tape.record
+
+        def recording(tape, op, *args):
+            node = record(tape, op, *args)
+            tapes.append(tape)
+            if op not in ("const", "param"):
+                refs.extend((op, r) for r in _array_refs(node.value))
+            return node
+
+        monkeypatch.setattr(ad.Tape, "record", recording)
+        out = g.forward_array(make_noise(spec, 4, rng))
+        assert refs and all(t is tapes[0] for t in tapes)
+        del out
+        assert [op for op, r in refs if r() is not None] == []
+
+    def test_unsaved_value_dies_and_backward_releases_closures(self, rng):
+        """A QBN output, which the ReLU after it does not save, is freed as
+        soon as its node is dropped on a gradient tape; after backward the
+        tape holds no closure."""
+        from quatgan.qnorm import qbn
+
+        tape = ad.Tape()
+        x = tape.param("x", QTensor(rng.standard_normal((4, 3, 2, 4, 4))))
+        normed = qbn(x, tape.param("gamma", np.ones(2)), tape.param("beta", QTensor.zeros((2,))))
+        relu = ad.split_act(normed, "relu")
+        value_refs = _array_refs(normed.value)
+        closures = [weakref.ref(n.bwd) for n in (normed, relu)]
+        del normed, relu
+        assert all(r() is None for r in value_refs)
+        assert all(r() is not None for r in closures)  # the tape keeps them until backward
+
+        loss = total(ad.split_act(ad.upsample2x(x), "tanh"))
+        closures.append(weakref.ref(loss.bwd))
+        tape.backward(loss)
+        del loss
+        assert all(r() is None for r in closures)
+
+    def test_backward_drops_each_gradient_once_consumed(self):
+        """When a closure runs, the upstream gradients of the closures that ran
+        before it are freed."""
+        tape = ad.Tape()
+        h = tape.param("x", QTensor(np.ones((4, 3))))
+        upstream, freed = [], []
+
+        def bwd(g):
+            freed.append([r() is None for r in upstream])
+            upstream.append(weakref.ref(g))
+            return (g * 2.0,)
+
+        for _ in range(4):
+            h = tape.record("double", (h,), lambda v: QTensor(v.data * 2.0), bwd)
+        grads = tape.backward(total(h))
+        assert np.all(grads["x"] == 16.0)
+        assert freed == [[], [True], [True, True], [True, True, True]]
+
+
 class TestBackward:
     def test_loss_must_be_scalar(self, rng):
         tape = ad.Tape()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import Quaternion, hamilton_product, run_op, tensor_hamilton
+from conftest import Quaternion, hamilton_product, recorded_nodes, run_op, tensor_hamilton
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -514,12 +514,24 @@ class TestSplitOps:
         y = run_op(ad.split_act, _qt(rng, (10,)), "sigmoid")
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
 
+    def test_relu_mask_from_output_is_that_of_input(self):
+        """ReLU's backward reads only its output; the mask y > 0 is x > 0
+        at signed zeros, NaN, infinities and subnormals too."""
+        x = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -1e-45, 1e-45, -2.0, 2.0],
+                     dtype=np.float32)
+        tape = ad.Tape()
+        node = ad.split_act(tape.param("x", QTensor(np.tile(x, (4, 1)))), "relu")
+        g = np.full((4, x.size), 3.0, dtype=np.float32)
+        (dx,) = node.bwd(g)
+        assert np.array_equal(dx, g * (x > 0.0))
+
     def test_unknown_kind(self, rng):
         tape = ad.Tape()
-        x = tape.constant(_qt(rng, (2,)))
-        with pytest.raises(ConfigError):
-            ad.split_act(x, "swish")
-        assert len(tape.nodes) == 1
+        with recorded_nodes() as nodes:
+            x = tape.constant(_qt(rng, (2,)))
+            with pytest.raises(ConfigError):
+                ad.split_act(x, "swish")
+        assert len(nodes) == 1
 
     def test_avg_pool_constant(self):
         x = QTensor(np.full((4, 1, 1, 4, 4), 2.5))

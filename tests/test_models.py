@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import run_op
+from conftest import recorded_nodes, run_op
 
 from quatgan import autodiff as ad
 from quatgan import cli
@@ -17,9 +17,10 @@ def assert_float32_pass(model, x):
     f64 tape value, and every gradient is f32 and has the shape of its
     parameter's stored array."""
     tape = ad.Tape()
-    y = model.forward(tape, tape.constant(x))
-    loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
-    assert [n.op for n in tape.nodes if n.value.dtype != np.float32] == []
+    with recorded_nodes() as nodes:
+        y = model.forward(tape, tape.constant(x))
+        loss = ad.inner_const(y, QTensor(np.ones_like(y.value.data)))
+    assert [n.op for n in nodes if n.value.dtype != np.float32] == []
     grads = tape.backward(loss)
     for name, value in model.param_tensors().items():
         assert grads[name].dtype == np.float32, name
@@ -182,9 +183,10 @@ class TestTapeOps:
         d.init_params(rng)
         MD.apply_spectral_norm(d)
         tape = ad.Tape()
-        fake = g.forward(tape, tape.constant(make_noise(spec, 4, rng)))
-        d.forward(tape, fake)
-        assert Counter(node.op for node in tape.nodes) == ops  # 103 and 32 nodes
+        with recorded_nodes() as nodes:
+            fake = g.forward(tape, tape.constant(make_noise(spec, 4, rng)))
+            d.forward(tape, fake)
+        assert Counter(node.op for node in nodes) == ops  # 103 and 32 nodes
 
 
 def _named(block, name):

@@ -4,6 +4,7 @@ given, and a short run brings its samples closer to the data."""
 
 import numpy as np
 import pytest
+from conftest import recorded_nodes
 
 from quatgan import autodiff as ad
 from quatgan import data as D
@@ -83,10 +84,11 @@ def _d_step_row_gemms_t(monkeypatch, model, loss, sn):
 
     monkeypatch.setattr(ad, "_row_gemms_t", counted)
     tape = ad.Tape()
-    loss_node = T._d_loss_node(config, tape, d, d.bind(tape), tape.constant(real),
-                               tape.constant(fake))
+    with recorded_nodes() as nodes:
+        loss_node = T._d_loss_node(config, tape, d, d.bind(tape), tape.constant(real),
+                                   tape.constant(fake))
     tape.backward(loss_node)
-    return len(calls), sum(node.op == "qconv2d" for node in tape.nodes)
+    return len(calls), sum(node.op == "qconv2d" for node in nodes)
 
 
 @pytest.mark.parametrize("model,loss,sn,calls,convs", [
