@@ -6,13 +6,17 @@ The features are the images average-pooled to an 8x8 grid and flattened
 are defined on Inception-v3 features, and those weights are not in this
 repository. So a distance here is comparable only with other distances made
 by this repository, never with FID or IS values reported elsewhere.
+
+Non-finite features or moments raise :class:`NumericError`, which the CLI
+reports as a numeric failure (exit 2).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from . import layers as L
+from .errors import DomainError, NumericError, ShapeMismatchError
 
 __all__ = ["fit_gaussian", "frechet_distance", "PixelFeatures"]
 
@@ -25,10 +29,16 @@ def fit_gaussian(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise DomainError(f"need a (N>=2, d) feature batch, got {f.shape}")
+    _require_finite("features", f)
     mu = f.mean(axis=0)
     centered = f - mu
     cov = centered.T @ centered / f.shape[0]
     return mu, cov
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError(f"non-finite entries in {name}")
 
 
 def _sym_sqrt(m: np.ndarray) -> np.ndarray:
@@ -43,7 +53,8 @@ def frechet_distance(mu_g, cov_g, mu_r, cov_r) -> float:
 
     The cross term is evaluated through the symmetrized product
     A C_r A with A = C_g^{1/2}, using symmetric eigendecompositions; tiny
-    negative results from roundoff are clamped to zero.
+    negative results from roundoff are clamped to zero. A non-finite moment
+    raises :class:`NumericError` naming it.
     """
     mu_g, mu_r = np.asarray(mu_g, dtype=np.float64), np.asarray(mu_r, dtype=np.float64)
     cov_g, cov_r = np.asarray(cov_g, dtype=np.float64), np.asarray(cov_r, dtype=np.float64)
@@ -51,6 +62,8 @@ def frechet_distance(mu_g, cov_g, mu_r, cov_r) -> float:
         raise ShapeMismatchError(
             f"moment shapes disagree: {mu_g.shape}/{cov_g.shape} vs {mu_r.shape}/{cov_r.shape}"
         )
+    for name, m in (("mu_g", mu_g), ("cov_g", cov_g), ("mu_r", mu_r), ("cov_r", cov_r)):
+        _require_finite(name, m)
     for name, c in (("cov_g", cov_g), ("cov_r", cov_r)):
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ShapeMismatchError(f"{name} must be square, got {c.shape}")
@@ -67,18 +80,23 @@ def frechet_distance(mu_g, cov_g, mu_r, cov_r) -> float:
 
 
 class PixelFeatures:
-    """Average-pool (N, 3, H, W) images to a ``FEATURE_GRID`` square and
-    flatten to (N, 3 * FEATURE_GRID**2). Deterministic."""
+    """Average-pool (N, 3, H, H) images to a ``FEATURE_GRID`` square and
+    flatten to (N, 3 * FEATURE_GRID**2) in (channel, row, column) order.
+    Deterministic.
+
+    The pooling is :func:`quatgan.layers.window_sum` of the float64 images
+    viewed as an (H, N, W, 3) map, divided by the window's pixel count."""
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
         x = np.asarray(images, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeMismatchError(f"expected (N, 3, H, W) images, got {x.shape}")
-        n, c, h, w = x.shape
-        if h % FEATURE_GRID or w % FEATURE_GRID:
+        n, _, h, w = x.shape
+        if h != w or h % FEATURE_GRID:
             raise ShapeMismatchError(
-                f"image size {(h, w)} not divisible by feature grid {FEATURE_GRID}"
+                f"image size {(h, w)} is not a square divisible by feature grid {FEATURE_GRID}"
             )
-        bh, bw = h // FEATURE_GRID, w // FEATURE_GRID
-        pooled = x.reshape(n, c, FEATURE_GRID, bh, FEATURE_GRID, bw).mean(axis=(3, 5))
-        return pooled.reshape(n, -1)
+        window = h // FEATURE_GRID
+        pooled = L.window_sum(x.transpose(2, 0, 3, 1), window)
+        pooled /= window * window
+        return pooled.transpose(1, 3, 0, 2).reshape(n, -1)

@@ -471,14 +471,23 @@ def sn_warmup(model: Model, iters: int = 20):
         apply_spectral_norm(model)
 
 
+def _largest_singular_value(a: np.ndarray) -> float:
+    """The spectral norm of ``a``: the square root of the top eigenvalue of
+    its float64 Gram matrix, formed on the smaller side. It agrees with a
+    float64 SVD to about 1e-15 relative and costs a fraction of one."""
+    a = np.asarray(a, dtype=np.float64)
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
 def measure_sigmas(model: Model) -> dict[str, float]:
-    """True spectral norms (SVD) of the effective weights, per weighted module.
+    """True spectral norms of the effective weights, per weighted module.
 
     Full/no normalization measures the constructed real block matrix; split
     normalization measures the worst per-submatrix norm, matching what that
     mode claims to control.
     """
-    return {m.name: max(float(np.linalg.svd(a, compute_uv=False)[0])
+    return {m.name: max(_largest_singular_value(a)
                         for a in m.sn_matrices(m.effective_kernel()))
             for m in model.weighted_modules()}
 

@@ -4,7 +4,27 @@ import numpy as np
 import pytest
 
 from quatgan import metrics as M
-from quatgan.errors import DomainError
+from quatgan.errors import DomainError, NumericError, ShapeMismatchError
+
+
+def sqrt_psd(m):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def eigh_reference_fd(mu1, cov1, mu2, cov2):
+    """Frechet distance through the square root of cov2, the other side from
+    the one the metric roots: Tr((C1 C2)^{1/2}) = Tr((B C1 B)^{1/2}), B = C2^{1/2}."""
+    b = sqrt_psd(cov2)
+    diff = mu1 - mu2
+    return diff @ diff + np.trace(cov1) + np.trace(cov2) - 2 * np.trace(sqrt_psd(b @ cov1 @ b))
+
+
+def reshape_mean_features(images):
+    """Mean over each 8x8 grid cell's pixels by a reshape to two window axes."""
+    x = np.asarray(images, dtype=np.float64)
+    n, c, h, w = x.shape
+    return x.reshape(n, c, 8, h // 8, 8, w // 8).mean(axis=(3, 5)).reshape(n, -1)
 
 
 def closed_form_2x2_fd(mu1, cov1, mu2, cov2):
@@ -50,6 +70,13 @@ class TestFitGaussian:
         with pytest.raises(DomainError):
             M.fit_gaussian(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_raise(self, rng, bad):
+        f = rng.standard_normal((6, 3))
+        f[2, 1] = bad
+        with pytest.raises(NumericError, match="non-finite entries in features"):
+            M.fit_gaussian(f)
+
 
 class TestFrechetDistance:
     def test_identical_gaussians(self, rng):
@@ -91,6 +118,42 @@ class TestFrechetDistance:
         with pytest.raises(DomainError):
             M.frechet_distance(np.zeros(2), bad, np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_moment_raises(self, bad, which):
+        moments = [np.zeros(2), np.eye(2), np.zeros(2), np.eye(2)]
+        moments[which][0, ...] = bad
+        name = ["mu_g", "cov_g", "mu_r", "cov_r"][which]
+        with pytest.raises(NumericError, match=f"non-finite entries in {name}$"):
+            M.frechet_distance(*moments)
+
+    def test_rank_deficient_covariances_of_an_eval_batch(self):
+        """128 samples of 192 features, as an eval point fits: both
+        covariances have rank 127."""
+        rng = np.random.default_rng(7)
+        mu_g, cov_g = M.fit_gaussian(np.tanh(rng.standard_normal((128, 192))))
+        mu_r, cov_r = M.fit_gaussian(0.5 * np.tanh(rng.standard_normal((128, 192)) + 0.3))
+        assert np.linalg.matrix_rank(cov_g) == np.linalg.matrix_rank(cov_r) == 127
+        got = M.frechet_distance(mu_g, cov_g, mu_r, cov_r)
+        want = eigh_reference_fd(mu_g, cov_g, mu_r, cov_r)
+        assert abs(got - want) <= 1e-8 * want
+        assert abs(M.frechet_distance(mu_r, cov_r, mu_g, cov_g) - got) <= 1e-8 * got
+
+    def test_collapsed_generator(self):
+        """A generator that emits one image has a zero covariance; the cross
+        term vanishes and the distance is |mu_g - mu_r|^2 + Tr(C_r)."""
+        rng = np.random.default_rng(8)
+        # float32 entries sum exactly in float64, so the mean is exact too
+        row = rng.uniform(-1, 1, 192).astype(np.float32)
+        mu_g, cov_g = M.fit_gaussian(np.tile(row, (128, 1)))
+        assert not cov_g.any()
+        mu_r, cov_r = M.fit_gaussian(np.tanh(rng.standard_normal((128, 192))))
+        got = M.frechet_distance(mu_g, cov_g, mu_r, cov_r)
+        closed = (mu_g - mu_r) @ (mu_g - mu_r) + np.trace(cov_r)
+        assert abs(got - eigh_reference_fd(mu_g, cov_g, mu_r, cov_r)) <= 1e-12 * closed
+        assert abs(got - closed) <= 1e-12 * closed
+        assert abs(M.frechet_distance(mu_r, cov_r, mu_g, cov_g) - got) <= 1e-12 * closed
+
 
 class TestExtractors:
     def test_pixel_features_deterministic(self, rng):
@@ -99,3 +162,18 @@ class TestExtractors:
         a, b = ex(imgs), ex(imgs)
         assert np.array_equal(a, b)
         assert a.shape == (4, 192)
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_pixel_features_match_the_reshape_mean(self, rng, size):
+        """Bitwise the mean over each cell for float32 images, which is what
+        generated and loaded images are; float64 images move in the last bits
+        because the window sum adds in another order."""
+        imgs = rng.uniform(-1, 1, size=(16, 3, size, size))
+        ex = M.PixelFeatures()
+        f32 = imgs.astype(np.float32)
+        assert np.array_equal(ex(f32), reshape_mean_features(f32))
+        np.testing.assert_allclose(ex(imgs), reshape_mean_features(imgs), rtol=1e-11, atol=0)
+
+    def test_pixel_features_refuse_non_square_images(self):
+        with pytest.raises(ShapeMismatchError):
+            M.PixelFeatures()(np.zeros((2, 3, 8, 16)))

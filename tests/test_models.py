@@ -315,6 +315,24 @@ class TestSpectralNormIntegration:
         for name, sigma in MD.measure_sigmas(d).items():
             assert abs(sigma - 1.0) < 1e-2, (name, sigma)
 
+    @pytest.mark.parametrize("preset,sn", [("qsngan_toy8", "full"), ("qsngan_toy8", "split"),
+                                           ("qsngan_toy8", "none"), ("qdcgan_toy8", "none")])
+    def test_sigmas_match_a_float64_svd(self, rng, preset, sn):
+        """Every matrix's sigma is its largest float64 singular value to
+        1e-12 relative, and a module reports the largest of its matrices'."""
+        spec = MD.preset_spec(preset)
+        spec.sn = sn
+        _, d = MD.build_gan(spec, dtype=np.float32)
+        d.init_params(rng)
+        MD.apply_spectral_norm(d)
+        sigmas = MD.measure_sigmas(d)
+        for m in d.weighted_modules():
+            mats = m.sn_matrices(m.effective_kernel())
+            want = [np.linalg.svd(np.asarray(a, np.float64), compute_uv=False)[0] for a in mats]
+            assert abs(sigmas[m.name] - max(want)) <= 1e-12 * max(want), m.name
+            for a, w in zip(mats, want):
+                assert abs(MD._largest_singular_value(a) - w) <= 1e-12 * w, m.name
+
     def test_none_mode_leaves_weights(self, rng):
         spec = MD.preset_spec("qsngan_toy8")
         spec.sn = "none"

@@ -163,6 +163,24 @@ class TestConfig:
         assert err.startswith(f"error: {grid}: bad magic")
         assert "read as a packed dataset" in err and "as a directory" in err
 
+    def test_cli_eval_of_a_nan_generator_exits_2(self, tmp_path, capsys):
+        """A NaN generator weight makes NaN features; eval reports a numeric
+        failure and exits 2, not an eigensolver traceback."""
+        cfg = toy_config(tmp_path, model="qdcgan_toy8", loss="qce", sn_mode="none",
+                         iterations=1, checkpoint_every=0, eval_every=0)
+        checkpoint = T.train(cfg)["checkpoints"][-1]
+        tensors = {k: np.array(v) for k, v in C.load_tensors(checkpoint).items()}
+        tensors["param.g.g.t0.kernel"].flat[0] = np.nan
+        broken = str(tmp_path / "nan.qgn")
+        C.save_tensors(broken, tensors)
+        data = tmp_path / "images.qimg"
+        D.save_packed(data, D.synth_dataset(8, 8))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", broken, "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure: non-finite entries in features")
+        assert captured.out == ""
+
     def test_dataset_size_mismatch(self, tmp_path):
         cfg = toy_config(tmp_path, synth={"n": 8, "size": 16, "seed": 0})
         with pytest.raises(ConfigError):
